@@ -17,9 +17,6 @@ from .model import (
     ProblemSpec,
     barf,
     barf_recession,
-    conjugate_deriv,
-    eval_G,
-    eval_g,
 )
 from .optimizer import SolveOptions, SolveResult, minimize
 from .oracle import classical_existence_check, solve_critical, solve_P0
@@ -29,9 +26,7 @@ from .variational import (
     DiscreteObjective,
     FeasiblePoint,
     apriori_diagnostics,
-    assemble_Jh,
     estimate_Hbar,
-    grad_Jh,
     project_feasible,
 )
 
@@ -42,9 +37,9 @@ __all__ = [
     "central_diff", "gradient_central", "divergence_central",
     "upwind_grad_power", "integrate",
     "CouplingG", "PotentialFamily", "ProblemSpec",
-    "barf", "barf_recession", "conjugate_deriv", "eval_G", "eval_g",
+    "barf", "barf_recession",
     "DiscreteObjective", "FeasiblePoint", "AprioriDiagnostics",
-    "assemble_Jh", "grad_Jh", "project_feasible", "estimate_Hbar",
+    "project_feasible", "estimate_Hbar",
     "apriori_diagnostics", "DegenerateSolutionError",
     "SolveOptions", "SolveResult", "minimize",
     "solve_P0", "solve_critical", "classical_existence_check",

@@ -159,23 +159,32 @@ def divergence_central(v: GridVectorField) -> GridFunction:
     return GridFunction(v.grid, out)
 
 
-def upwind_grad_power_values(
-    u: np.ndarray, p: np.ndarray, gamma: float, h: float
-) -> np.ndarray:
-    """Monotone upwind discretisation of |P + Du|^gamma, per node.
+def upwind_slopes(u: np.ndarray, p: np.ndarray, h: float):
+    """Active one-sided slopes per axis k, with D+ u = (u_{+1} - u)/h:
 
-    Per axis k, with forward difference D+ u = (u_{+1} - u)/h,
-
-        max(-p_k - (D+ u)_i, 0)^gamma + max(p_k + (D+ u)_{i-1}, 0)^gamma.
-
-    Non-increasing in every neighbour value, non-decreasing in u_i.
+        a_k = max(-p_k - (D+ u)_i, 0),   b_k = max(p_k + (D+ u)_{i-1}, 0).
     """
-    out = np.zeros_like(u)
+    a, b = [], []
     for k in range(u.ndim):
         fwd = (np.roll(u, -1, axis=k) - u) / h
         bwd = (u - np.roll(u, 1, axis=k)) / h  # forward difference at i-1
-        out += np.maximum(-p[k] - fwd, 0.0) ** gamma
-        out += np.maximum(p[k] + bwd, 0.0) ** gamma
+        a.append(np.maximum(-p[k] - fwd, 0.0))
+        b.append(np.maximum(p[k] + bwd, 0.0))
+    return a, b
+
+
+def upwind_grad_power_values(
+    u: np.ndarray, p: np.ndarray, gamma: float, h: float
+) -> np.ndarray:
+    """Monotone upwind discretisation of |P + Du|^gamma, per node:
+    the sum over axes of a_k^gamma + b_k^gamma (see `upwind_slopes`).
+
+    Non-increasing in every neighbour value, non-decreasing in u_i.
+    """
+    a, b = upwind_slopes(u, p, h)
+    out = np.zeros_like(u)
+    for ak, bk in zip(a, b):
+        out += ak**gamma + bk**gamma
     return out
 
 

@@ -13,10 +13,12 @@ jointly convex and lower semi-continuous for 1 < alpha <= gamma.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .grid import GridFunction, TorusGrid
 
@@ -66,34 +68,20 @@ class CouplingG:
     def conjugate_deriv(self, q):
         """(G*)'(q): the unique m >= 0 with g(m) = q for q > 0, else 0.
 
-        Vectorised bracketed bisection followed by Newton polish; total on
-        all of R since g(0+) = 0 and g is increasing and coercive.
+        Total on all of R since g(0+) = 0 and g is increasing and coercive.
         """
         q = np.asarray(q, dtype=float)
-        scalar = q.ndim == 0
-        q = np.atleast_1d(q).astype(float)
-        out = np.zeros_like(q)
+        out = np.zeros(q.shape)
         pos = q > 0.0
         if np.any(pos):
             qp = q[pos]
-            hi = np.ones_like(qp)
-            for _ in range(200):
-                need = self.g(hi) < qp
-                if not need.any():
-                    break
-                hi[need] *= 2.0
-            lo = np.zeros_like(qp)
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                below = self.g(mid) < qp
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            m = 0.5 * (lo + hi)
-            for _ in range(3):  # Newton polish; g' > 0 at the root since q > 0
-                m = m - (self.g(m) - qp) / self.g_prime(m, z_floor=1e-300)
-                m = np.maximum(m, 0.0)
-            out[pos] = m
-        return float(out[0]) if scalar else out
+            out[pos] = monotone_root(
+                lambda m: self.g(m) - qp,
+                lambda m: self.g_prime(m, z_floor=1e-300),  # > 0 at the root
+                0.0,
+                np.ones_like(qp),
+            )
+        return float(out) if out.ndim == 0 else out
 
     def serialize(self) -> list[dict]:
         return [{"c": c, "theta": t} for c, t in self.terms]
@@ -109,16 +97,54 @@ def _check_nonneg(z):
         raise ValueError("coupling evaluated at negative argument")
 
 
-def eval_G(coupling: CouplingG, z):
-    return coupling.G(z)
+class BracketError(RuntimeError):
+    """Raised when the outer scalar solve cannot bracket a root."""
 
 
-def eval_g(coupling: CouplingG, z):
-    return coupling.g(z)
+def monotone_root(phi, dphi, lo, hi):
+    """Nodewise root of phi, vectorised; phi increases in m with phi(lo) <= 0.
+
+    hi (an array, one starting upper end per node) is doubled where
+    phi(hi) < 0, the bracket [lo, hi] is bisected 90 times, and three
+    Newton steps with derivative dphi, clamped at lo, polish the midpoint.
+    """
+    lo = np.full_like(hi, lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    floor = lo
+    for _ in range(200):
+        short = phi(hi) < 0.0
+        if not short.any():
+            break
+        hi = np.where(short, 2.0 * hi, hi)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        below = phi(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    m = 0.5 * (lo + hi)
+    for _ in range(3):
+        m = np.maximum(m - phi(m) / dphi(m), floor)
+    return m
 
 
-def conjugate_deriv(coupling: CouplingG, q):
-    return coupling.conjugate_deriv(q)
+def mass_root(density, cell, lo, hi):
+    """Multiplier Hbar at which cell * sum(density(Hbar)) = 1.
+
+    The mass must decrease in Hbar.  Each end of [lo, hi] moves outward by
+    a doubling step until the excess mass changes sign across the bracket;
+    brentq then finishes, reusing the excess already computed at the ends.
+    """
+    excess = functools.cache(lambda hbar: cell * float(density(hbar).sum()) - 1.0)
+    step = max(hi - lo, 1.0)
+    for _ in range(200):
+        if excess(lo) < 0.0:
+            lo -= step
+        elif excess(hi) > 0.0:
+            hi += step
+        else:
+            return float(brentq(excess, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        step *= 2.0
+    raise BracketError("could not bracket the mass equation root")
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +287,6 @@ class ProblemSpec:
     @property
     def P_norm(self) -> float:
         return float(np.linalg.norm(self.P))
-
-    def in_variational_range(self) -> bool:
-        return 1.0 < self.alpha <= self.gamma
 
     def with_grid_size(self, n: int, potential: PotentialFamily) -> "ProblemSpec":
         """Same problem resampled on an n-point grid."""

@@ -67,7 +67,7 @@ class SolveResult:
     Hbar_std: float
     objective: float
     iters: int
-    converged: bool
+    converged: bool                # stationary: gradmap <= tol_gradmap
     diagnostics: AprioriDiagnostics
     gradmap: float = float("nan")
 
@@ -238,8 +238,7 @@ def minimize(
             if len(history) == history.maxlen:
                 drop = history[0] - J
                 if drop <= opts.tol_obj * max(1.0, abs(J)):
-                    converged = True
-                    break
+                    break  # stagnation: stopped, but not stationary
     finally:
         if own_trace:
             trace_file.close()

@@ -5,7 +5,8 @@ normalisation constant fixed by unit mass.  For critical congestion
 (alpha = 1, P != 0) u is constant and m solves a strictly decreasing scalar
 equation per node, again with an outer scalar solve for Hbar.  Both outer
 mass functions are strictly decreasing in Hbar, so a bracketed root find is
-exact business.
+exact business.  Both paths run the shared kernels `model.monotone_root`
+(nodewise) and `model.mass_root` (the multiplier).
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .grid import GridFunction, integrate
-from .model import ProblemSpec
+from .model import BracketError, ProblemSpec, mass_root, monotone_root
 from .variational import (
     DiscreteObjective,
     FeasiblePoint,
@@ -24,28 +24,6 @@ from .variational import (
     estimate_Hbar,
 )
 from .optimizer import SolveResult
-
-
-class BracketError(RuntimeError):
-    """Raised when the outer scalar solve cannot bracket a root."""
-
-
-def _expand_bracket(fn, lo, hi, want_sign_change=True, max_expand=200):
-    """Widen [lo, hi] geometrically until fn changes sign across it."""
-    flo, fhi = fn(lo), fn(hi)
-    width = max(hi - lo, 1.0)
-    for _ in range(max_expand):
-        if flo == 0.0:
-            return lo, lo
-        if fhi == 0.0:
-            return hi, hi
-        if np.sign(flo) != np.sign(fhi):
-            return lo, hi
-        width *= 2.0
-        lo -= width
-        hi += width
-        flo, fhi = fn(lo), fn(hi)
-    raise BracketError("could not bracket the mass equation root")
 
 
 def _result_from_point(spec: ProblemSpec, u: GridFunction, m: GridFunction,
@@ -67,25 +45,28 @@ def _result_from_point(spec: ProblemSpec, u: GridFunction, m: GridFunction,
     )
 
 
+def _mass_solve_P0(spec: ProblemSpec) -> tuple[float, np.ndarray]:
+    """(Hbar, m) with m = (G*)'(V - Hbar) of unit mass on the spec's grid."""
+    V = spec.V.values
+
+    def density(hbar):
+        return spec.coupling.conjugate_deriv(V - hbar)
+
+    lo = float(V.min()) - float(spec.coupling.g(1.0)) - 1.0  # mass >= 1 here
+    hi = float(V.max())                                      # mass = 0 here
+    hbar = mass_root(density, spec.grid.h**spec.dim, lo, hi)
+    return hbar, density(hbar)
+
+
 def solve_P0(spec: ProblemSpec, mass_tol: float = 1e-12) -> SolveResult:
     """Explicit minimiser for P = 0: u = 0, m = (G*)'(V - Hbar)."""
     if spec.P_norm != 0.0:
         raise ValueError("closed-form path requires P = 0")
     grid = spec.grid
-    V = spec.V.values
-    hd = grid.h**grid.dim
-
-    def mass_minus_one(hbar):
-        return hd * spec.coupling.conjugate_deriv(V - hbar).sum() - 1.0
-
-    lo = float(V.min()) - float(spec.coupling.g(1.0)) - 1.0  # mass >= 1 here
-    hi = float(V.max())                                      # mass = 0 here
-    lo, hi = _expand_bracket(mass_minus_one, lo, hi)
-    hbar = brentq(mass_minus_one, lo, hi, xtol=1e-14, rtol=8.9e-16) if lo != hi else lo
-    m = spec.coupling.conjugate_deriv(V - hbar)
-    if abs(hd * m.sum() - 1.0) > mass_tol:
+    hbar, m = _mass_solve_P0(spec)
+    if abs(grid.h**grid.dim * m.sum() - 1.0) > mass_tol:
         raise BracketError("mass normalisation did not converge to tolerance")
-    return _result_from_point(spec, grid.zeros(), GridFunction(grid, m), float(hbar))
+    return _result_from_point(spec, grid.zeros(), GridFunction(grid, m), hbar)
 
 
 def continuum_Hbar_P0(spec: ProblemSpec, potential, n_fine: int | None = None) -> float:
@@ -97,94 +78,46 @@ def continuum_Hbar_P0(spec: ProblemSpec, potential, n_fine: int | None = None) -
     """
     if n_fine is None:
         n_fine = 200_000 if spec.dim == 1 else 2048
-    from .grid import TorusGrid
-
-    fine = TorusGrid(spec.dim, n_fine)
-    Vf = potential.sample(fine).values
-    hd = fine.h**fine.dim
-
-    def mass_minus_one(hbar):
-        return hd * spec.coupling.conjugate_deriv(Vf - hbar).sum() - 1.0
-
-    lo = float(Vf.min()) - float(spec.coupling.g(1.0)) - 1.0
-    hi = float(Vf.max())
-    lo, hi = _expand_bracket(mass_minus_one, lo, hi)
-    return float(brentq(mass_minus_one, lo, hi, xtol=1e-13, rtol=8.9e-16))
-
-
-def _critical_m_given_hbar(spec: ProblemSpec, hbar: float) -> np.ndarray:
-    """Nodewise positive root of |P|^g/(g m) - g(m) = Hbar - V(x).
-
-    The left side decreases strictly from +inf to -inf on m > 0, so the
-    root is unique; vectorised bisection plus a Newton polish.
-    """
-    kinetic = spec.P_norm**spec.gamma / spec.gamma
-    rhs = hbar - spec.V.values
-
-    def phi(m):
-        return kinetic / m - spec.coupling.g(m) - rhs
-
-    lo = np.full(spec.grid.shape, 1e-14)
-    hi = np.ones(spec.grid.shape)
-    for _ in range(200):
-        need = phi(hi) > 0.0
-        if not need.any():
-            break
-        hi[need] *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        pos = phi(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    m = 0.5 * (lo + hi)
-    for _ in range(4):
-        deriv = -kinetic / m**2 - spec.coupling.g_prime(m)
-        m = m - phi(m) / deriv
-        m = np.maximum(m, 1e-300)
-    return m
+    return _mass_solve_P0(spec.with_grid_size(n_fine, potential))[0]
 
 
 def solve_critical(spec: ProblemSpec, residual_tol: float = 1e-10) -> SolveResult:
-    """Critical congestion alpha = 1: u constant, m from the algebraic solve."""
+    """Critical congestion alpha = 1: u constant, m from the algebraic solve.
+
+    Each node solves g(m) + Hbar - V - |P|^gamma / (gamma m) = 0, whose left
+    side increases strictly from -inf to +inf on m > 0.
+    """
     if spec.alpha != 1.0:
         raise ValueError("critical path requires alpha = 1")
     if spec.P_norm == 0.0:
         raise ValueError("critical path requires P != 0 (nodewise solvability)")
     grid = spec.grid
     hd = grid.h**grid.dim
-
-    def mass_minus_one(hbar):
-        return hd * _critical_m_given_hbar(spec, hbar).sum() - 1.0
-
-    vmax, vmin = float(spec.V.values.max()), float(spec.V.values.min())
-    lo = vmin - float(spec.coupling.g(1.0)) - spec.P_norm**spec.gamma / spec.gamma - 1.0
-    hi = vmax + spec.P_norm**spec.gamma / spec.gamma + float(spec.coupling.g(1.0)) + 1.0
-    lo, hi = _expand_bracket(mass_minus_one, lo, hi)
-    hbar = brentq(mass_minus_one, lo, hi, xtol=1e-13, rtol=8.9e-16) if lo != hi else lo
-    m = _critical_m_given_hbar(spec, float(hbar))
-
+    V = spec.V.values
     kinetic = spec.P_norm**spec.gamma / spec.gamma
-    residual = kinetic / m - spec.coupling.g(m) - (hbar - spec.V.values)
+    g = spec.coupling.g
+
+    def density(hbar):
+        return monotone_root(
+            lambda m: g(m) + hbar - V - kinetic / m,
+            lambda m: spec.coupling.g_prime(m) + kinetic / m**2,
+            1e-14,
+            np.ones(grid.shape),
+        )
+
+    g1 = float(g(1.0))
+    lo = float(V.min()) - g1 - kinetic - 1.0   # every root exceeds 1 here
+    hi = float(V.max()) + g1 + kinetic + 1.0   # every root is below 1 here
+    hbar = mass_root(density, hd, lo, hi)
+    m = density(hbar)
+
+    residual = kinetic / m - g(m) - (hbar - V)
     if np.max(np.abs(residual)) > residual_tol:
         raise BracketError("nodewise algebraic residual above tolerance")
     if abs(hd * m.sum() - 1.0) > residual_tol:
         raise BracketError("critical mass normalisation above tolerance")
-    u = grid.zeros()
-    mgf = GridFunction(grid, m)
-    point = FeasiblePoint(u, mgf)
-    obj = DiscreteObjective(spec)  # J_h itself is undefined at alpha = 1
-    _, hstd = estimate_Hbar(point, obj)
-    return SolveResult(
-        u=u,
-        m=mgf,
-        Hbar=float(hbar),
-        Hbar_std=hstd,
-        objective=float("nan"),
-        iters=0,
-        converged=True,
-        diagnostics=apriori_diagnostics(point, obj),
-        gradmap=0.0,
-    )
+    # J_h is undefined at alpha = 1, so the objective is reported as NaN
+    return _result_from_point(spec, grid.zeros(), GridFunction(grid, m), hbar)
 
 
 @dataclass

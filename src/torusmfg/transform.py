@@ -37,6 +37,8 @@ from .grid import (
     central_diff2_values,
     central_diff_values,
     integrate_values,
+    upwind_grad_power_values,
+    upwind_slopes,
 )
 from .model import ProblemSpec
 from .optimizer import SolveOptions, SolveResult, minimize
@@ -165,15 +167,10 @@ def curl_proxy(psi: GridFunction, m: GridFunction, dual: DualSpec,
 # ---------------------------------------------------------------------------
 # discounted Hamilton-Jacobi solve with the monotone upwind scheme
 
-def _upwind_parts(u: np.ndarray, p: np.ndarray, gamma: float, h: float):
-    """Active one-sided slopes a_k = (-p_k - D+ u)^+, b_k = (p_k + D- u)^+."""
-    a, b = [], []
-    for k in range(u.ndim):
-        fwd = (np.roll(u, -1, axis=k) - u) / h
-        bwd = (u - np.roll(u, 1, axis=k)) / h
-        a.append(np.maximum(-p[k] - fwd, 0.0))
-        b.append(np.maximum(p[k] + bwd, 0.0))
-    return a, b
+def _hjb_coefficients(m: GridFunction, spec: ProblemSpec, mass_cutoff: float):
+    """(gamma m^alpha, V - g(m)), m floored at the cutoff in the first."""
+    denom = spec.gamma * np.maximum(m.values, mass_cutoff) ** spec.alpha
+    return denom, spec.V.values - spec.coupling.g(np.maximum(m.values, 0.0))
 
 
 def solve_hjb_discounted(
@@ -199,22 +196,16 @@ def solve_hjb_discounted(
     h = grid.h
     gamma = spec.gamma
     p = np.asarray(P, dtype=float)
-    mfl = np.maximum(m.values, mass_cutoff)
-    denom = gamma * mfl**spec.alpha
-    source = spec.V.values - spec.coupling.g(np.maximum(m.values, 0.0))
+    denom, source = _hjb_coefficients(m, spec, mass_cutoff)
 
     size = grid.num_nodes
     idx = np.arange(size).reshape(grid.shape)
 
     def residual(u):
-        a, b = _upwind_parts(u, p, gamma, h)
-        s = np.zeros_like(u)
-        for k in range(grid.dim):
-            s += a[k] ** gamma + b[k] ** gamma
-        return beta * u + s / denom + source
+        return beta * u + upwind_grad_power_values(u, p, gamma, h) / denom + source
 
     def jacobian(u):
-        a, b = _upwind_parts(u, p, gamma, h)
+        a, b = upwind_slopes(u, p, h)
         rows, cols, vals = [], [], []
         diag = np.full(grid.shape, beta)
         for k in range(grid.dim):
@@ -264,14 +255,10 @@ def solve_hjb_discounted(
 
 def hjb_residual(u: GridFunction, m: GridFunction, P, spec: ProblemSpec,
                  beta: float, mass_cutoff: float = 1e-4) -> float:
-    p = np.asarray(P, dtype=float)
-    mfl = np.maximum(m.values, mass_cutoff)
-    a, b = _upwind_parts(u.values, p, spec.gamma, m.grid.h)
-    s = np.zeros(m.grid.shape)
-    for k in range(m.grid.dim):
-        s += a[k] ** spec.gamma + b[k] ** spec.gamma
-    r = beta * u.values + s / (spec.gamma * mfl**spec.alpha) \
-        + spec.V.values - spec.coupling.g(np.maximum(m.values, 0.0))
+    denom, source = _hjb_coefficients(m, spec, mass_cutoff)
+    kinetic = upwind_grad_power_values(u.values, np.asarray(P, dtype=float),
+                                       spec.gamma, m.grid.h)
+    r = beta * u.values + kinetic / denom + source
     return float(np.max(np.abs(r)))
 
 
@@ -307,15 +294,15 @@ def pipeline_alpha_lt_1(
 
     h = base.grid.h
     estimates = []
-    hjb_ok = True
     u_beta = None
     for beta in beta_schedule:
-        warm = None if u_beta is None else u_beta.values * (last_beta / beta)
-        try:
-            u_beta = solve_hjb_discounted(m, P, base, beta, tol=hjb_tol, u0=warm)
-        except HJBConvergenceError:
-            hjb_ok = False
-            raise
+        warm = None
+        if u_beta is not None:
+            # -beta u^beta tends to Hbar, so only the mean of u scales like
+            # 1/beta; the oscillating part converges and is carried as is
+            mean = float(u_beta.values.mean())
+            warm = u_beta.values + mean * (last_beta / beta - 1.0)
+        u_beta = solve_hjb_discounted(m, P, base, beta, tol=hjb_tol, u0=warm)
         last_beta = beta
         est = -beta * integrate_values(u_beta.values, h)
         estimates.append(
@@ -347,7 +334,7 @@ def pipeline_alpha_lt_1(
         paper_Hbar_beta=top,
         residuals=residuals,
         discount_estimates=estimates,
-        converged={"dual": res.converged, "hjb": hjb_ok},
+        converged={"dual": res.converged, "hjb": True},  # HJB failures raise
         dual_result=res,
     )
 

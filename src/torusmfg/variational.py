@@ -170,14 +170,6 @@ class DiscreteObjective:
         return hd * (dkin_dm - sp.V.values + sp.coupling.g(np.maximum(m, 0.0)))
 
 
-def assemble_Jh(pt: FeasiblePoint, obj: DiscreteObjective) -> float:
-    return obj.value(pt)
-
-
-def grad_Jh(pt: FeasiblePoint, obj: DiscreteObjective) -> tuple[GridFunction, GridFunction]:
-    return obj.gradient(pt)
-
-
 # ---------------------------------------------------------------------------
 # feasibility projection
 

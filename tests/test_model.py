@@ -5,14 +5,14 @@ import pytest
 
 from torusmfg.grid import TorusGrid
 from torusmfg.model import (
+    BracketError,
     CouplingG,
     PotentialFamily,
     ProblemSpec,
     barf,
     barf_recession,
-    conjugate_deriv,
-    eval_G,
-    eval_g,
+    mass_root,
+    monotone_root,
 )
 
 QUAD = CouplingG.quadratic()          # G = m^2/2, g = m
@@ -22,14 +22,14 @@ MIXED = CouplingG(((0.5, 2.0), (1.0, 3.0)))  # G = m^2/2 + m^3
 
 class TestCoupling:
     def test_quadratic_values(self):
-        assert eval_G(QUAD, 1.0) == pytest.approx(0.5)
-        assert eval_g(QUAD, 1.0) == pytest.approx(1.0)
+        assert QUAD.G(1.0) == pytest.approx(0.5)
+        assert QUAD.g(1.0) == pytest.approx(1.0)
 
     def test_cubic_derivative(self):
-        assert eval_g(CUBIC, 2.0) == pytest.approx(12.0)
+        assert CUBIC.g(2.0) == pytest.approx(12.0)
 
     def test_sum_rule(self):
-        assert eval_g(MIXED, 1.0) == pytest.approx(4.0)
+        assert MIXED.g(1.0) == pytest.approx(4.0)
 
     def test_rejects_bad_terms(self):
         with pytest.raises(ValueError):
@@ -41,44 +41,66 @@ class TestCoupling:
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
-            eval_G(QUAD, -0.1)
+            QUAD.G(-0.1)
         with pytest.raises(ValueError):
-            eval_g(QUAD, np.array([0.5, -1.0]))
+            QUAD.g(np.array([0.5, -1.0]))
 
     def test_g_at_zero_is_right_limit(self):
-        assert eval_g(QUAD, 0.0) == 0.0
-        assert eval_g(MIXED, 0.0) == 0.0
+        assert QUAD.g(0.0) == 0.0
+        assert MIXED.g(0.0) == 0.0
 
     def test_g_strictly_increasing(self):
         z = np.linspace(1e-3, 10.0, 300)
         for coup in (QUAD, CUBIC, MIXED):
-            vals = eval_g(coup, z)
+            vals = coup.g(z)
             assert np.all(np.diff(vals) > 0)
 
 
 class TestConjugateDeriv:
     def test_quadratic_is_positive_part(self):
-        assert conjugate_deriv(QUAD, -1.0) == 0.0
-        assert conjugate_deriv(QUAD, 2.0) == pytest.approx(2.0, rel=1e-12)
+        assert QUAD.conjugate_deriv(-1.0) == 0.0
+        assert QUAD.conjugate_deriv(2.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_cubic_closed_form(self):
         # solve 3 m^2 = 3
-        assert conjugate_deriv(CUBIC, 3.0) == pytest.approx(1.0, rel=1e-12)
+        assert CUBIC.conjugate_deriv(3.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         m = rng.uniform(0.1, 10.0, size=40)
         for coup in (QUAD, CUBIC, MIXED):
-            back = conjugate_deriv(coup, eval_g(coup, m))
+            back = coup.conjugate_deriv(coup.g(m))
             assert np.max(np.abs(back - m) / m) <= 1e-10
 
     def test_nondecreasing_and_vanishing_below_zero(self):
         q = np.linspace(-3.0, 5.0, 200)
         for coup in (QUAD, MIXED):
-            vals = conjugate_deriv(coup, q)
+            vals = coup.conjugate_deriv(q)
             assert np.all(np.diff(vals) >= -1e-13)
             assert np.all(vals[q <= 0.0] == 0.0)
             assert np.all(vals[q > 1e-8] > 0.0)
+
+
+class TestRootKernels:
+    def test_monotone_root_doubles_past_the_start(self):
+        # m^3 = q with roots up to 100, far above the starting upper end 1
+        q = np.array([1e-9, 0.5, 8.0, 1e6])
+        m = monotone_root(lambda m: m**3 - q, lambda m: 3.0 * m**2,
+                          0.0, np.ones_like(q))
+        assert np.allclose(m, np.cbrt(q), rtol=1e-14, atol=0.0)
+
+    def test_mass_root_widens_the_bracket(self):
+        # mass e^(-Hbar) on four nodes of weight 1/4: unit mass at Hbar = 0,
+        # outside both starting brackets
+        def density(hbar):
+            return np.full(4, np.exp(-hbar))
+
+        assert mass_root(density, 0.25, 5.0, 10.0) == pytest.approx(0.0, abs=1e-14)
+        assert mass_root(density, 0.25, -10.0, -5.0) == pytest.approx(0.0, abs=1e-14)
+
+    def test_mass_root_raises_without_sign_change(self):
+        with pytest.raises(BracketError):
+            mass_root(lambda hbar: np.full(4, 0.5), 0.25, 0.0, 1.0)
 
 
 class TestBarf:

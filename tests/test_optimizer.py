@@ -91,6 +91,15 @@ class TestDescentMechanics:
         assert not res.converged
         assert res.iters == 3
 
+    def test_converged_means_stationary(self):
+        # this case ends on the objective-stagnation rule with gradmap well
+        # above tol_gradmap; stopping there must not report convergence
+        spec = make_spec(n=64, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * x))
+        opts = SolveOptions(step0=64.0, max_iters=100000)
+        res = minimize(DiscreteObjective(spec), "uniform", opts)
+        assert res.iters < opts.max_iters
+        assert res.converged == (res.gradmap <= opts.tol_gradmap)
+
     def test_seeded_runs_bitwise_reproducible(self):
         spec = make_spec(n=24, V_fn=lambda x: np.cos(2 * np.pi * x))
         opts = SolveOptions(step0=24.0, max_iters=500)

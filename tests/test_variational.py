@@ -9,10 +9,8 @@ from torusmfg.variational import (
     DiscreteObjective,
     FeasiblePoint,
     apriori_diagnostics,
-    assemble_Jh,
     diagnostics_record,
     estimate_Hbar,
-    grad_Jh,
     project_feasible,
 )
 
@@ -53,19 +51,19 @@ class TestAssembleJh:
     def test_uniform_point_only_coupling_survives(self):
         spec = make_spec()
         obj = DiscreteObjective(spec)
-        assert assemble_Jh(uniform_point(spec.grid), obj) == pytest.approx(0.5)
+        assert obj.value(uniform_point(spec.grid)) == pytest.approx(0.5)
 
     def test_drift_hand_value(self):
         spec = make_spec(dim=2, n=8, P=(1.0, 0.0))
         obj = DiscreteObjective(spec)
         # f_h = |P|^2/(gamma (alpha-1)) = 1, plus G(1) = 0.5
-        assert assemble_Jh(uniform_point(spec.grid), obj) == pytest.approx(1.5)
+        assert obj.value(uniform_point(spec.grid)) == pytest.approx(1.5)
 
     def test_grid_mismatch_rejected(self):
         spec = make_spec(n=16)
         other = TorusGrid(1, 32)
         with pytest.raises(ValueError):
-            assemble_Jh(uniform_point(other), DiscreteObjective(spec))
+            DiscreteObjective(spec).value(uniform_point(other))
 
     def test_riemann_consistency_order_two_plus(self):
         coupling = CouplingG(((0.5, 2.0), (0.2, 3.0)))
@@ -82,7 +80,7 @@ class TestAssembleJh:
             )
             pt = FeasiblePoint(u, m)
             assert pt.is_feasible(1e-12)
-            errs.append(abs(assemble_Jh(pt, DiscreteObjective(spec)) - J_CONTINUUM))
+            errs.append(abs(DiscreteObjective(spec).value(pt) - J_CONTINUUM))
         h = np.log([1.0 / n for n in ns])
         order = np.polyfit(h, np.log(errs), 1)[0]
         assert order >= 2.0
@@ -91,8 +89,8 @@ class TestAssembleJh:
         spec = make_spec(n=24, V_fn=lambda x: np.cos(2 * np.pi * x))
         shifted = make_spec(n=24, V_fn=lambda x: np.cos(2 * np.pi * x) + 3.0)
         pt = random_feasible(spec.grid, 21)
-        J0 = assemble_Jh(pt, DiscreteObjective(spec))
-        J1 = assemble_Jh(pt, DiscreteObjective(shifted))
+        J0 = DiscreteObjective(spec).value(pt)
+        J1 = DiscreteObjective(shifted).value(pt)
         assert J1 == pytest.approx(J0 - 3.0, abs=1e-12)
 
     def test_convexity_along_random_segments(self):
@@ -107,8 +105,8 @@ class TestAssembleJh:
                 GridFunction(spec.grid, lam * a.u.values + (1 - lam) * b.u.values),
                 GridFunction(spec.grid, lam * a.m.values + (1 - lam) * b.m.values),
             )
-            assert assemble_Jh(mid, obj) <= (
-                lam * assemble_Jh(a, obj) + (1 - lam) * assemble_Jh(b, obj) + 1e-10
+            assert obj.value(mid) <= (
+                lam * obj.value(a) + (1 - lam) * obj.value(b) + 1e-10
             )
 
     def test_zero_u_never_worse_for_P0(self):
@@ -117,14 +115,14 @@ class TestAssembleJh:
         for seed in range(5):
             pt = random_feasible(spec.grid, 300 + seed)
             zeroed = FeasiblePoint(spec.grid.zeros(), pt.m)
-            assert assemble_Jh(zeroed, obj) <= assemble_Jh(pt, obj) + 1e-14
+            assert obj.value(zeroed) <= obj.value(pt) + 1e-14
 
 
 class TestGradJh:
     def test_uniform_point_gradient(self):
         spec = make_spec(n=16, V_fn=lambda x: np.cos(2 * np.pi * x))
         obj = DiscreteObjective(spec)
-        gu, gm = grad_Jh(uniform_point(spec.grid), obj)
+        gu, gm = obj.gradient(uniform_point(spec.grid))
         h = spec.grid.h
         assert np.all(gu.values == 0.0)
         assert np.allclose(gm.values, h * (-spec.V.values + 1.0), atol=1e-15)
