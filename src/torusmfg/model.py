@@ -93,7 +93,7 @@ class CouplingG:
 
 
 def _check_nonneg(z):
-    if np.any(np.asarray(z) < 0):
+    if (np.asarray(z) < 0).any():
         raise ValueError("coupling evaluated at negative argument")
 
 
@@ -105,8 +105,10 @@ def monotone_root(phi, dphi, lo, hi):
     """Nodewise root of phi, vectorised; phi increases in m with phi(lo) <= 0.
 
     hi (an array, one starting upper end per node) is doubled where
-    phi(hi) < 0, the bracket [lo, hi] is bisected 90 times, and three
+    phi(hi) < 0, the bracket [lo, hi] is bisected up to 90 times, and three
     Newton steps with derivative dphi, clamped at lo, polish the midpoint.
+    Bisection stops early once a step moves no end of any bracket: every
+    later step would repeat it, so the result is that of all 90.
     """
     lo = np.full_like(hi, lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -119,8 +121,11 @@ def monotone_root(phi, dphi, lo, hi):
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         below = phi(mid) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     m = 0.5 * (lo + hi)
     for _ in range(3):
         m = np.maximum(m - phi(m) / dphi(m), floor)

@@ -15,6 +15,14 @@ step decreases the objective (Armijo on the true objective), every iterate
 is feasible, and convergence is declared on the projected-gradient mapping,
 not the raw gradient, because the constraint multipliers make the raw
 gradient nonzero at the constrained optimum.
+
+The line searches do no stencil work.  The solver keeps w = P + Du and
+|w|^gamma for the current u.  D is linear, so a u-trial along the direction
+d has P + D(u - t d) = w - t Dd, with Dd taken once per step; w is taken
+afresh from the accepted u, so rounding does not build up along the
+iterations.  The m-block leaves u alone, so its gradient and every m-trial
+reuse |w|^gamma.  An outer iteration costs one stencil per axis for each
+of the u-gradient, Dd and the new w.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, central_diff_values
 from .variational import (
     AprioriDiagnostics,
     DegenerateSolutionError,
@@ -67,9 +75,17 @@ class SolveResult:
     Hbar_std: float
     objective: float
     iters: int
-    converged: bool                # stationary: gradmap <= tol_gradmap
+    # "stationary": gradmap <= tol_gradmap, or an exact oracle solution;
+    # "stagnation": the objective fell by less than tol_obj (relative) over
+    # 50 iterations; "iteration_cap": max_iters ran out
+    stop_reason: str
     diagnostics: AprioriDiagnostics
     gradmap: float = float("nan")
+
+    @property
+    def converged(self) -> bool:
+        """Whether the solve stopped at a stationary point."""
+        return self.stop_reason == "stationary"
 
     @property
     def point(self) -> FeasiblePoint:
@@ -152,7 +168,7 @@ def minimize(
     t_u = t_m = opts.step0
     history: deque[float] = deque(maxlen=51)
     history.append(J)
-    converged = False
+    stop_reason = "iteration_cap"
     gradmap = float("inf")
     iters = 0
 
@@ -163,10 +179,14 @@ def minimize(
     if trace_file is not None:
         trace_file.write("iter,objective,gradmap,step\n")
 
+    h = sp.grid.h
+    w = obj.drifted_grad(u)             # P + Du at the current u
+    kin = obj.kinetic_from_drifted(w)   # |P + Du|^gamma at the current u
+
     def u_step():
         """One Armijo step in the mean-zero u block; returns its gradient map."""
-        nonlocal u, J, t_u
-        gu = obj.gradient_u_arrays(u, m)
+        nonlocal u, w, kin, J, t_u
+        gu = obj.gradient_u_arrays(u, m, w)
         if opts.precondition:
             mf = np.maximum(m, obj.m_floor)
             direction = (sp.alpha - 1.0) * mf ** (sp.alpha - 1.0) * gu
@@ -176,12 +196,18 @@ def minimize(
         slope = float(np.vdot(gu, direction))  # decrease rate along -direction
         if slope <= 0.0:
             return 0.0, False
+        dd = [central_diff_values(direction, h, k) for k in range(sp.dim)]
         t = min(opts.step0, 2.0 * t_u)
         while t >= opts.min_step:
             u_trial = u - t * direction
-            J_trial = obj.value_arrays(u_trial, m)
+            kin_trial = obj.kinetic_from_drifted(
+                [wk - t * dk for wk, dk in zip(w, dd)]
+            )
+            J_trial = obj.value_arrays(u_trial, m, kin_trial)
             if J_trial <= J - opts.armijo_c * t * slope:
                 u, J, t_u = u_trial, J_trial, t
+                w = obj.drifted_grad(u)  # fresh, so rounding does not build up
+                kin = obj.kinetic_from_drifted(w)
                 return float(np.linalg.norm(direction)), True
             t *= opts.backtrack
         return 0.0, False
@@ -189,7 +215,7 @@ def minimize(
     def m_step():
         """One Armijo step in the simplex m block; returns its gradient map."""
         nonlocal m, J, t_m
-        gm = obj.gradient_m_arrays(u, m)
+        gm = obj.gradient_m_arrays(u, m, kin)
         t = min(opts.step0, 2.0 * t_m)
         while t >= opts.min_step:
             m_trial = project_simplex_values(m - t * gm, total_mass)
@@ -197,7 +223,7 @@ def minimize(
             slope_m = float(np.vdot(gm, delta))
             if slope_m >= 0.0:  # projected step vanished: stationary here
                 return float(np.linalg.norm(delta)) / t, False
-            J_trial = obj.value_arrays(u, m_trial)
+            J_trial = obj.value_arrays(u, m_trial, kin)
             if J_trial <= J + opts.armijo_c * slope_m:
                 m, J, t_m = m_trial, J_trial, t
                 return float(np.linalg.norm(delta)) / t, True
@@ -233,12 +259,13 @@ def minimize(
                     f"{iters},{J:.17g},{gradmap:.17g},{max(t_u, t_m):.17g}\n"
                 )
             if gradmap <= opts.tol_gradmap:
-                converged = True
+                stop_reason = "stationary"
                 break
             if len(history) == history.maxlen:
                 drop = history[0] - J
                 if drop <= opts.tol_obj * max(1.0, abs(J)):
-                    break  # stagnation: stopped, but not stationary
+                    stop_reason = "stagnation"  # stopped, not stationary
+                    break
     finally:
         if own_trace:
             trace_file.close()
@@ -257,7 +284,7 @@ def minimize(
         Hbar_std=hstd,
         objective=J,
         iters=iters,
-        converged=converged,
+        stop_reason=stop_reason,
         diagnostics=apriori_diagnostics(point, obj),
         gradmap=gradmap,
     )

@@ -39,7 +39,7 @@ def _result_from_point(spec: ProblemSpec, u: GridFunction, m: GridFunction,
         Hbar_std=hstd,
         objective=objective,
         iters=0,
-        converged=True,
+        stop_reason="stationary",
         diagnostics=apriori_diagnostics(point, obj),
         gradmap=0.0,
     )

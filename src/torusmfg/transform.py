@@ -37,6 +37,7 @@ from .grid import (
     central_diff2_values,
     central_diff_values,
     integrate_values,
+    periodic_shift,
     upwind_grad_power_values,
     upwind_slopes,
 )
@@ -213,10 +214,10 @@ def solve_hjb_discounted(
             cb = gamma * b[k] ** (gamma - 1.0) / (h * denom)
             diag += ca + cb
             rows.append(idx.ravel())
-            cols.append(np.roll(idx, -1, axis=k).ravel())
+            cols.append(periodic_shift(idx, 1, k).ravel())
             vals.append(-ca.ravel())
             rows.append(idx.ravel())
-            cols.append(np.roll(idx, 1, axis=k).ravel())
+            cols.append(periodic_shift(idx, -1, k).ravel())
             vals.append(-cb.ravel())
         rows.append(idx.ravel())
         cols.append(idx.ravel())
@@ -338,38 +339,3 @@ def pipeline_alpha_lt_1(
         dual_result=res,
     )
 
-
-def solve_Q_for_P(
-    base: ProblemSpec,
-    P_target,
-    opts: SolveOptions | None = None,
-    tol: float = 1e-3,
-    max_iters: int = 25,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optional inverse map: find Q whose recovered drift matches P_target.
-
-    Broyden secant iteration on Q -> P(Q); the initial Jacobian is the
-    constant-field rotation P = (q2, -q1).  Each trial costs a dual solve.
-    """
-    target = np.asarray(P_target, dtype=float)
-
-    def P_of(Qv):
-        d = DualSpec(base, tuple(Qv))
-        psi, m = solve_dual(d, opts)
-        return recover_P(psi, m, d)
-
-    jac = np.array([[0.0, 1.0], [-1.0, 0.0]])  # dP/dQ at constants
-    Q = np.array([target[1], -target[0]])      # its inverse applied to target
-    P = P_of(Q)
-    for _ in range(max_iters):
-        err = P - target
-        if np.linalg.norm(err, np.inf) <= tol:
-            return Q, P
-        dQ = np.linalg.solve(jac, -err)
-        Q_new = Q + dQ
-        P_new = P_of(Q_new)
-        dP = P_new - P
-        # Broyden rank-one update
-        jac += np.outer(dP - jac @ dQ, dQ) / float(dQ @ dQ)
-        Q, P = Q_new, P_new
-    raise RuntimeError("drift matching did not converge")

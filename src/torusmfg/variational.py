@@ -96,7 +96,8 @@ class DiscreteObjective:
 
     # -- pieces ------------------------------------------------------------
 
-    def _drifted_grad(self, u: np.ndarray) -> list[np.ndarray]:
+    def drifted_grad(self, u: np.ndarray) -> list[np.ndarray]:
+        """P + D u, one array per axis."""
         h = self.spec.grid.h
         return [
             self._p[k] + central_diff_values(u, h, k)
@@ -110,24 +111,35 @@ class DiscreteObjective:
             s = s + wk**2
         return s
 
+    def kinetic_from_drifted(self, w: list[np.ndarray]) -> np.ndarray:
+        """|w|^gamma nodewise, for w = P + D u from `drifted_grad`."""
+        return self._norm_sq(w) ** (self.spec.gamma / 2.0)
+
     def kinetic_density(self, u: np.ndarray) -> np.ndarray:
         """|P + D u|^gamma nodewise."""
-        return self._norm_sq(self._drifted_grad(u)) ** (self.spec.gamma / 2.0)
+        return self.kinetic_from_drifted(self.drifted_grad(u))
 
     def _check_point(self, pt: FeasiblePoint):
         if pt.grid != self.spec.grid:
             raise ValueError("point sampled on a different grid than the problem")
 
     # -- objective and gradient ---------------------------------------------
+    #
+    # The *_arrays methods take, as optional last argument, the part of the
+    # point that depends on u alone when the caller already has it (kin =
+    # |P + Du|^gamma, w = P + Du), so that a line search that moves only m,
+    # or moves u along a line on which D is linear, does no stencil work.
 
     def value(self, pt: FeasiblePoint) -> float:
         self._check_point(pt)
         return self.value_arrays(pt.u.values, pt.m.values)
 
-    def value_arrays(self, u: np.ndarray, m: np.ndarray) -> float:
+    def value_arrays(self, u: np.ndarray, m: np.ndarray,
+                     kin: np.ndarray | None = None) -> float:
         sp = self.spec
+        if kin is None:
+            kin = self.kinetic_density(u)
         mf = np.maximum(m, self.m_floor)
-        kin = self.kinetic_density(u)
         fh = kin / (sp.gamma * (sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))
         dens = fh - sp.V.values * m + sp.coupling.G(m)
         return integrate_values(dens, sp.grid.h)
@@ -140,13 +152,15 @@ class DiscreteObjective:
     def gradient_arrays(self, u: np.ndarray, m: np.ndarray):
         return self.gradient_u_arrays(u, m), self.gradient_m_arrays(u, m)
 
-    def gradient_u_arrays(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    def gradient_u_arrays(self, u: np.ndarray, m: np.ndarray,
+                          w: list[np.ndarray] | None = None) -> np.ndarray:
         """u-partial: adjoint (negative transpose) of the central stencil
         applied to |P+Du|^(gamma-2)(P+Du) / ((alpha-1) m^(alpha-1))."""
         sp = self.spec
         h = sp.grid.h
+        if w is None:
+            w = self.drifted_grad(u)
         mf = np.maximum(m, self.m_floor)
-        w = self._drifted_grad(u)
         nsq = self._norm_sq(w)
         if sp.gamma == 2.0:
             coef = 1.0  # |P+Du|^0
@@ -160,12 +174,14 @@ class DiscreteObjective:
             gu -= central_diff_values(scale * w[k], h, k)
         return h**sp.dim * gu
 
-    def gradient_m_arrays(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    def gradient_m_arrays(self, u: np.ndarray, m: np.ndarray,
+                          kin: np.ndarray | None = None) -> np.ndarray:
         """m-partial only; avoids the adjoint-divergence work of the u-partial."""
         sp = self.spec
         hd = sp.grid.h**sp.dim
+        if kin is None:
+            kin = self.kinetic_density(u)
         mf = np.maximum(m, self.m_floor)
-        kin = self.kinetic_density(u)
         dkin_dm = np.where(m > self.m_floor, -kin / (sp.gamma * mf**sp.alpha), 0.0)
         return hd * (dkin_dm - sp.V.values + sp.coupling.g(np.maximum(m, 0.0)))
 

@@ -8,6 +8,8 @@ from torusmfg.grid import (
     GridVectorField,
     TorusGrid,
     central_diff,
+    central_diff2_values,
+    central_diff_values,
     divergence_central,
     from_csv,
     from_json_record,
@@ -16,6 +18,7 @@ from torusmfg.grid import (
     to_csv,
     to_json_record,
     upwind_grad_power,
+    upwind_slopes,
 )
 
 
@@ -95,6 +98,55 @@ class TestCentralDiff:
             shifted = GridFunction(g, np.roll(f.values, 3, axis=0))
             d_shift = central_diff(shifted, axis).values
             assert np.array_equal(np.roll(d, 3, axis=0), d_shift)
+
+
+def roll_central_diff(v, h, axis):
+    """Reference 5-point stencil built from np.roll, same grouping."""
+    d1 = np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)
+    d2 = np.roll(v, -2, axis=axis) - np.roll(v, 2, axis=axis)
+    return (8.0 * d1 - d2) / (12.0 * h)
+
+
+def roll_central_diff2(v, h, axis):
+    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
+
+
+def roll_upwind_slopes(u, p, h):
+    a, b = [], []
+    for k in range(u.ndim):
+        fwd = (np.roll(u, -1, axis=k) - u) / h
+        bwd = (u - np.roll(u, 1, axis=k)) / h
+        a.append(np.maximum(-p[k] - fwd, 0.0))
+        b.append(np.maximum(p[k] + bwd, 0.0))
+    return a, b
+
+
+class TestShiftTableMatchesRoll:
+    """The cached-index stencils give bit-for-bit the np.roll values."""
+
+    SHAPES = [(64,), (37,), (16, 16), (12, 20)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_central_differences(self, shape):
+        v = np.random.default_rng(5).normal(size=shape)
+        h = 1.0 / shape[0]
+        for axis in range(len(shape)):
+            assert np.array_equal(central_diff_values(v, h, axis),
+                                  roll_central_diff(v, h, axis))
+            assert np.array_equal(central_diff2_values(v, h, axis),
+                                  roll_central_diff2(v, h, axis))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_upwind_slopes(self, shape):
+        rng = np.random.default_rng(6)
+        u = rng.normal(size=shape)
+        p = rng.normal(size=len(shape))
+        h = 1.0 / shape[0]
+        a, b = upwind_slopes(u, p, h)
+        a_ref, b_ref = roll_upwind_slopes(u, p, h)
+        for k in range(len(shape)):
+            assert np.array_equal(a[k], a_ref[k])
+            assert np.array_equal(b[k], b_ref[k])
 
 
 class TestGradientDivergence:

@@ -89,6 +89,40 @@ class TestRootKernels:
                           0.0, np.ones_like(q))
         assert np.allclose(m, np.cbrt(q), rtol=1e-14, atol=0.0)
 
+    def test_monotone_root_stops_when_brackets_freeze(self):
+        # the kernel against the same steps with all 90 bisections run
+        q = np.geomspace(1e-6, 1e4, 300)
+        calls = 0
+
+        def phi(m):
+            nonlocal calls
+            calls += 1
+            return m**3 - q
+
+        def dphi(m):
+            return 3.0 * m**2
+
+        m = monotone_root(phi, dphi, 0.0, np.ones_like(q))
+        kernel_calls, calls = calls, 0
+
+        lo, hi = np.zeros_like(q), np.ones_like(q)
+        while True:
+            short = phi(hi) < 0.0
+            if not short.any():
+                break
+            hi = np.where(short, 2.0 * hi, hi)
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            below = phi(mid) < 0.0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        ref = 0.5 * (lo + hi)
+        for _ in range(3):
+            ref = np.maximum(ref - phi(ref) / dphi(ref), 0.0)
+
+        assert np.array_equal(m, ref)
+        assert kernel_calls < calls
+
     def test_mass_root_widens_the_bracket(self):
         # mass e^(-Hbar) on four nodes of weight 1/4: unit mass at Hbar = 0,
         # outside both starting brackets

@@ -1,14 +1,20 @@
 import io
+import sys
 
 import numpy as np
 import pytest
 
+from torusmfg import grid as grid_module
 from torusmfg.grid import GridFunction, TorusGrid, central_diff
 from torusmfg.model import CouplingG, ProblemSpec
 from torusmfg.optimizer import SolveOptions, minimize, random_feasible_point
 from torusmfg.variational import DiscreteObjective, FeasiblePoint
 
 QUAD = CouplingG.quadratic()
+
+# grid-independent H-bar of 1D cos(2 pi x), P = 1, alpha 1.5, gamma 2,
+# g(m) = m, from the semi-analytic constant-current solution
+HBAR_COSINE_P1 = -0.385906268116
 
 
 def make_spec(n=64, dim=1, alpha=1.5, gamma=2.0, P=None, V_fn=None, coupling=QUAD):
@@ -17,6 +23,14 @@ def make_spec(n=64, dim=1, alpha=1.5, gamma=2.0, P=None, V_fn=None, coupling=QUA
     if P is None:
         P = (0.0,) * dim
     return ProblemSpec(dim, n, alpha, gamma, P, V, coupling)
+
+
+@pytest.fixture(scope="module")
+def cosine_drift_64():
+    """1D cosine V, P = 1, n = 64 from the uniform start: (result, options)."""
+    spec = make_spec(n=64, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * x))
+    opts = SolveOptions(step0=64.0, max_iters=100000)
+    return minimize(DiscreteObjective(spec), "uniform", opts), opts
 
 
 class TestConstantSolutions:
@@ -91,14 +105,52 @@ class TestDescentMechanics:
         assert not res.converged
         assert res.iters == 3
 
-    def test_converged_means_stationary(self):
+    def test_stop_reason_iteration_cap(self):
+        spec = make_spec(n=32, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * x))
+        res = minimize(DiscreteObjective(spec), "uniform",
+                       SolveOptions(step0=32.0, max_iters=5))
+        assert res.iters == 5
+        assert res.stop_reason == "iteration_cap"
+        assert not res.converged
+
+    def test_converged_means_stationary(self, cosine_drift_64):
         # this case ends on the objective-stagnation rule with gradmap well
         # above tol_gradmap; stopping there must not report convergence
-        spec = make_spec(n=64, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * x))
-        opts = SolveOptions(step0=64.0, max_iters=100000)
-        res = minimize(DiscreteObjective(spec), "uniform", opts)
+        res, opts = cosine_drift_64
         assert res.iters < opts.max_iters
         assert res.converged == (res.gradmap <= opts.tol_gradmap)
+
+    def test_stop_reason_stagnation(self, cosine_drift_64):
+        res, opts = cosine_drift_64
+        assert res.gradmap > opts.tol_gradmap
+        assert res.stop_reason == "stagnation"
+
+    def test_hbar_matches_semi_analytic(self, cosine_drift_64):
+        res, _ = cosine_drift_64
+        assert abs(res.Hbar - HBAR_COSINE_P1) <= 2e-6
+
+    def test_stencil_calls_per_iteration(self, monkeypatch):
+        # one stencil per axis for each of: the u-gradient's adjoint, D of
+        # the search direction, and P + Du at the accepted u; line-search
+        # trials and the m-block reuse those
+        original = grid_module.central_diff_values
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("torusmfg") and \
+                    getattr(mod, "central_diff_values", None) is original:
+                monkeypatch.setattr(mod, "central_diff_values", counted)
+        spec = make_spec(n=32, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * x))
+        res = minimize(DiscreteObjective(spec), "uniform",
+                       SolveOptions(step0=32.0, max_iters=100000))
+        assert res.iters > 100
+        setup = 10  # start point, H-bar estimate and diagnostics
+        assert calls <= (3 * spec.dim + 1) * res.iters + setup
 
     def test_seeded_runs_bitwise_reproducible(self):
         spec = make_spec(n=24, V_fn=lambda x: np.cos(2 * np.pi * x))

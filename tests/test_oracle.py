@@ -30,6 +30,7 @@ class TestSolveP0:
         assert np.allclose(res.m.values, spec.V.values + 1.0, atol=1e-10)
         assert res.Hbar == pytest.approx(-1.0, abs=1e-10)
         assert np.all(res.u.values == 0.0)
+        assert res.stop_reason == "stationary"
 
     def test_steep_case_mass_and_vanishing_region(self):
         spec = make_spec(n=200, V_fn=lambda x: 10 * np.cos(2 * np.pi * (x - 0.25)))

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from torusmfg.grid import GridFunction, TorusGrid, central_diff, integrate
+from torusmfg.grid import (
+    GridFunction,
+    TorusGrid,
+    central_diff,
+    central_diff_values,
+    integrate,
+)
 from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
 from torusmfg.variational import (
     DegenerateSolutionError,
@@ -168,6 +174,30 @@ class TestGradJh:
         gu0, _ = DiscreteObjective(spec).gradient_arrays(pt.u.values, pt.m.values)
         gu1, _ = DiscreteObjective(shifted).gradient_arrays(pt.u.values, pt.m.values)
         assert np.array_equal(gu0, gu1)
+
+
+class TestLineTrialValue:
+    @pytest.mark.parametrize("dim, n, gamma", [(1, 48, 2.0), (1, 40, 3.0), (2, 16, 2.5)])
+    def test_value_from_shifted_drift_matches_full_value(self, dim, n, gamma):
+        # D is linear, so a u-trial may use (P + Du) - t Dd in place of a
+        # stencil on u - t d
+        P = (0.7, -0.4)[:dim]
+        spec = make_spec(n=n, dim=dim, gamma=gamma, P=P, V_fn=(
+            (lambda x: np.cos(2 * np.pi * x)) if dim == 1
+            else (lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))))
+        obj = DiscreteObjective(spec)
+        rng = np.random.default_rng(13)
+        h = spec.grid.h
+        u = 0.1 * rng.normal(size=spec.grid.shape)
+        d = rng.normal(size=spec.grid.shape)
+        m = rng.uniform(0.2, 2.0, size=spec.grid.shape)
+        w = obj.drifted_grad(u)
+        dd = [central_diff_values(d, h, k) for k in range(dim)]
+        for t in (1e-3, 0.1, 1.0, 3.0):
+            kin = obj.kinetic_from_drifted([wk - t * dk for wk, dk in zip(w, dd)])
+            fast = obj.value_arrays(u - t * d, m, kin)
+            full = obj.value_arrays(u - t * d, m)
+            assert fast == pytest.approx(full, rel=1e-12, abs=0.0)
 
 
 class TestProjection:
