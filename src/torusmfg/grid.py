@@ -10,9 +10,11 @@ The derivative operator is the 4th-order, 5-point central stencil
     (D_k f)_i = (-f_{i+2} + 8 f_{i+1} - 8 f_{i-1} + f_{i-2}) / (12 h),
 
 which is antisymmetric on the periodic grid (exact discrete integration by
-parts).  A first-order monotone upwind discretisation of |P + Du|^gamma is
-provided for Hamilton-Jacobi solves.  Quadrature is the periodic trapezoid
-rule h^d * sum(values).
+parts).  Its normal operator sum_k D_k^T D_k is circulant, and its
+pseudo-inverse is applied by FFT (`normal_pinv_values`); the optimizer uses
+it as the u-block metric.  A first-order monotone upwind discretisation of
+|P + Du|^gamma is provided for Hamilton-Jacobi solves.  Quadrature is the
+periodic trapezoid rule h^d * sum(values).
 
 Every periodic shift is a gather through one cached table of neighbour
 indices per N (`periodic_shift`): on the small arrays the solvers iterate
@@ -154,6 +156,46 @@ def central_diff_values(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     d1 = periodic_shift(v, 1, axis) - periodic_shift(v, -1, axis)
     d2 = periodic_shift(v, 2, axis) - periodic_shift(v, -2, axis)
     return (8.0 * d1 - d2) / (12.0 * h)
+
+
+@functools.lru_cache(maxsize=32)
+def _normal_pinv_symbol(shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only rfftn-layout symbol of pinv(sum_k D_k^T D_k) at h = 1.
+
+    D_k has the symbol i (8 sin t_k - sin 2t_k) / (6h), t_k = 2 pi j_k / n_k,
+    so the normal operator has the sum of the squares.  That sum vanishes
+    exactly where every t_k is 0 or pi (the constant mode and the Nyquist
+    checkerboards); those entries are found from the integer frequencies,
+    not from the rounded sines, and set to 0.
+    """
+    symbol = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,))
+    null = np.ones(symbol.shape, dtype=bool)
+    for axis, n in enumerate(shape):
+        j = np.arange(n) if axis < len(shape) - 1 else np.arange(n // 2 + 1)
+        t = 2.0 * np.pi * j / n
+        along = [1] * len(shape)
+        along[axis] = j.size
+        d_sq = ((8.0 * np.sin(t) - np.sin(2.0 * t)) / 6.0) ** 2
+        symbol = symbol + d_sq.reshape(along)
+        null = null & ((j == 0) | (2 * j == n)).reshape(along)
+    inv = np.zeros(symbol.shape)
+    inv[~null] = 1.0 / symbol[~null]
+    inv.setflags(write=False)
+    return inv
+
+
+def normal_pinv_values(v: np.ndarray, h: float) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of L = sum_k D_k^T D_k applied to v.
+
+    L, the normal operator of the 5-point stencil over all axes, is
+    circulant, so its pseudo-inverse is a division by its symbol in Fourier
+    space.  The constant mode and the Nyquist checkerboards span its null
+    space and map to 0; any D_k^T(.) has no content there.  The output has
+    mean zero.
+    """
+    axes = tuple(range(v.ndim))
+    spec = np.fft.rfftn(v, axes=axes) * _normal_pinv_symbol(v.shape)
+    return h**2 * np.fft.irfftn(spec, s=v.shape, axes=axes)
 
 
 def central_diff(f: GridFunction, axis: int) -> GridFunction:

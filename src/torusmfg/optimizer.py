@@ -7,14 +7,24 @@ alternating between the two blocks of the feasible set:
   m-block: scaled simplex {m >= 0, h^d sum m = 1}, handled by exact
            Euclidean sort-projection.
 
-The u-step optionally uses the diagonal metric (alpha-1) m^(alpha-1)
-(the reciprocal of the kinetic stiffness), which equalises the curvature
-of the kinetic term across nodes with very different densities; without it
-the line search collapses wherever m approaches the floor.  Every accepted
-step decreases the objective (Armijo on the true objective), every iterate
-is feasible, and convergence is declared on the projected-gradient mapping,
-not the raw gradient, because the constraint multipliers make the raw
-gradient nonzero at the constrained optimum.
+The u-step is preconditioned with the inverse of the constant-coefficient
+kinetic Hessian.  For gamma = 2 the u-Hessian of J_h is h^d D^T diag(a) D
+with kinetic stiffness a = 1/((alpha-1) m^(alpha-1)); its D^T D part makes
+the condition number grow like N^2, and a step scaled only nodewise needs
+O(N^2) iterations.  The direction is instead
+
+    pinv(L) grad_u / (h^d mean(a)),    L = sum_k D_k^T D_k,
+
+applied by FFT (`grid.normal_pinv_values`).  For gamma = 2 and constant m
+it is exactly the Newton step, and on smooth problems the iteration count
+stays flat under grid refinement.
+
+Every accepted step decreases the objective (Armijo on the true
+objective), every iterate is feasible, and convergence is declared on the
+projected-gradient mapping, with the u-block measured in this metric, not
+on the raw gradient, because the constraint multipliers make the raw
+gradient nonzero at the constrained optimum.  When neither block finds an
+Armijo step the iterate is frozen, and the solve stops at once.
 
 The line searches do no stencil work.  The solver keeps w = P + Du and
 |w|^gamma for the current u.  D is linear, so a u-trial along the direction
@@ -33,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, central_diff_values
+from .grid import GridFunction, central_diff_values, normal_pinv_values
 from .variational import (
     AprioriDiagnostics,
     DegenerateSolutionError,
@@ -55,7 +65,6 @@ class SolveOptions:
     armijo_c: float = 1e-4
     backtrack: float = 0.5
     seed: int = 0
-    precondition: bool = True      # diagonal metric on the u-block
     mass_cutoff: float = 1e-4      # for the effective-Hamiltonian estimate
     min_step: float = 1e-18
 
@@ -77,7 +86,8 @@ class SolveResult:
     iters: int
     # "stationary": gradmap <= tol_gradmap, or an exact oracle solution;
     # "stagnation": the objective fell by less than tol_obj (relative) over
-    # 50 iterations; "iteration_cap": max_iters ran out
+    # 50 iterations; "line_search": neither block found an Armijo step, so
+    # the iterate can no longer change; "iteration_cap": max_iters ran out
     stop_reason: str
     diagnostics: AprioriDiagnostics
     gradmap: float = float("nan")
@@ -180,6 +190,7 @@ def minimize(
         trace_file.write("iter,objective,gradmap,step\n")
 
     h = sp.grid.h
+    hd = h**sp.dim
     w = obj.drifted_grad(u)             # P + Du at the current u
     kin = obj.kinetic_from_drifted(w)   # |P + Du|^gamma at the current u
 
@@ -187,15 +198,14 @@ def minimize(
         """One Armijo step in the mean-zero u block; returns its gradient map."""
         nonlocal u, w, kin, J, t_u
         gu = obj.gradient_u_arrays(u, m, w)
-        if opts.precondition:
-            mf = np.maximum(m, obj.m_floor)
-            direction = (sp.alpha - 1.0) * mf ** (sp.alpha - 1.0) * gu
-        else:
-            direction = gu
+        mf = np.maximum(m, obj.m_floor)
+        stiffness = float(np.mean(1.0 / ((sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))))
+        direction = normal_pinv_values(gu, h) / (hd * stiffness)
         direction = direction - direction.mean()
+        grad_map = float(np.linalg.norm(direction))
         slope = float(np.vdot(gu, direction))  # decrease rate along -direction
         if slope <= 0.0:
-            return 0.0, False
+            return grad_map, False
         dd = [central_diff_values(direction, h, k) for k in range(sp.dim)]
         t = min(opts.step0, 2.0 * t_u)
         while t >= opts.min_step:
@@ -208,15 +218,15 @@ def minimize(
                 u, J, t_u = u_trial, J_trial, t
                 w = obj.drifted_grad(u)  # fresh, so rounding does not build up
                 kin = obj.kinetic_from_drifted(w)
-                return float(np.linalg.norm(direction)), True
+                return grad_map, True
             t *= opts.backtrack
-        return 0.0, False
+        return grad_map, False
 
     def m_step():
         """One Armijo step in the simplex m block; returns its gradient map."""
         nonlocal m, J, t_m
         gm = obj.gradient_m_arrays(u, m, kin)
-        t = min(opts.step0, 2.0 * t_m)
+        t0 = t = min(opts.step0, 2.0 * t_m)
         while t >= opts.min_step:
             m_trial = project_simplex_values(m - t * gm, total_mass)
             delta = m_trial - m
@@ -228,7 +238,9 @@ def minimize(
                 m, J, t_m = m_trial, J_trial, t
                 return float(np.linalg.norm(delta)) / t, True
             t *= opts.backtrack
-        return 0.0, False
+        # no trial passed Armijo: report the gradient map at the first trial
+        delta = project_simplex_values(m - t0 * gm, total_mass) - m
+        return float(np.linalg.norm(delta)) / t0, False
 
     try:
         iters = 0
@@ -250,8 +262,8 @@ def minimize(
 
         while iters < opts.max_iters:
             iters += 1
-            map_u, _ = u_step()
-            map_m, _ = m_step()
+            map_u, moved_u = u_step()
+            map_m, moved_m = m_step()
             gradmap = float(np.hypot(map_u, map_m))
             history.append(J)
             if trace_file is not None:
@@ -260,6 +272,11 @@ def minimize(
                 )
             if gradmap <= opts.tol_gradmap:
                 stop_reason = "stationary"
+                break
+            if not (moved_u or moved_m):
+                # (u, m, t_u, t_m, J) is frozen: every later iteration
+                # would repeat this one exactly
+                stop_reason = "line_search"
                 break
             if len(history) == history.maxlen:
                 drop = history[0] - J

@@ -15,6 +15,7 @@ from torusmfg.grid import (
     from_json_record,
     gradient_central,
     integrate,
+    normal_pinv_values,
     to_csv,
     to_json_record,
     upwind_grad_power,
@@ -147,6 +148,62 @@ class TestShiftTableMatchesRoll:
         for k in range(len(shape)):
             assert np.array_equal(a[k], a_ref[k])
             assert np.array_equal(b[k], b_ref[k])
+
+
+def dense_normal_operator(shape, h):
+    """sum_k D_k^T D_k as a dense matrix, columns from unit vectors."""
+    size = int(np.prod(shape))
+    out = np.zeros((size, size))
+    for k in range(len(shape)):
+        d = np.column_stack([
+            central_diff_values(e.reshape(shape), h, k).ravel()
+            for e in np.eye(size)
+        ])
+        out += d.T @ d
+    return out
+
+
+def null_modes(shape):
+    """The constant mode and, per even axis length, the Nyquist checkerboards."""
+    idx = np.indices(shape)
+    modes = []
+    for signs in np.ndindex(*(2,) * len(shape)):
+        if any(s and n % 2 for s, n in zip(signs, shape)):
+            continue
+        parity = sum(s * i for s, i in zip(signs, idx))
+        modes.append((-1.0) ** parity)
+    return modes
+
+
+class TestNormalPinv:
+    """pinv(sum_k D_k^T D_k) by FFT against the dense pseudo-inverse."""
+
+    SHAPES = [(12,), (13,), (8, 8), (7, 7)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_dense_pinv(self, shape):
+        h = 1.0 / shape[0]
+        size = int(np.prod(shape))
+        ref = np.linalg.pinv(dense_normal_operator(shape, h), hermitian=True,
+                             rtol=1e-10)
+        fft = np.column_stack([
+            normal_pinv_values(e.reshape(shape), h).ravel() for e in np.eye(size)
+        ])
+        assert np.max(np.abs(fft - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_null_modes_map_to_zero(self, shape):
+        h = 1.0 / shape[0]
+        modes = null_modes(shape)
+        assert len(modes) == 2 ** sum(n % 2 == 0 for n in shape)
+        for mode in modes:
+            assert np.max(np.abs(normal_pinv_values(mode, h))) <= 1e-15
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_output_has_mean_zero(self, shape):
+        v = 3.0 + np.random.default_rng(8).normal(size=shape)
+        out = normal_pinv_values(v, 1.0 / shape[0])
+        assert abs(out.mean()) <= 1e-15 * np.max(np.abs(out))
 
 
 class TestGradientDivergence:
