@@ -1,16 +1,7 @@
 """Solvers for first-order stationary mean-field games with congestion
 on the 1D/2D torus, built around a convex variational discretisation."""
 
-from .grid import (
-    GridFunction,
-    GridVectorField,
-    TorusGrid,
-    central_diff,
-    divergence_central,
-    gradient_central,
-    integrate,
-    upwind_grad_power,
-)
+from .grid import GridFunction, TorusGrid
 from .model import (
     CouplingG,
     PotentialFamily,
@@ -33,9 +24,7 @@ from .variational import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "TorusGrid", "GridFunction", "GridVectorField",
-    "central_diff", "gradient_central", "divergence_central",
-    "upwind_grad_power", "integrate",
+    "TorusGrid", "GridFunction",
     "CouplingG", "PotentialFamily", "ProblemSpec",
     "barf", "barf_recession",
     "DiscreteObjective", "FeasiblePoint", "AprioriDiagnostics",

@@ -3,7 +3,9 @@
 Everything in this package lives on the uniform grid of the flat torus
 [0,1)^d with d in {1, 2}: N nodes per axis, spacing h = 1/N, and all index
 arithmetic wrapping modulo N.  Grid functions are stored as C-ordered
-ndarrays of shape (N,)*d, so node (i, j) sits at (i*h, j*h).
+ndarrays of shape (N,)*d, so node (i, j) sits at (i*h, j*h).  A
+GridFunction only pairs such an array with its grid: every operator below
+exists once, as a kernel on plain ndarrays that takes the spacing h.
 
 The derivative operator is the 4th-order, 5-point central stencil
 
@@ -25,7 +27,6 @@ values are the same.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,32 +101,7 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy())
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.values.astype(dtype)
-        return self.values
-
-
-@dataclass
-class GridVectorField:
-    """dim-component vector field; all components share one grid."""
-
-    grid: TorusGrid
-    components: tuple[GridFunction, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.grid.dim:
-            raise ValueError("need one component per axis")
-        for c in self.components:
-            if c.grid != self.grid:
-                raise ValueError("all components must share one grid")
-
-    def component(self, k: int) -> GridFunction:
-        return self.components[k]
-
-
-def _check_axis(grid: TorusGrid, axis: int):
-    if not 0 <= axis < grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim={grid.dim}")
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 @functools.lru_cache(maxsize=32)
@@ -153,6 +129,8 @@ def central_diff_values(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     Grouped as differences of symmetric neighbours so constants map to
     exactly zero in floating point.
     """
+    if not 0 <= axis < v.ndim:
+        raise ValueError(f"axis {axis} out of range for a {v.ndim}D array")
     d1 = periodic_shift(v, 1, axis) - periodic_shift(v, -1, axis)
     d2 = periodic_shift(v, 2, axis) - periodic_shift(v, -2, axis)
     return (8.0 * d1 - d2) / (12.0 * h)
@@ -198,32 +176,12 @@ def normal_pinv_values(v: np.ndarray, h: float) -> np.ndarray:
     return h**2 * np.fft.irfftn(spec, s=v.shape, axes=axes)
 
 
-def central_diff(f: GridFunction, axis: int) -> GridFunction:
-    """4th-order central difference along the given axis, periodic wrap."""
-    _check_axis(f.grid, axis)
-    return GridFunction(f.grid, central_diff_values(f.values, f.grid.h, axis))
-
-
 def central_diff2_values(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Plain 2-point central difference (f_{i+1} - f_{i-1}) / 2h.
 
     Not the scheme stencil; used for scheme-independent residual checks.
     """
     return (periodic_shift(v, 1, axis) - periodic_shift(v, -1, axis)) / (2.0 * h)
-
-
-def gradient_central(f: GridFunction) -> GridVectorField:
-    """Discrete gradient: component k is central_diff(f, k)."""
-    comps = tuple(central_diff(f, k) for k in range(f.grid.dim))
-    return GridVectorField(f.grid, comps)
-
-
-def divergence_central(v: GridVectorField) -> GridFunction:
-    """Sum over axes of the central difference of each component."""
-    out = np.zeros(v.grid.shape)
-    for k in range(v.grid.dim):
-        out += central_diff_values(v.components[k].values, v.grid.h, k)
-    return GridFunction(v.grid, out)
 
 
 def upwind_slopes(u: np.ndarray, p: np.ndarray, h: float):
@@ -255,51 +213,13 @@ def upwind_grad_power_values(
     return out
 
 
-def upwind_grad_power(u: GridFunction, P, gamma: float) -> GridFunction:
-    if gamma <= 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
-    p = np.atleast_1d(np.asarray(P, dtype=float))
-    if p.size != u.grid.dim:
-        raise ValueError(f"drift must have {u.grid.dim} components")
-    return GridFunction(
-        u.grid, upwind_grad_power_values(u.values, p, gamma, u.grid.h)
-    )
-
-
-def integrate(f: GridFunction) -> float:
-    """Torus quadrature h^d * sum(values); exact mean since h^d N^d = 1."""
-    return f.grid.h**f.grid.dim * float(np.sum(f.values))
-
-
 def integrate_values(v: np.ndarray, h: float) -> float:
+    """Torus quadrature h^d * sum(values); exact mean since h^d N^d = 1."""
     return h**v.ndim * float(v.sum())
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV with node coordinates and a JSON record {dim, n, values}
-
-def to_csv(f: GridFunction, path) -> None:
-    """Write one "x[,y],value" row per node, row-major, 17 significant digits."""
-    g = f.grid
-    x = g.axis_coords()
-    with open(path, "w") as fh:
-        if g.dim == 1:
-            fh.write("x,value\n")
-            for i in range(g.n):
-                fh.write(f"{x[i]:.17g},{f.values[i]:.17g}\n")
-        else:
-            fh.write("x,y,value\n")
-            for i in range(g.n):
-                for j in range(g.n):
-                    fh.write(f"{x[i]:.17g},{x[j]:.17g},{f.values[i, j]:.17g}\n")
-
-
-def from_csv(path, dim: int) -> GridFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    vals = data[:, -1]
-    n = round(vals.size ** (1.0 / dim))
-    return GridFunction(TorusGrid(dim, n), vals)
-
+# serialization: a JSON-ready record {dim, n, values}
 
 def to_json_record(f: GridFunction) -> dict:
     return {"dim": f.grid.dim, "n": f.grid.n, "values": f.values.ravel().tolist()}
@@ -307,13 +227,3 @@ def to_json_record(f: GridFunction) -> dict:
 
 def from_json_record(rec: dict) -> GridFunction:
     return GridFunction(TorusGrid(int(rec["dim"]), int(rec["n"])), np.asarray(rec["values"]))
-
-
-def save_json(f: GridFunction, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json_record(f), fh)
-
-
-def load_json(path) -> GridFunction:
-    with open(path) as fh:
-        return from_json_record(json.load(fh))

@@ -37,7 +37,6 @@ of the u-gradient, Dd and the new w.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -45,6 +44,7 @@ import numpy as np
 
 from .grid import GridFunction, central_diff_values, normal_pinv_values
 from .variational import (
+    M_FLOOR,
     AprioriDiagnostics,
     DegenerateSolutionError,
     DiscreteObjective,
@@ -56,24 +56,24 @@ from .variational import (
 )
 
 
+ARMIJO_C = 1e-4   # accepted steps decrease J by at least this share of slope * t
+BACKTRACK = 0.5   # factor on the trial step after each rejected trial
+
+
 @dataclass
 class SolveOptions:
     max_iters: int = 50000
     tol_gradmap: float = 1e-9      # norm of projected-gradient step per unit step
     tol_obj: float = 1e-13         # relative decrease over 50 iterations
     step0: float = 1.0             # trial-step cap; trial = min(step0, 2 * last)
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    seed: int = 0
-    mass_cutoff: float = 1e-4      # for the effective-Hamiltonian estimate
-    min_step: float = 1e-18
+    min_step: float = 1e-18        # a line search fails once its trial falls below
 
     def __post_init__(self):
-        for name in ("tol_gradmap", "tol_obj", "step0"):
+        # min_step = 0 would let a line search backtrack forever: a trial at
+        # t = 0 can fail Armijo by rounding, and 0 * BACKTRACK stays 0
+        for name in ("tol_gradmap", "tol_obj", "step0", "min_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0 < self.armijo_c < 1 or not 0 < self.backtrack < 1:
-            raise ValueError("armijo_c and backtrack must lie in (0, 1)")
 
 
 @dataclass
@@ -100,9 +100,6 @@ class SolveResult:
     @property
     def point(self) -> FeasiblePoint:
         return FeasiblePoint(self.u, self.m)
-
-
-_RANDOM_INIT = re.compile(r"random(?:\((?:seed=)?(\d+)\))?$")
 
 
 def random_feasible_point(grid, seed: int, u_scale: float = 0.1,
@@ -138,17 +135,11 @@ def random_feasible_point(grid, seed: int, u_scale: float = 0.1,
     return project_feasible(u, m)
 
 
-def _initial_point(obj: DiscreteObjective, init, opts: SolveOptions) -> FeasiblePoint:
-    grid = obj.spec.grid
+def _initial_point(grid, init) -> FeasiblePoint:
     if isinstance(init, FeasiblePoint):
         return project_feasible(init.u, init.m)
     if init == "uniform":
         return FeasiblePoint(grid.zeros(), grid.constant(1.0))
-    if isinstance(init, str):
-        match = _RANDOM_INIT.match(init)
-        if match:
-            seed = int(match.group(1)) if match.group(1) else opts.seed
-            return random_feasible_point(grid, seed)
     raise ValueError(f"unrecognised init {init!r}")
 
 
@@ -160,13 +151,14 @@ def minimize(
 ) -> SolveResult:
     """Projected-gradient minimisation of J_h over A_h.
 
-    init is a FeasiblePoint, "uniform" (u = 0, m = 1) or "random" /
-    "random(seed)".  An optional trace file receives one
+    init is "uniform" (u = 0, m = 1) or a FeasiblePoint, which is first
+    projected onto A_h; `random_feasible_point(grid, seed)` gives a seeded
+    random one.  An optional text stream trace_file receives one
     "iter,objective,gradmap,step" CSV row per iteration.
     """
     opts = opts or SolveOptions()
     sp = obj.spec
-    pt = _initial_point(obj, init, opts)
+    pt = _initial_point(sp.grid, init)
     u = pt.u.values.copy()
     m = pt.m.values.copy()
     total_mass = float(sp.grid.num_nodes)
@@ -182,10 +174,6 @@ def minimize(
     gradmap = float("inf")
     iters = 0
 
-    own_trace = False
-    if isinstance(trace_file, (str, bytes)) or hasattr(trace_file, "__fspath__"):
-        trace_file = open(trace_file, "w")
-        own_trace = True
     if trace_file is not None:
         trace_file.write("iter,objective,gradmap,step\n")
 
@@ -198,7 +186,7 @@ def minimize(
         """One Armijo step in the mean-zero u block; returns its gradient map."""
         nonlocal u, w, kin, J, t_u
         gu = obj.gradient_u_arrays(u, m, w)
-        mf = np.maximum(m, obj.m_floor)
+        mf = np.maximum(m, M_FLOOR)
         stiffness = float(np.mean(1.0 / ((sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))))
         direction = normal_pinv_values(gu, h) / (hd * stiffness)
         direction = direction - direction.mean()
@@ -214,12 +202,12 @@ def minimize(
                 [wk - t * dk for wk, dk in zip(w, dd)]
             )
             J_trial = obj.value_arrays(u_trial, m, kin_trial)
-            if J_trial <= J - opts.armijo_c * t * slope:
+            if J_trial <= J - ARMIJO_C * t * slope:
                 u, J, t_u = u_trial, J_trial, t
                 w = obj.drifted_grad(u)  # fresh, so rounding does not build up
                 kin = obj.kinetic_from_drifted(w)
                 return grad_map, True
-            t *= opts.backtrack
+            t *= BACKTRACK
         return grad_map, False
 
     def m_step():
@@ -234,64 +222,59 @@ def minimize(
             if slope_m >= 0.0:  # projected step vanished: stationary here
                 return float(np.linalg.norm(delta)) / t, False
             J_trial = obj.value_arrays(u, m_trial, kin)
-            if J_trial <= J + opts.armijo_c * slope_m:
+            if J_trial <= J + ARMIJO_C * slope_m:
                 m, J, t_m = m_trial, J_trial, t
                 return float(np.linalg.norm(delta)) / t, True
-            t *= opts.backtrack
+            t *= BACKTRACK
         # no trial passed Armijo: report the gradient map at the first trial
         delta = project_simplex_values(m - t0 * gm, total_mass) - m
         return float(np.linalg.norm(delta)) / t0, False
 
-    try:
-        iters = 0
-        # Relax u at the initial m before touching m.  Descent that lowers m
-        # into the congested regime while u still carries noise makes the
-        # kinetic term stiff (curvature ~ m^(-alpha-1)) and stalls the line
-        # search; settling u first costs little and removes the transient.
-        warmup_cap = min(10000, opts.max_iters)
-        while iters < warmup_cap:
-            map_u, moved = u_step()
-            if not moved:
-                break
-            iters += 1
-            history.append(J)
-            if trace_file is not None:
-                trace_file.write(f"{iters},{J:.17g},{map_u:.17g},{t_u:.17g}\n")
-            if map_u <= max(opts.tol_gradmap, 1e-9):
-                break
+    # Relax u at the initial m before touching m.  Descent that lowers m
+    # into the congested regime while u still carries noise makes the
+    # kinetic term stiff (curvature ~ m^(-alpha-1)) and stalls the line
+    # search; settling u first costs little and removes the transient.
+    warmup_cap = min(10000, opts.max_iters)
+    while iters < warmup_cap:
+        map_u, moved = u_step()
+        if not moved:
+            break
+        iters += 1
+        history.append(J)
+        if trace_file is not None:
+            trace_file.write(f"{iters},{J:.17g},{map_u:.17g},{t_u:.17g}\n")
+        if map_u <= max(opts.tol_gradmap, 1e-9):
+            break
 
-        while iters < opts.max_iters:
-            iters += 1
-            map_u, moved_u = u_step()
-            map_m, moved_m = m_step()
-            gradmap = float(np.hypot(map_u, map_m))
-            history.append(J)
-            if trace_file is not None:
-                trace_file.write(
-                    f"{iters},{J:.17g},{gradmap:.17g},{max(t_u, t_m):.17g}\n"
-                )
-            if gradmap <= opts.tol_gradmap:
-                stop_reason = "stationary"
+    while iters < opts.max_iters:
+        iters += 1
+        map_u, moved_u = u_step()
+        map_m, moved_m = m_step()
+        gradmap = float(np.hypot(map_u, map_m))
+        history.append(J)
+        if trace_file is not None:
+            trace_file.write(
+                f"{iters},{J:.17g},{gradmap:.17g},{max(t_u, t_m):.17g}\n"
+            )
+        if gradmap <= opts.tol_gradmap:
+            stop_reason = "stationary"
+            break
+        if not (moved_u or moved_m):
+            # (u, m, t_u, t_m, J) is frozen: every later iteration
+            # would repeat this one exactly
+            stop_reason = "line_search"
+            break
+        if len(history) == history.maxlen:
+            drop = history[0] - J
+            if drop <= opts.tol_obj * max(1.0, abs(J)):
+                stop_reason = "stagnation"  # stopped, not stationary
                 break
-            if not (moved_u or moved_m):
-                # (u, m, t_u, t_m, J) is frozen: every later iteration
-                # would repeat this one exactly
-                stop_reason = "line_search"
-                break
-            if len(history) == history.maxlen:
-                drop = history[0] - J
-                if drop <= opts.tol_obj * max(1.0, abs(J)):
-                    stop_reason = "stagnation"  # stopped, not stationary
-                    break
-    finally:
-        if own_trace:
-            trace_file.close()
 
     ugf = GridFunction(sp.grid, u)
     mgf = GridFunction(sp.grid, m)
     point = FeasiblePoint(ugf, mgf)
     try:
-        hbar, hstd = estimate_Hbar(point, obj, opts.mass_cutoff)
+        hbar, hstd = estimate_Hbar(point, obj)
     except DegenerateSolutionError:
         hbar, hstd = float("nan"), float("nan")
     return SolveResult(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, integrate
+from .grid import GridFunction, integrate_values
 from .model import BracketError, ProblemSpec, mass_root, monotone_root
 from .variational import (
     DiscreteObjective,
@@ -138,7 +138,7 @@ def classical_existence_check(spec: ProblemSpec) -> ClassicalExistence:
         raise ValueError("existence check requires gamma = 2")
     if spec.coupling.terms != ((0.5, 2.0),):
         raise ValueError("existence check requires the quadratic coupling g(m) = m")
-    V0 = spec.V.values - integrate(spec.V)
+    V0 = spec.V.values - integrate_values(spec.V.values, spec.grid.h)
     m = GridFunction(spec.grid, 1.0 + V0)
     mn = float(m.values.min())
     return ClassicalExistence(m_formula=m, min_value=mn, classical_exists=mn > 0.0)

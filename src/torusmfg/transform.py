@@ -43,7 +43,10 @@ from .grid import (
 )
 from .model import ProblemSpec
 from .optimizer import SolveOptions, SolveResult, minimize
-from .variational import DiscreteObjective, estimate_Hbar
+from .variational import M_FLOOR, DiscreteObjective, estimate_Hbar
+
+_MASS_CUTOFF = 1e-4   # floor of m in the HJB denominator gamma m^alpha
+_MAX_NEWTON = 200
 
 
 class HJBConvergenceError(RuntimeError):
@@ -95,25 +98,19 @@ class DualSpec:
         )
 
 
-def solve_dual(dual: DualSpec, opts: SolveOptions | None = None):
-    """Minimise the dual functional; returns (psi, m) grid functions."""
-    res = _solve_dual_full(dual, opts)
-    return res.u, res.m
-
-
-def _solve_dual_full(dual: DualSpec, opts: SolveOptions | None = None) -> SolveResult:
+def solve_dual(dual: DualSpec, opts: SolveOptions | None = None) -> SolveResult:
+    """Minimise the dual functional; the result's u is the stream function psi."""
     obj = DiscreteObjective(dual.dual_problem())
     if opts is None:
         opts = SolveOptions(step0=float(dual.base.grid.num_nodes), max_iters=200000)
     return minimize(obj, "uniform", opts)
 
 
-def _dual_flux(psi: np.ndarray, m: np.ndarray, dual: DualSpec,
-               m_floor: float = 1e-8) -> list[np.ndarray]:
+def _dual_flux(psi: np.ndarray, m: np.ndarray, dual: DualSpec) -> list[np.ndarray]:
     """m^(1-alpha~) |Q+Dpsi|^(gamma'-2) (Q+Dpsi), m floored in the power."""
     h = dual.base.grid.h
     gp = dual.gamma_prime
-    mf = np.maximum(m, m_floor)
+    mf = np.maximum(m, M_FLOOR)
     w = [dual.Q[k] + central_diff_values(psi, h, k) for k in range(2)]
     nsq = w[0] ** 2 + w[1] ** 2
     if gp == 2.0:
@@ -125,17 +122,16 @@ def _dual_flux(psi: np.ndarray, m: np.ndarray, dual: DualSpec,
     return [weight * w[0], weight * w[1]]
 
 
-def recover_P(psi: GridFunction, m: GridFunction, dual: DualSpec,
-              m_floor: float = 1e-8) -> np.ndarray:
+def recover_P(psi: GridFunction, m: GridFunction, dual: DualSpec) -> np.ndarray:
     """Drift recovered from the flux quadrature; P = (Pperp_2, -Pperp_1)."""
     h = dual.base.grid.h
-    flux = _dual_flux(psi.values, m.values, dual, m_floor)
+    flux = _dual_flux(psi.values, m.values, dual)
     pperp = np.array([integrate_values(flux[0], h), integrate_values(flux[1], h)])
     return np.array([pperp[1], -pperp[0]])
 
 
-def dual_divergence_residual(psi: GridFunction, m: GridFunction, dual: DualSpec,
-                             m_floor: float = 1e-8) -> float:
+def dual_divergence_residual(psi: GridFunction, m: GridFunction,
+                             dual: DualSpec) -> float:
     """Discrete-L1 norm of a scheme-independent divergence of the flux.
 
     Measured with the plain 2-point central divergence: the 5-point stencil
@@ -143,13 +139,13 @@ def dual_divergence_residual(psi: GridFunction, m: GridFunction, dual: DualSpec,
     discrete optimum by stationarity and would only report solver noise.
     """
     h = dual.base.grid.h
-    flux = _dual_flux(psi.values, m.values, dual, m_floor)
+    flux = _dual_flux(psi.values, m.values, dual)
     div = central_diff2_values(flux[0], h, 0) + central_diff2_values(flux[1], h, 1)
     return integrate_values(np.abs(div), h)
 
 
 def curl_proxy(psi: GridFunction, m: GridFunction, dual: DualSpec,
-               P: np.ndarray, m_floor: float = 1e-8) -> float:
+               P: np.ndarray) -> float:
     """L1 norm of the discrete curl of the reconstructed Du candidate.
 
     From Pperp + (Du)perp = flux, the candidate gradient field is the
@@ -157,7 +153,7 @@ def curl_proxy(psi: GridFunction, m: GridFunction, dual: DualSpec,
     vanishes, which the construction does not guarantee.
     """
     h = dual.base.grid.h
-    flux = _dual_flux(psi.values, m.values, dual, m_floor)
+    flux = _dual_flux(psi.values, m.values, dual)
     pperp = np.array([-P[1], P[0]])
     du1 = flux[1] - pperp[1]       # (a_2, -a_1) undoes perp
     du2 = -(flux[0] - pperp[0])
@@ -168,10 +164,18 @@ def curl_proxy(psi: GridFunction, m: GridFunction, dual: DualSpec,
 # ---------------------------------------------------------------------------
 # discounted Hamilton-Jacobi solve with the monotone upwind scheme
 
-def _hjb_coefficients(m: GridFunction, spec: ProblemSpec, mass_cutoff: float):
-    """(gamma m^alpha, V - g(m)), m floored at the cutoff in the first."""
-    denom = spec.gamma * np.maximum(m.values, mass_cutoff) ** spec.alpha
-    return denom, spec.V.values - spec.coupling.g(np.maximum(m.values, 0.0))
+def _hjb_scheme(m: GridFunction, p: np.ndarray, spec: ProblemSpec, beta: float):
+    """(residual, denom): the map u -> beta u + S(u)/denom + V - g(m) of the
+    upwind scheme S, with denom = gamma m^alpha, m floored at _MASS_CUTOFF."""
+    h = m.grid.h
+    denom = spec.gamma * np.maximum(m.values, _MASS_CUTOFF) ** spec.alpha
+    source = spec.V.values - spec.coupling.g(np.maximum(m.values, 0.0))
+
+    def residual(u):
+        kinetic = upwind_grad_power_values(u, p, spec.gamma, h)
+        return beta * u + kinetic / denom + source
+
+    return residual, denom
 
 
 def solve_hjb_discounted(
@@ -179,9 +183,7 @@ def solve_hjb_discounted(
     P,
     spec: ProblemSpec,
     beta: float,
-    mass_cutoff: float = 1e-4,
     tol: float = 1e-10,
-    max_newton: int = 200,
     u0: np.ndarray | None = None,
 ) -> GridFunction:
     """Solve beta u + |P+Du|^gamma/(gamma m^alpha) + V - g(m) = 0.
@@ -197,13 +199,10 @@ def solve_hjb_discounted(
     h = grid.h
     gamma = spec.gamma
     p = np.asarray(P, dtype=float)
-    denom, source = _hjb_coefficients(m, spec, mass_cutoff)
+    residual, denom = _hjb_scheme(m, p, spec, beta)
 
     size = grid.num_nodes
     idx = np.arange(size).reshape(grid.shape)
-
-    def residual(u):
-        return beta * u + upwind_grad_power_values(u, p, gamma, h) / denom + source
 
     def jacobian(u):
         a, b = upwind_slopes(u, p, h)
@@ -230,7 +229,7 @@ def solve_hjb_discounted(
     u = np.zeros(grid.shape) if u0 is None else np.array(u0, dtype=float)
     r = residual(u)
     best = float(np.max(np.abs(r)))
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         if best <= tol:
             break
         delta = spla.spsolve(jacobian(u), -r.ravel()).reshape(grid.shape)
@@ -255,12 +254,10 @@ def solve_hjb_discounted(
 
 
 def hjb_residual(u: GridFunction, m: GridFunction, P, spec: ProblemSpec,
-                 beta: float, mass_cutoff: float = 1e-4) -> float:
-    denom, source = _hjb_coefficients(m, spec, mass_cutoff)
-    kinetic = upwind_grad_power_values(u.values, np.asarray(P, dtype=float),
-                                       spec.gamma, m.grid.h)
-    r = beta * u.values + kinetic / denom + source
-    return float(np.max(np.abs(r)))
+                 beta: float) -> float:
+    """Max-norm residual of the scheme that `solve_hjb_discounted` solves."""
+    residual, _ = _hjb_scheme(m, np.asarray(P, dtype=float), spec, beta)
+    return float(np.max(np.abs(residual(u.values))))
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +267,12 @@ def hjb_residual(u: GridFunction, m: GridFunction, P, spec: ProblemSpec,
 class TransformResult:
     psi: GridFunction
     m: GridFunction
-    Q: tuple[float, float]
     P_recovered: np.ndarray
     u: GridFunction
     Hbar: float
     paper_Hbar_beta: float      # max u^(beta), the normalisation constant
     residuals: dict
     discount_estimates: list    # (beta, -beta * integral(u^beta), max residual)
-    converged: dict
     dual_result: SolveResult = field(repr=False, default=None)
 
 
@@ -289,7 +284,7 @@ def pipeline_alpha_lt_1(
 ) -> TransformResult:
     """Exponent transform, dual solve, drift recovery, vanishing discount."""
     base = dual.base
-    res = _solve_dual_full(dual, opts)
+    res = solve_dual(dual, opts)
     psi, m = res.u, res.m
     P = recover_P(psi, m, dual)
 
@@ -328,14 +323,12 @@ def pipeline_alpha_lt_1(
     return TransformResult(
         psi=psi,
         m=m,
-        Q=dual.Q,
         P_recovered=P,
         u=u_final,
         Hbar=hbar,
         paper_Hbar_beta=top,
         residuals=residuals,
         discount_estimates=estimates,
-        converged={"dual": res.converged, "hjb": True},  # HJB failures raise
         dual_result=res,
     )
 

@@ -7,12 +7,13 @@ with D the 5-point central gradient and the admissible set
 
     A_h = { h^d sum u = 0,  h^d sum m = 1,  m >= 0 }.
 
-m is floored at m_floor inside negative powers so the objective stays finite
+m is floored at M_FLOOR inside negative powers so the objective stays finite
 and differentiable; the floor plays the role of the +inf extension of the
 integrand at m = 0.  The gradient below is the exact gradient of the floored
 objective (the kinetic m-derivative switches off where the floor is active),
-which keeps Armijo line searches consistent; on points with m >= m_floor it
-coincides with the unfloored formula.
+which keeps Armijo line searches consistent; on points with m >= M_FLOOR it
+coincides with the unfloored formula.  The stream-function transform floors
+m at the same value.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 
 from .grid import GridFunction, central_diff_values, integrate_values
 from .model import ProblemSpec
+
+M_FLOOR = 1e-8  # floor of m inside negative powers of m
 
 
 class DegenerateSolutionError(RuntimeError):
@@ -83,15 +86,12 @@ class AprioriDiagnostics:
 
 @dataclass
 class DiscreteObjective:
-    """J_h for a given problem, with the m-floor used in negative powers."""
+    """J_h for a given problem, m floored at M_FLOOR in negative powers."""
 
     spec: ProblemSpec
-    m_floor: float = 1e-8
     _p: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.m_floor <= 0:
-            raise ValueError("m_floor must be positive")
         self._p = np.asarray(self.spec.P, dtype=float)
 
     # -- pieces ------------------------------------------------------------
@@ -139,7 +139,7 @@ class DiscreteObjective:
         sp = self.spec
         if kin is None:
             kin = self.kinetic_density(u)
-        mf = np.maximum(m, self.m_floor)
+        mf = np.maximum(m, M_FLOOR)
         fh = kin / (sp.gamma * (sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))
         dens = fh - sp.V.values * m + sp.coupling.G(m)
         return integrate_values(dens, sp.grid.h)
@@ -160,7 +160,7 @@ class DiscreteObjective:
         h = sp.grid.h
         if w is None:
             w = self.drifted_grad(u)
-        mf = np.maximum(m, self.m_floor)
+        mf = np.maximum(m, M_FLOOR)
         nsq = self._norm_sq(w)
         if sp.gamma == 2.0:
             coef = 1.0  # |P+Du|^0
@@ -181,8 +181,8 @@ class DiscreteObjective:
         hd = sp.grid.h**sp.dim
         if kin is None:
             kin = self.kinetic_density(u)
-        mf = np.maximum(m, self.m_floor)
-        dkin_dm = np.where(m > self.m_floor, -kin / (sp.gamma * mf**sp.alpha), 0.0)
+        mf = np.maximum(m, M_FLOOR)
+        dkin_dm = np.where(m > M_FLOOR, -kin / (sp.gamma * mf**sp.alpha), 0.0)
         return hd * (dkin_dm - sp.V.values + sp.coupling.g(np.maximum(m, 0.0)))
 
 
@@ -240,7 +240,7 @@ def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective) -> AprioriDia
     sp = obj.spec
     h = sp.grid.h
     m = pt.m.values
-    mf = np.maximum(m, obj.m_floor)
+    mf = np.maximum(m, M_FLOOR)
     kin = obj.kinetic_density(pt.u.values)
     # |(P+Du)/m^ab|^g (m^ab + m^(ab+1)) = |P+Du|^g (m^-alpha + m^(1-alpha)),
     # using ab = alpha/(gamma-1)
@@ -249,7 +249,7 @@ def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective) -> AprioriDia
     dm_sq = np.zeros_like(m)
     for k in range(sp.dim):
         dm_sq += central_diff_values(m, h, k) ** 2
-    second_order = sp.coupling.g_prime(np.maximum(m, 0.0), z_floor=obj.m_floor) * dm_sq
+    second_order = sp.coupling.g_prime(np.maximum(m, 0.0), z_floor=M_FLOOR) * dm_sq
     return AprioriDiagnostics(
         congestion_energy_weighted=integrate_values(congestion, h),
         coupling_balance=integrate_values(coupling_balance, h),

@@ -5,20 +5,14 @@ import pytest
 
 from torusmfg.grid import (
     GridFunction,
-    GridVectorField,
     TorusGrid,
-    central_diff,
     central_diff2_values,
     central_diff_values,
-    divergence_central,
-    from_csv,
     from_json_record,
-    gradient_central,
-    integrate,
+    integrate_values,
     normal_pinv_values,
-    to_csv,
     to_json_record,
-    upwind_grad_power,
+    upwind_grad_power_values,
     upwind_slopes,
 )
 
@@ -29,6 +23,19 @@ def grid1(n=64):
 
 def sample(grid, fn):
     return grid.from_callable(fn)
+
+
+def gradient(v, h):
+    """Component k is the 5-point central difference along axis k."""
+    return [central_diff_values(v, h, k) for k in range(v.ndim)]
+
+
+def divergence(w, h):
+    """Sum over axes k of the central difference of component k."""
+    out = np.zeros(w[0].shape)
+    for k, wk in enumerate(w):
+        out += central_diff_values(wk, h, k)
+    return out
 
 
 def fitted_order(ns, errs):
@@ -55,21 +62,24 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             GridFunction(g, np.zeros(63))
 
-    def test_vector_field_requires_shared_grid(self):
+    def test_array_conversion_copies_only_when_asked(self):
         g = TorusGrid(1, 8)
-        other = TorusGrid(1, 16)
-        with pytest.raises(ValueError):
-            GridVectorField(g, (other.zeros(),))
+        f = g.constant(1.0)
+        a = np.array(f)
+        a[0] = 5.0
+        assert f.values[0] == 1.0
+        assert np.shares_memory(np.asarray(f), f.values)
+        assert np.asarray(f, dtype=np.float32).dtype == np.float32
 
 
 class TestCentralDiff:
     def test_constant_maps_to_zero(self):
-        f = grid1().constant(3.7)
-        assert np.all(central_diff(f, 0).values == 0.0)
+        g = grid1()
+        assert np.all(central_diff_values(np.full(g.shape, 3.7), g.h, 0) == 0.0)
 
     def test_axis_out_of_range(self):
         with pytest.raises(ValueError):
-            central_diff(grid1().zeros(), 1)
+            central_diff_values(np.zeros(64), 1.0 / 64, 1)
 
     def test_fourth_order_on_sine(self):
         errs = []
@@ -78,26 +88,25 @@ class TestCentralDiff:
             g = grid1(n)
             f = sample(g, lambda x: np.sin(2 * np.pi * x))
             exact = 2 * np.pi * np.cos(2 * np.pi * g.axis_coords())
-            errs.append(np.max(np.abs(central_diff(f, 0).values - exact)))
+            errs.append(np.max(np.abs(central_diff_values(f.values, g.h, 0) - exact)))
         assert fitted_order(ns, errs) >= 3.8
 
     def test_discrete_integration_by_parts_exact(self):
         rng = np.random.default_rng(1)
         g = grid1(16)
-        f = GridFunction(g, rng.normal(size=16))
-        w = GridFunction(g, rng.normal(size=16))
-        lhs = integrate(GridFunction(g, w.values * central_diff(f, 0).values))
-        rhs = -integrate(GridFunction(g, f.values * central_diff(w, 0).values))
+        f = rng.normal(size=16)
+        w = rng.normal(size=16)
+        lhs = integrate_values(w * central_diff_values(f, g.h, 0), g.h)
+        rhs = -integrate_values(f * central_diff_values(w, g.h, 0), g.h)
         assert lhs == pytest.approx(rhs, abs=1e-15)
 
     def test_translation_equivariance_exact(self):
         rng = np.random.default_rng(2)
         g = TorusGrid(2, 12)
-        f = GridFunction(g, rng.normal(size=(12, 12)))
+        f = rng.normal(size=(12, 12))
         for axis in (0, 1):
-            d = central_diff(f, axis).values
-            shifted = GridFunction(g, np.roll(f.values, 3, axis=0))
-            d_shift = central_diff(shifted, axis).values
+            d = central_diff_values(f, g.h, axis)
+            d_shift = central_diff_values(np.roll(f, 3, axis=0), g.h, axis)
             assert np.array_equal(np.roll(d, 3, axis=0), d_shift)
 
 
@@ -209,35 +218,38 @@ class TestNormalPinv:
 class TestGradientDivergence:
     def test_gradient_of_zero(self):
         g = TorusGrid(2, 8)
-        v = gradient_central(g.zeros())
+        v = gradient(np.zeros(g.shape), g.h)
         for k in range(2):
-            assert np.all(v.component(k).values == 0.0)
+            assert np.all(v[k] == 0.0)
 
     def test_no_cross_axis_dependence(self):
         g = TorusGrid(2, 16)
         f = sample(g, lambda x, y: np.sin(2 * np.pi * x))
-        v = gradient_central(f)
-        assert np.all(v.component(1).values == 0.0)
+        v = gradient(f.values, g.h)
+        assert np.all(v[1] == 0.0)
 
     def test_components_match_central_diff(self):
         rng = np.random.default_rng(3)
         g = TorusGrid(2, 10)
-        f = GridFunction(g, rng.normal(size=(10, 10)))
-        v = gradient_central(f)
+        f = rng.normal(size=(10, 10))
+        v = gradient(f, g.h)
         for k in range(2):
-            assert np.array_equal(v.component(k).values, central_diff(f, k).values)
+            # each component is the 1D stencil applied line by line
+            lines = np.moveaxis(f, k, -1)
+            along = np.stack([central_diff_values(line, g.h, 0) for line in lines])
+            assert np.array_equal(v[k], np.moveaxis(along, -1, k))
 
     def test_divergence_of_constant_field(self):
         g = TorusGrid(2, 8)
-        v = GridVectorField(g, (g.constant(2.0), g.constant(-1.0)))
-        assert np.all(divergence_central(v).values == 0.0)
+        v = [np.full(g.shape, 2.0), np.full(g.shape, -1.0)]
+        assert np.all(divergence(v, g.h) == 0.0)
 
     def test_divergence_laplacian_order(self):
         ns, errs = (32, 64), []
         for n in ns:
             g = grid1(n)
             f = sample(g, lambda x: np.sin(2 * np.pi * x))
-            lap = divergence_central(gradient_central(f)).values
+            lap = divergence(gradient(f.values, g.h), g.h)
             exact = -(2 * np.pi) ** 2 * np.sin(2 * np.pi * g.axis_coords())
             errs.append(np.max(np.abs(lap - exact)))
         assert fitted_order(ns, errs) >= 3.7
@@ -245,42 +257,42 @@ class TestGradientDivergence:
     def test_divergence_integrates_to_zero(self):
         rng = np.random.default_rng(4)
         g = TorusGrid(2, 9)
-        v = GridVectorField(
-            g,
-            (GridFunction(g, rng.normal(size=(9, 9))),
-             GridFunction(g, rng.normal(size=(9, 9)))),
-        )
-        assert integrate(divergence_central(v)) == pytest.approx(0.0, abs=1e-14)
+        v = [rng.normal(size=(9, 9)), rng.normal(size=(9, 9))]
+        total = integrate_values(divergence(v, g.h), g.h)
+        assert total == pytest.approx(0.0, abs=1e-14)
 
 
 class TestUpwind:
     def test_constant_u_gives_drift_power(self):
         g = TorusGrid(2, 8)
-        out = upwind_grad_power(g.constant(2.0), (1.5, -0.5), 2.5)
+        out = upwind_grad_power_values(np.full(g.shape, 2.0), np.array([1.5, -0.5]),
+                                       2.5, g.h)
         expected = 1.5**2.5 + 0.5**2.5
-        assert np.allclose(out.values, expected, rtol=1e-14)
+        assert np.allclose(out, expected, rtol=1e-14)
 
     def test_constant_u_zero_drift(self):
-        out = upwind_grad_power(grid1().constant(1.0), (0.0,), 2.0)
-        assert np.all(out.values == 0.0)
+        g = grid1()
+        out = upwind_grad_power_values(np.ones(g.shape), np.array([0.0]), 2.0, g.h)
+        assert np.all(out == 0.0)
 
     def test_nonnegative_on_random_input(self):
         rng = np.random.default_rng(5)
         g = TorusGrid(2, 12)
-        u = GridFunction(g, rng.normal(size=(12, 12)))
-        out = upwind_grad_power(u, rng.normal(size=2), 1.7)
-        assert np.all(out.values >= 0.0)
+        u = rng.normal(size=(12, 12))
+        out = upwind_grad_power_values(u, rng.normal(size=2), 1.7, g.h)
+        assert np.all(out >= 0.0)
 
     def test_monotone_in_neighbors(self):
         # raising one neighbor value never raises the scheme value elsewhere
         rng = np.random.default_rng(6)
         g = grid1(16)
-        u = GridFunction(g, rng.normal(size=16))
-        base = upwind_grad_power(u, (0.7,), 2.0).values
+        u = rng.normal(size=16)
+        p = np.array([0.7])
+        base = upwind_grad_power_values(u, p, 2.0, g.h)
         for i in (0, 5, 11):
-            bumped = u.values.copy()
+            bumped = u.copy()
             bumped[i] += 0.3
-            out = upwind_grad_power(GridFunction(g, bumped), (0.7,), 2.0).values
+            out = upwind_grad_power_values(bumped, p, 2.0, g.h)
             mask = np.ones(16, bool)
             mask[i] = False
             assert np.all(out[mask] <= base[mask] + 1e-14)
@@ -290,7 +302,7 @@ class TestUpwind:
         for n in ns:
             g = grid1(n)
             u = sample(g, lambda x: np.sin(2 * np.pi * x) / (2 * np.pi))
-            out = upwind_grad_power(u, (0.0,), 2.0).values
+            out = upwind_grad_power_values(u.values, np.array([0.0]), 2.0, g.h)
             exact = np.cos(2 * np.pi * g.axis_coords()) ** 2
             errs.append(np.max(np.abs(out - exact)))
         order = fitted_order(ns, errs)
@@ -301,42 +313,22 @@ class TestUpwind:
 class TestIntegrate:
     def test_unit_constant(self):
         for g in (grid1(5), TorusGrid(2, 7)):
-            assert integrate(g.constant(1.0)) == pytest.approx(1.0, abs=1e-15)
+            total = integrate_values(np.ones(g.shape), g.h)
+            assert total == pytest.approx(1.0, abs=1e-15)
 
     def test_cosine_orthogonality(self):
         for n in (5, 16, 37):
             g = grid1(n)
             f = sample(g, lambda x: np.cos(2 * np.pi * x))
-            assert integrate(f) == pytest.approx(0.0, abs=1e-13)
+            assert integrate_values(f.values, g.h) == pytest.approx(0.0, abs=1e-13)
 
     def test_sampled_potential_mean_zero(self):
         g = grid1(200)
         f = sample(g, lambda x: 10 * np.cos(2 * np.pi * (x - 0.25)))
-        assert abs(integrate(f)) <= 1e-12
+        assert abs(integrate_values(f.values, g.h)) <= 1e-12
 
 
 class TestSerialization:
-    def test_csv_roundtrip_1d(self, tmp_path):
-        rng = np.random.default_rng(7)
-        g = grid1(11)
-        f = GridFunction(g, rng.normal(size=11))
-        path = tmp_path / "f.csv"
-        to_csv(f, path)
-        back = from_csv(path, 1)
-        assert np.allclose(back.values, f.values, rtol=1e-16, atol=0)
-        header, first = path.read_text().splitlines()[:2]
-        assert header == "x,value"
-        assert first.count(",") == 1
-
-    def test_csv_roundtrip_2d(self, tmp_path):
-        rng = np.random.default_rng(8)
-        g = TorusGrid(2, 6)
-        f = GridFunction(g, rng.normal(size=(6, 6)))
-        path = tmp_path / "f.csv"
-        to_csv(f, path)
-        back = from_csv(path, 2)
-        assert np.allclose(back.values, f.values, rtol=1e-16, atol=0)
-
     def test_json_record_roundtrip(self):
         rng = np.random.default_rng(9)
         g = TorusGrid(2, 5)

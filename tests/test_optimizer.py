@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from torusmfg import grid as grid_module
-from torusmfg.grid import GridFunction, TorusGrid, central_diff
+from torusmfg.grid import GridFunction, TorusGrid, central_diff_values
 from torusmfg.model import CouplingG, ProblemSpec
 from torusmfg.optimizer import SolveOptions, minimize, random_feasible_point
 from torusmfg.variational import DiscreteObjective, FeasiblePoint
@@ -70,7 +70,7 @@ class TestDescentMechanics:
         spec = make_spec(n=32, V_fn=lambda x: np.cos(2 * np.pi * x))
         buf = io.StringIO()
         res = minimize(
-            DiscreteObjective(spec), "random(3)",
+            DiscreteObjective(spec), random_feasible_point(spec.grid, 3),
             SolveOptions(step0=32.0, max_iters=2000), trace_file=buf,
         )
         lines = buf.getvalue().strip().splitlines()
@@ -82,7 +82,7 @@ class TestDescentMechanics:
 
     def test_every_result_feasible(self):
         spec = make_spec(n=24, P=(0.8,), V_fn=lambda x: np.sin(2 * np.pi * x))
-        res = minimize(DiscreteObjective(spec), "random(5)",
+        res = minimize(DiscreteObjective(spec), random_feasible_point(spec.grid, 5),
                        SolveOptions(step0=24.0, max_iters=20000))
         pt = res.point
         eu, em = pt.feasibility_errors()
@@ -98,9 +98,21 @@ class TestDescentMechanics:
         with pytest.raises(ValueError, match="initial point"):
             minimize(DiscreteObjective(spec), bad)
 
+    def test_init_other_than_uniform_or_point_raises(self):
+        spec = make_spec(n=16)
+        for init in ("random", "random(3)", "zeros", None):
+            with pytest.raises(ValueError, match="init"):
+                minimize(DiscreteObjective(spec), init)
+
+    def test_min_step_must_be_positive(self):
+        # with min_step = 0 a line search can backtrack forever: a trial at
+        # t = 0 may fail Armijo by rounding, and t stays 0
+        with pytest.raises(ValueError, match="min_step"):
+            SolveOptions(min_step=0.0)
+
     def test_nonconverged_flag_on_iteration_cap(self):
         spec = make_spec(n=32, V_fn=lambda x: 3 * np.cos(2 * np.pi * x))
-        res = minimize(DiscreteObjective(spec), "random(9)",
+        res = minimize(DiscreteObjective(spec), random_feasible_point(spec.grid, 9),
                        SolveOptions(max_iters=3))
         assert not res.converged
         assert res.iters == 3
@@ -177,8 +189,9 @@ class TestDescentMechanics:
     def test_seeded_runs_bitwise_reproducible(self):
         spec = make_spec(n=24, V_fn=lambda x: np.cos(2 * np.pi * x))
         opts = SolveOptions(step0=24.0, max_iters=500)
-        r1 = minimize(DiscreteObjective(spec), "random(11)", opts)
-        r2 = minimize(DiscreteObjective(spec), "random(11)", opts)
+        r1, r2 = (minimize(DiscreteObjective(spec),
+                           random_feasible_point(spec.grid, 11), opts)
+                  for _ in range(2))
         assert np.array_equal(r1.m.values, r2.m.values)
         assert np.array_equal(r1.u.values, r2.u.values)
         assert r1.objective == r2.objective
@@ -207,6 +220,31 @@ class TestIterationCounts:
         assert res.Hbar_std <= 1e-7
 
 
+class TestMirrorSymmetry:
+    """(u, m) minimises J_h for P exactly when (-u, m) does for -P.
+
+    Negation is exact in floating point and D is linear, so P + Du only
+    flips sign and the two descents are mirror images step by step.
+    """
+
+    @pytest.mark.parametrize("dim, n, P", [(1, 48, (1.0,)), (2, 16, (1.0, 0.5))])
+    def test_reversed_drift_mirrors_u(self, dim, n, P):
+        if dim == 1:
+            V_fn = lambda x: np.cos(2 * np.pi * (x - 0.1))
+        else:
+            V_fn = lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+        opts = SolveOptions(step0=float(n**dim), max_iters=100000)
+        fwd, back = (
+            minimize(DiscreteObjective(make_spec(n=n, dim=dim, P=drift, V_fn=V_fn)),
+                     "uniform", opts)
+            for drift in (P, tuple(-p for p in P))
+        )
+        assert fwd.iters == back.iters
+        assert np.array_equal(fwd.m.values, back.m.values)
+        assert np.array_equal(fwd.u.values, -back.u.values)
+        assert fwd.Hbar == back.Hbar
+
+
 class TestUniqueness:
     def test_two_inits_agree_steep_potential(self):
         # strictly convex coupling: the minimizer is unique, so descent from
@@ -215,7 +253,7 @@ class TestUniqueness:
         obj = DiscreteObjective(spec)
         opts = SolveOptions(step0=50.0, max_iters=400000, tol_gradmap=1e-10)
         r_uniform = minimize(obj, "uniform", opts)
-        r_random = minimize(obj, "random(7)", opts)
+        r_random = minimize(obj, random_feasible_point(spec.grid, 7), opts)
         assert np.max(np.abs(r_uniform.m.values - r_random.m.values)) <= 1e-5
         du = r_uniform.u.values - r_random.u.values
         assert np.max(np.abs(du - du.mean())) <= 1e-5
@@ -223,10 +261,10 @@ class TestUniqueness:
     def test_P0_solution_has_flat_u_from_random_init(self):
         spec = make_spec(n=40, V_fn=lambda x: np.cos(2 * np.pi * (x - 0.25)))
         res = minimize(
-            DiscreteObjective(spec), "random(7)",
+            DiscreteObjective(spec), random_feasible_point(spec.grid, 7),
             SolveOptions(step0=40.0, max_iters=200000, tol_gradmap=1e-10),
         )
-        assert np.max(np.abs(central_diff(res.u, 0).values)) <= 1e-6
+        assert np.max(np.abs(central_diff_values(res.u.values, spec.grid.h, 0))) <= 1e-6
 
 
 class TestRandomInit:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torusmfg.grid import GridFunction, TorusGrid, integrate
+from torusmfg.grid import GridFunction, TorusGrid, integrate_values
 from torusmfg.model import CouplingG, ProblemSpec
 from torusmfg.optimizer import SolveOptions, minimize
 from torusmfg.oracle import (
@@ -35,7 +35,7 @@ class TestSolveP0:
     def test_steep_case_mass_and_vanishing_region(self):
         spec = make_spec(n=200, V_fn=lambda x: 10 * np.cos(2 * np.pi * (x - 0.25)))
         res = solve_P0(spec)
-        assert abs(integrate(res.m) - 1.0) <= 1e-12
+        assert abs(integrate_values(res.m.values, res.m.grid.h) - 1.0) <= 1e-12
         assert np.any(res.m.values == 0.0)
         expected = np.maximum(spec.V.values - res.Hbar, 0.0)
         assert np.allclose(res.m.values, expected, atol=1e-12)
@@ -61,7 +61,7 @@ class TestSolveP0:
             spec = ProblemSpec(1, 48, 1.5, 2.0, (0.0,),
                                GridFunction(g, vals), QUAD)
             res = solve_P0(spec)
-            assert abs(integrate(res.m) - 1.0) <= 1e-10
+            assert abs(integrate_values(res.m.values, res.m.grid.h) - 1.0) <= 1e-10
 
     def test_monotone_dependence_on_potential(self):
         spec = make_spec(n=64, V_fn=lambda x: np.sin(2 * np.pi * x))
@@ -109,7 +109,7 @@ class TestSolveCritical:
         kin = spec.P_norm**3 / 3.0
         residual = kin / m - spec.coupling.g(m) - (res.Hbar - spec.V.values)
         assert np.max(np.abs(residual)) <= 1e-10
-        assert abs(integrate(res.m) - 1.0) <= 1e-10
+        assert abs(integrate_values(res.m.values, res.m.grid.h) - 1.0) <= 1e-10
 
     def test_2d_residual(self):
         spec = make_spec(

@@ -50,7 +50,8 @@ class TestConstantRoundTrip:
         # flat V: psi = 0 and m = 1 solve the dual problem, the flux is Q
         # itself (gamma' = 2), so Pperp = Q and P = (Q2, -Q1)
         dual = DualSpec(base_spec(12), Q)
-        psi, m = solve_dual(dual)
+        res = solve_dual(dual)
+        psi, m = res.u, res.m
         assert np.max(np.abs(psi.values)) <= 1e-12
         assert np.max(np.abs(m.values - 1.0)) <= 1e-12
         P = recover_P(psi, m, dual)
@@ -66,6 +67,26 @@ class TestPipeline:
         assert all(r <= 1e-10 for _, _, r in res.discount_estimates)
         assert res.u.values.max() == 0.0
         assert res.residuals["hbar_dual_consistency"] <= 2e-4
+
+    def test_reversed_Q_mirrors_psi_and_P(self):
+        # psi -> -psi with m unchanged solves the dual problem for -Q, so the
+        # recovered drift flips sign.  The HJB step is not mirrored: beta u
+        # breaks the u -> -u symmetry.
+        fwd, back = (pipeline_alpha_lt_1(DualSpec(base_spec(16, sine_cosine()), Q))
+                     for Q in ((1.0, 0.0), (-1.0, 0.0)))
+        assert np.array_equal(fwd.psi.values, -back.psi.values)
+        assert np.array_equal(fwd.m.values, back.m.values)
+        assert np.array_equal(fwd.P_recovered, -back.P_recovered)
+
+    def test_hbar_dual_consistency_falls_under_refinement(self):
+        # the dual and HJB estimates of H-bar differ by discretisation error
+        # only, so the gap shrinks as the grid is refined
+        gap = {
+            n: pipeline_alpha_lt_1(DualSpec(base_spec(n, sine_cosine()), (1.0, 0.0)))
+            .residuals["hbar_dual_consistency"]
+            for n in (16, 32)
+        }
+        assert gap[32] <= gap[16] / 3.0
 
     def test_vanishing_discount_warm_start_off_grid_shift(self):
         # Rescaling the whole of u by beta_prev / beta between discount

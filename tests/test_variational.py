@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from torusmfg.grid import (
-    GridFunction,
-    TorusGrid,
-    central_diff,
-    central_diff_values,
-    integrate,
-)
+from torusmfg.grid import GridFunction, TorusGrid, central_diff_values
 from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
 from torusmfg.variational import (
     DegenerateSolutionError,
@@ -201,6 +195,12 @@ class TestLineTrialValue:
 
 
 class TestProjection:
+    def test_point_requires_shared_grid(self):
+        g = TorusGrid(1, 8)
+        other = TorusGrid(1, 16)
+        with pytest.raises(ValueError):
+            FeasiblePoint(g.zeros(), other.zeros())
+
     def test_feasible_input_unchanged(self):
         g = TorusGrid(1, 10)
         pt = random_feasible(g, 51)
