@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .grid import GridFunction, TorusGrid
 
@@ -65,10 +64,11 @@ class CouplingG:
     def scaled(self, factor: float) -> "CouplingG":
         return CouplingG(tuple((factor * c, t) for c, t in self.terms))
 
-    def conjugate_deriv(self, q):
+    def conjugate_deriv(self, q, m0=None):
         """(G*)'(q): the unique m >= 0 with g(m) = q for q > 0, else 0.
 
         Total on all of R since g(0+) = 0 and g is increasing and coercive.
+        m0, shaped like q, is a warm start for the nodewise Newton solve.
         """
         q = np.asarray(q, dtype=float)
         out = np.zeros(q.shape)
@@ -80,6 +80,7 @@ class CouplingG:
                 lambda m: self.g_prime(m, z_floor=1e-300),  # > 0 at the root
                 0.0,
                 np.ones_like(qp),
+                None if m0 is None else np.asarray(m0, dtype=float)[pos],
             )
         return float(out) if out.ndim == 0 else out
 
@@ -97,59 +98,104 @@ def _check_nonneg(z):
         raise ValueError("coupling evaluated at negative argument")
 
 
+# step cap of the Newton loops in monotone_root and mass_root
+_MAX_STEPS = 2000
+
+
 class BracketError(RuntimeError):
-    """Raised when the outer scalar solve cannot bracket a root."""
+    """Raised when a monotone root solve cannot bracket or reach its root."""
 
 
-def monotone_root(phi, dphi, lo, hi):
+def monotone_root(phi, dphi, lo, hi, m0=None):
     """Nodewise root of phi, vectorised; phi increases in m with phi(lo) <= 0.
 
     hi (an array, one starting upper end per node) is doubled where
-    phi(hi) < 0, the bracket [lo, hi] is bisected up to 90 times, and three
-    Newton steps with derivative dphi, clamped at lo, polish the midpoint.
-    Bisection stops early once a step moves no end of any bracket: every
-    later step would repeat it, so the result is that of all 90.
+    phi(hi) <= 0, so that every root lies in [lo, hi) and a Newton step can
+    land on it inside the bracket.  A safeguarded Newton iteration then
+    starts from the warm start m0, clipped into the bracket, or from the
+    midpoint.  Each node moves one end of its bracket to m by the sign of
+    phi(m), and takes the Newton step m - phi(m)/dphi(m) when it lands
+    strictly inside the bracket or when |step| <= 1e-9 m; otherwise, and
+    wherever dphi(m) is not positive, it bisects.  Such a small step is a
+    node's last: Newton converges quadratically there, so the step leaves
+    the root exact to rounding.  The loop ends once every node has taken it.
+    It raises BracketError after _MAX_STEPS steps, more than bisection needs
+    to shrink any bracket of doubles to neighbouring floats, which happens
+    only when phi or dphi is NaN.
     """
     lo = np.full_like(hi, lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    floor = lo
     for _ in range(200):
-        short = phi(hi) < 0.0
+        short = phi(hi) <= 0.0
         if not short.any():
             break
         hi = np.where(short, 2.0 * hi, hi)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        below = phi(mid) < 0.0
-        new_lo = np.where(below, mid, lo)
-        new_hi = np.where(below, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    m = 0.5 * (lo + hi)
-    for _ in range(3):
-        m = np.maximum(m - phi(m) / dphi(m), floor)
-    return m
+    m = 0.5 * (lo + hi) if m0 is None else np.clip(m0, lo, hi)
+    done = np.zeros(m.shape, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        f, d = phi(m), dphi(m)
+        lo = np.where(f < 0.0, m, lo)
+        hi = np.where(f > 0.0, m, hi)
+        # a root hit exactly steps by 0; dphi <= 0, or a dphi so small that
+        # the step overflows, steps by inf, so the node bisects
+        with np.errstate(over="ignore"):
+            step = np.divide(f, d, out=np.where(f == 0.0, 0.0, np.inf), where=d > 0.0)
+        newton = m - step
+        small = np.abs(step) <= 1e-9 * m
+        inside = (lo < newton) & (newton < hi)
+        m = np.where(done, m, np.where(small | inside, newton, 0.5 * (lo + hi)))
+        done |= small
+        if done.all():
+            return m
+    raise BracketError("nodewise Newton iteration did not converge")
 
 
 def mass_root(density, cell, lo, hi):
-    """Multiplier Hbar at which cell * sum(density(Hbar)) = 1.
+    """Multiplier Hbar at which cell * sum(m) = 1, where density(Hbar) = (m, dm).
 
-    The mass must decrease in Hbar.  Each end of [lo, hi] moves outward by
-    a doubling step until the excess mass changes sign across the bracket;
-    brentq then finishes, reusing the excess already computed at the ends.
+    dm is dm/dHbar nodewise, and the mass must decrease in Hbar.  Each end
+    of [lo, hi] moves outward by a doubling step until the excess mass
+    changes sign across the bracket.  A safeguarded Newton iteration on
+    Hbar, with slope cell * sum(dm), then starts from lo.  It bisects when
+    the slope is 0 or the step leaves the bracket, and stops once a step is
+    at most 1e-14 + 8.9e-16 |Hbar|.  The ends' evaluations are reused.
     """
-    excess = functools.cache(lambda hbar: cell * float(density(hbar).sum()) - 1.0)
+
+    @functools.cache
+    def excess(hbar):
+        m, dm = density(hbar)
+        return cell * float(m.sum()) - 1.0, cell * float(dm.sum())
+
     step = max(hi - lo, 1.0)
     for _ in range(200):
-        if excess(lo) < 0.0:
+        if excess(lo)[0] < 0.0:
             lo -= step
-        elif excess(hi) > 0.0:
+        elif excess(hi)[0] > 0.0:
             hi += step
         else:
-            return float(brentq(excess, lo, hi, xtol=1e-14, rtol=8.9e-16))
+            break
         step *= 2.0
-    raise BracketError("could not bracket the mass equation root")
+    else:
+        raise BracketError("could not bracket the mass equation root")
+    hbar = lo
+    for _ in range(_MAX_STEPS):
+        e, slope = excess(hbar)
+        if e == 0.0:
+            return hbar
+        if e > 0.0:
+            lo = hbar
+        else:
+            hi = hbar
+        tol = 1e-14 + 8.9e-16 * abs(hbar)
+        new = hbar - e / slope if slope < 0.0 else math.nan
+        if abs(new - hbar) <= tol:
+            return new
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+            if hi - lo <= 2.0 * tol:
+                return new
+        hbar = new
+    raise BracketError("Newton iteration on the mass equation did not converge")
 
 
 # ---------------------------------------------------------------------------

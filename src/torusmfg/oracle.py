@@ -3,10 +3,13 @@
 For P = 0 the minimiser is u = 0 with m(x) = (G*)'(V(x) - Hbar), the
 normalisation constant fixed by unit mass.  For critical congestion
 (alpha = 1, P != 0) u is constant and m solves a strictly decreasing scalar
-equation per node, again with an outer scalar solve for Hbar.  Both outer
-mass functions are strictly decreasing in Hbar, so a bracketed root find is
-exact business.  Both paths run the shared kernels `model.monotone_root`
-(nodewise) and `model.mass_root` (the multiplier).
+equation per node, again with an outer scalar solve for Hbar.  Both paths
+write the node equation as phi(m) = 0 with phi increasing in m and in Hbar,
+and run the shared kernels `model.monotone_root` (nodewise) and
+`model.mass_root` (the multiplier).  Each node takes safeguarded Newton
+steps, warm-started at its m for the previous Hbar.  The mass decreases
+strictly in Hbar with slope -h^d sum 1/phi'(m*) (implicit function theorem;
+vacuum nodes add 0), so Hbar takes safeguarded Newton steps as well.
 """
 
 from __future__ import annotations
@@ -48,14 +51,21 @@ def _result_from_point(spec: ProblemSpec, u: GridFunction, m: GridFunction,
 def _mass_solve_P0(spec: ProblemSpec) -> tuple[float, np.ndarray]:
     """(Hbar, m) with m = (G*)'(V - Hbar) of unit mass on the spec's grid."""
     V = spec.V.values
+    m_last = None
 
     def density(hbar):
-        return spec.coupling.conjugate_deriv(V - hbar)
+        # each solve is warm-started at the previous one's m
+        nonlocal m_last
+        m_last = spec.coupling.conjugate_deriv(V - hbar, m0=m_last)
+        pos = m_last > 0.0
+        dm = np.zeros_like(m_last)
+        dm[pos] = -1.0 / spec.coupling.g_prime(m_last[pos])  # 0 on vacuum nodes
+        return m_last, dm
 
     lo = float(V.min()) - float(spec.coupling.g(1.0)) - 1.0  # mass >= 1 here
     hi = float(V.max())                                      # mass = 0 here
     hbar = mass_root(density, spec.grid.h**spec.dim, lo, hi)
-    return hbar, density(hbar)
+    return hbar, density(hbar)[0]
 
 
 def solve_P0(spec: ProblemSpec, mass_tol: float = 1e-12) -> SolveResult:
@@ -97,19 +107,28 @@ def solve_critical(spec: ProblemSpec, residual_tol: float = 1e-10) -> SolveResul
     kinetic = spec.P_norm**spec.gamma / spec.gamma
     g = spec.coupling.g
 
+    m_last = None
+
+    def dphi(m):
+        return spec.coupling.g_prime(m) + kinetic / m**2
+
     def density(hbar):
-        return monotone_root(
+        # each solve is warm-started at the previous one's m
+        nonlocal m_last
+        m_last = monotone_root(
             lambda m: g(m) + hbar - V - kinetic / m,
-            lambda m: spec.coupling.g_prime(m) + kinetic / m**2,
+            dphi,
             1e-14,
             np.ones(grid.shape),
+            m_last,
         )
+        return m_last, -1.0 / dphi(m_last)
 
     g1 = float(g(1.0))
     lo = float(V.min()) - g1 - kinetic - 1.0   # every root exceeds 1 here
     hi = float(V.max()) + g1 + kinetic + 1.0   # every root is below 1 here
     hbar = mass_root(density, hd, lo, hi)
-    m = density(hbar)
+    m = density(hbar)[0]
 
     residual = kinetic / m - g(m) - (hbar - V)
     if np.max(np.abs(residual)) > residual_tol:

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusmfg.grid import TorusGrid
 from torusmfg.model import (
@@ -89,8 +92,9 @@ class TestRootKernels:
                           0.0, np.ones_like(q))
         assert np.allclose(m, np.cbrt(q), rtol=1e-14, atol=0.0)
 
-    def test_monotone_root_stops_when_brackets_freeze(self):
-        # the kernel against the same steps with all 90 bisections run
+    def test_monotone_root_matches_bisection_in_few_steps(self):
+        # the kernel against 90 bisections and 3 Newton steps, and its phi
+        # calls after the doubling of the upper end, cold and warm-started
         q = np.geomspace(1e-6, 1e4, 300)
         calls = 0
 
@@ -102,15 +106,13 @@ class TestRootKernels:
         def dphi(m):
             return 3.0 * m**2
 
-        m = monotone_root(phi, dphi, 0.0, np.ones_like(q))
-        kernel_calls, calls = calls, 0
-
         lo, hi = np.zeros_like(q), np.ones_like(q)
         while True:
             short = phi(hi) < 0.0
             if not short.any():
                 break
             hi = np.where(short, 2.0 * hi, hi)
+        doubling_calls, calls = calls, 0
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             below = phi(mid) < 0.0
@@ -120,21 +122,79 @@ class TestRootKernels:
         for _ in range(3):
             ref = np.maximum(ref - phi(ref) / dphi(ref), 0.0)
 
-        assert np.array_equal(m, ref)
-        assert kernel_calls < calls
+        calls = 0
+        m = monotone_root(phi, dphi, 0.0, np.ones_like(q))
+        assert np.allclose(m, ref, rtol=1e-15, atol=0.0)
+        assert calls - doubling_calls <= 15
+
+        calls = 0
+        m = monotone_root(phi, dphi, 0.0, np.ones_like(q), m0=np.cbrt(q))
+        assert np.allclose(m, ref, rtol=1e-15, atol=0.0)
+        assert calls - doubling_calls <= 2
+
+    def test_zero_derivative_bisects_without_warning(self):
+        # g'(0) = 0 for theta > 2: a node started at m = 0 must bisect
+        quartic = CouplingG(((1.0, 4.0),))
+        q = np.array([1e-6, 0.3, 4.0, 2e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = quartic.conjugate_deriv(q, m0=np.zeros_like(q))
+        assert np.allclose(quartic.g(m), q, rtol=1e-14, atol=0.0)
+
+    def test_monotone_root_raises_when_newton_cannot_finish(self):
+        # phi is NaN everywhere: no bracket end ever moves
+        with pytest.raises(BracketError):
+            monotone_root(lambda m: np.full_like(m, np.nan), np.ones_like,
+                          0.0, np.ones(3))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        terms=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(1.2, 6.0)),
+                       min_size=1, max_size=3),
+        log_q=st.lists(st.floats(-8.0, 4.0), min_size=1, max_size=20),
+        warm=st.one_of(st.none(), st.floats(0.0, 1e3)),
+    )
+    def test_monotone_root_property(self, terms, log_q, warm):
+        coupling = CouplingG(tuple(terms))
+        q = 10.0 ** np.array(log_q)
+        m0 = None if warm is None else np.full_like(q, warm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = monotone_root(
+                lambda m: coupling.g(m) - q,
+                lambda m: coupling.g_prime(m, z_floor=1e-300),
+                0.0,
+                np.ones_like(q),
+                m0,
+            )
+        hi = np.ones_like(q)
+        while (coupling.g(hi) <= q).any():
+            hi = np.where(coupling.g(hi) <= q, 2.0 * hi, hi)
+        assert np.all((0.0 <= m) & (m <= hi))
+        assert np.all(np.abs(coupling.g(m) - q) <= 1e-12 * np.maximum(1.0, q))
 
     def test_mass_root_widens_the_bracket(self):
         # mass e^(-Hbar) on four nodes of weight 1/4: unit mass at Hbar = 0,
         # outside both starting brackets
         def density(hbar):
-            return np.full(4, np.exp(-hbar))
+            return np.full(4, np.exp(-hbar)), np.full(4, -np.exp(-hbar))
 
         assert mass_root(density, 0.25, 5.0, 10.0) == pytest.approx(0.0, abs=1e-14)
         assert mass_root(density, 0.25, -10.0, -5.0) == pytest.approx(0.0, abs=1e-14)
 
+    def test_mass_root_bisects_where_the_slope_is_zero(self):
+        # a zero slope, as where every node is vacuum, must not be divided by
+        def density(hbar):
+            return np.full(4, np.exp(-hbar)), np.zeros(4)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hbar = mass_root(density, 0.25, -3.0, 5.0)
+        assert hbar == pytest.approx(0.0, abs=1e-13)
+
     def test_mass_root_raises_without_sign_change(self):
         with pytest.raises(BracketError):
-            mass_root(lambda hbar: np.full(4, 0.5), 0.25, 0.0, 1.0)
+            mass_root(lambda hbar: (np.full(4, 0.5), np.zeros(4)), 0.25, 0.0, 1.0)
 
 
 class TestBarf:

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from torusmfg.grid import GridFunction, TorusGrid, integrate_values
-from torusmfg.model import CouplingG, ProblemSpec
+from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
 from torusmfg.optimizer import SolveOptions, minimize
 from torusmfg.oracle import (
     classical_existence_check,
@@ -81,7 +84,6 @@ class TestSolveP0:
         assert np.max(np.abs(res_o.m.values - res_n.m.values)) <= 1e-6
 
     def test_continuum_normalization_close_to_discrete(self):
-        from torusmfg.model import PotentialFamily
         pot = PotentialFamily("cosine-shift", {"amplitude": 10.0, "shift": 0.25})
         spec = make_spec(n=100, V_fn=lambda x: 10 * np.cos(2 * np.pi * (x - 0.25)))
         hbar_d = solve_P0(spec).Hbar
@@ -138,6 +140,89 @@ class TestSolveCritical:
             SolveOptions(step0=50.0, max_iters=200000),
         )
         assert np.max(np.abs(res.m.values - crit.m.values)) <= 5e-2
+
+
+def _bisection_root(phi, dphi, lo, hi):
+    """Nodewise root by 90 bisections and 3 Newton steps clamped at lo."""
+    lo = np.full_like(hi, lo)
+    floor = lo
+    while True:
+        short = phi(hi) < 0.0
+        if not short.any():
+            break
+        hi = np.where(short, 2.0 * hi, hi)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        below = phi(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    m = 0.5 * (lo + hi)
+    for _ in range(3):
+        m = np.maximum(m - phi(m) / dphi(m), floor)
+    return m
+
+
+def _bisection_reference(spec):
+    """(Hbar, m) of solve_P0 or solve_critical by bisection and brentq."""
+    V, coupling = spec.V.values, spec.coupling
+    g1 = float(coupling.g(1.0))
+    if spec.P_norm == 0.0:
+        def density(hbar):
+            q = V - hbar
+            m = np.zeros_like(q)
+            pos = q > 0.0
+            m[pos] = _bisection_root(
+                lambda m: coupling.g(m) - q[pos],
+                lambda m: coupling.g_prime(m, z_floor=1e-300),
+                0.0, np.ones(int(pos.sum())),
+            )
+            return m
+
+        lo, hi = float(V.min()) - g1 - 1.0, float(V.max())
+    else:
+        kin = spec.P_norm**spec.gamma / spec.gamma
+
+        def density(hbar):
+            return _bisection_root(
+                lambda m: coupling.g(m) + hbar - V - kin / m,
+                lambda m: coupling.g_prime(m) + kin / m**2,
+                1e-14, np.ones_like(V),
+            )
+
+        lo = float(V.min()) - g1 - kin - 1.0
+        hi = float(V.max()) + g1 + kin + 1.0
+    hd = spec.grid.h**spec.dim
+    hbar = brentq(lambda h: hd * density(h).sum() - 1.0, lo, hi,
+                  xtol=1e-14, rtol=8.9e-16)
+    return hbar, density(hbar)
+
+
+class TestNewtonKernelsMatchBisection:
+    """solve_P0 and solve_critical against bisection and brentq."""
+
+    @pytest.mark.parametrize("terms", [
+        ((0.5, 2.0),), ((1.0, 1.5),), ((1.0, 4.0),),
+        ((0.5, 2.0), (1.0, 3.0)), ((1.0, 1.2), (1.0, 5.0)),
+    ])
+    @pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64)])
+    @pytest.mark.parametrize("amplitude", [0.5, 12.0])
+    def test_hbar_and_m(self, terms, dim, n, amplitude):
+        grid = TorusGrid(dim, n)
+        if dim == 1:
+            pot = PotentialFamily("cosine-shift", {"amplitude": amplitude, "shift": 0.3})
+        else:
+            pot = PotentialFamily("sine-cosine-product",
+                                  {"amplitude": amplitude, "shift_x": 0.1, "shift_y": 0.2})
+        V, coupling = pot.sample(grid), CouplingG(terms)
+        for solve, alpha, P in ((solve_P0, 1.5, (0.0,) * dim),
+                                (solve_critical, 1.0, (0.8, -0.5)[:dim])):
+            spec = ProblemSpec(dim, n, alpha, 2.0, P, V, coupling)
+            hbar_ref, m_ref = _bisection_reference(spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = solve(spec)
+            assert res.Hbar == pytest.approx(hbar_ref, abs=1e-12)
+            assert np.max(np.abs(res.m.values - m_ref)) <= 1e-12
 
 
 class TestClassicalExistence:
