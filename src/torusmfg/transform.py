@@ -43,7 +43,7 @@ from .grid import (
 )
 from .model import ProblemSpec
 from .optimizer import SolveOptions, SolveResult, minimize
-from .variational import M_FLOOR, DiscreteObjective, estimate_Hbar
+from .variational import M_FLOOR, DiscreteObjective
 
 _MASS_CUTOFF = 1e-4   # floor of m in the HJB denominator gamma m^alpha
 _MAX_NEWTON = 200
@@ -178,6 +178,47 @@ def _hjb_scheme(m: GridFunction, p: np.ndarray, spec: ProblemSpec, beta: float):
     return residual, denom
 
 
+def _neighbour_columns(shape: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Flat indices of the (i+1, i-1) periodic neighbours of every node, per axis."""
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    return [
+        (periodic_shift(idx, 1, k).ravel(), periodic_shift(idx, -1, k).ravel())
+        for k in range(len(shape))
+    ]
+
+
+def _hjb_jacobian(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
+                  denom: np.ndarray, beta: float, neighbours) -> sps.csr_matrix:
+    """Jacobian of the `_hjb_scheme` residual at u, with only its nonzeros stored.
+
+    Row i holds beta + sum_k (c_a + c_b) on the diagonal, -c_a at the i+1
+    neighbour and -c_b at the i-1 neighbour of axis k, where
+    c = gamma slope^(gamma-1) / (h denom) for the upwind slopes a_k, b_k.
+    An off-diagonal entry is stored only where its coefficient is positive.
+    """
+    a, b = upwind_slopes(u, p, h)
+    size = u.size
+    nodes = np.arange(size)
+    diag = np.full(size, beta)
+    rows, cols, vals = [], [], []
+    for k, (plus, minus) in enumerate(neighbours):
+        ca = (gamma * a[k] ** (gamma - 1.0) / (h * denom)).ravel()
+        cb = (gamma * b[k] ** (gamma - 1.0) / (h * denom)).ravel()
+        diag += ca + cb
+        for c, col in ((ca, plus), (cb, minus)):
+            active = np.flatnonzero(c > 0.0)
+            rows.append(active)
+            cols.append(col[active])
+            vals.append(-c[active])
+    rows.append(nodes)
+    cols.append(nodes)
+    vals.append(diag)
+    return sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    )
+
+
 def solve_hjb_discounted(
     m: GridFunction,
     P,
@@ -192,39 +233,19 @@ def solve_hjb_discounted(
     in u, so a damped semismooth Newton iteration converges globally; the
     Jacobian beta I + diag(1/(gamma m^alpha)) dS/du is a strictly
     diagonally dominant M-matrix.
+
+    Each Newton step is one sparse direct solve (SuperLU).  At most one of
+    the two upwind slopes of an axis is active at most nodes, so the
+    Jacobian stores only its active entries: an explicit zero would still
+    count as structure in the column ordering and in the LU fill, and
+    storing both neighbours of every axis about doubles the fill.
     """
     if beta <= 0:
         raise ValueError("discount rate beta must be positive")
     grid = m.grid
-    h = grid.h
-    gamma = spec.gamma
     p = np.asarray(P, dtype=float)
     residual, denom = _hjb_scheme(m, p, spec, beta)
-
-    size = grid.num_nodes
-    idx = np.arange(size).reshape(grid.shape)
-
-    def jacobian(u):
-        a, b = upwind_slopes(u, p, h)
-        rows, cols, vals = [], [], []
-        diag = np.full(grid.shape, beta)
-        for k in range(grid.dim):
-            ca = gamma * a[k] ** (gamma - 1.0) / (h * denom)
-            cb = gamma * b[k] ** (gamma - 1.0) / (h * denom)
-            diag += ca + cb
-            rows.append(idx.ravel())
-            cols.append(periodic_shift(idx, 1, k).ravel())
-            vals.append(-ca.ravel())
-            rows.append(idx.ravel())
-            cols.append(periodic_shift(idx, -1, k).ravel())
-            vals.append(-cb.ravel())
-        rows.append(idx.ravel())
-        cols.append(idx.ravel())
-        vals.append(diag.ravel())
-        return sps.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(size, size),
-        )
+    neighbours = _neighbour_columns(grid.shape)
 
     u = np.zeros(grid.shape) if u0 is None else np.array(u0, dtype=float)
     r = residual(u)
@@ -232,7 +253,8 @@ def solve_hjb_discounted(
     for _ in range(_MAX_NEWTON):
         if best <= tol:
             break
-        delta = spla.spsolve(jacobian(u), -r.ravel()).reshape(grid.shape)
+        jac = _hjb_jacobian(u, p, spec.gamma, grid.h, denom, beta, neighbours)
+        delta = spla.spsolve(jac, -r.ravel()).reshape(grid.shape)
         step = 1.0
         for _ in range(60):
             u_try = u + step * delta
@@ -282,7 +304,18 @@ def pipeline_alpha_lt_1(
     opts: SolveOptions | None = None,
     hjb_tol: float = 1e-10,
 ) -> TransformResult:
-    """Exponent transform, dual solve, drift recovery, vanishing discount."""
+    """Exponent transform, dual solve, drift recovery, vanishing discount.
+
+    `beta_schedule` is a non-empty, strictly decreasing sequence of finite
+    positive discount rates; H-bar is read off at its last entry.
+    """
+    betas = [float(b) for b in beta_schedule]
+    if not (betas and all(0.0 < b < np.inf for b in betas)
+            and all(nxt < prev for prev, nxt in zip(betas, betas[1:]))):
+        raise ValueError(
+            "beta_schedule must be non-empty, positive and strictly decreasing,"
+            f" got {tuple(beta_schedule)}"
+        )
     base = dual.base
     res = solve_dual(dual, opts)
     psi, m = res.u, res.m
@@ -291,7 +324,7 @@ def pipeline_alpha_lt_1(
     h = base.grid.h
     estimates = []
     u_beta = None
-    for beta in beta_schedule:
+    for beta in betas:
         warm = None
         if u_beta is not None:
             # -beta u^beta tends to Hbar, so only the mean of u scales like
@@ -305,19 +338,16 @@ def pipeline_alpha_lt_1(
             (beta, est, hjb_residual(u_beta, m, P, base, beta))
         )
 
-    beta_last = beta_schedule[-1]
     top = float(u_beta.values.max())
     u_final = GridFunction(base.grid, u_beta.values - top)
-    hbar = -beta_last * integrate_values(u_beta.values, h)
+    hbar = estimates[-1][1]
 
-    dual_obj = DiscreteObjective(dual.dual_problem())
-    hbar_dual, _ = estimate_Hbar(res.point, dual_obj)
     residuals = {
         "dual_divergence_l1": dual_divergence_residual(psi, m, dual),
         "hjb_max_residual": estimates[-1][2],
         "curl_l1": curl_proxy(psi, m, dual, P),
         "hbar_dual_consistency": abs(
-            dual.gamma_prime / base.gamma * hbar_dual - hbar
+            dual.gamma_prime / base.gamma * res.Hbar - hbar
         ),
     }
     return TransformResult(

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
-from torusmfg.grid import TorusGrid, integrate_values
+from torusmfg import transform
+from torusmfg.grid import GridFunction, TorusGrid, integrate_values, periodic_shift, upwind_slopes
 from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
 from torusmfg.transform import (
     DualSpec,
+    _hjb_jacobian,
+    _hjb_scheme,
+    _neighbour_columns,
     pipeline_alpha_lt_1,
     recover_P,
     solve_dual,
@@ -99,3 +104,105 @@ class TestPipeline:
         cold = solve_hjb_discounted(res.m, res.P_recovered, base, beta)
         hbar_cold = -beta * integrate_values(cold.values, base.grid.h)
         assert res.Hbar == pytest.approx(hbar_cold, abs=1e-12)
+
+
+class TestScheduleErrors:
+    @pytest.mark.parametrize("schedule", [(), (0.1, 0.0), (1e-3, 1e-1), (0.1, 0.1),
+                                          (0.1, -1e-3), (float("nan"),)])
+    def test_bad_beta_schedule_raises_before_the_dual_solve(self, schedule, monkeypatch):
+        # () used to raise IndexError after the dual solve, (0.1, 0.0)
+        # ZeroDivisionError in the warm start, and (1e-3, 1e-1) returned
+        # the beta = 0.1 estimate as H-bar
+        def no_dual_solve(*args, **kwargs):
+            raise AssertionError("the schedule is checked before the dual solve")
+
+        monkeypatch.setattr(transform, "solve_dual", no_dual_solve)
+        dual = DualSpec(base_spec(8, sine_cosine()), (1.0, 0.0))
+        with pytest.raises(ValueError, match="beta_schedule"):
+            pipeline_alpha_lt_1(dual, beta_schedule=schedule)
+
+    @pytest.mark.parametrize("beta", [0.0, -1e-3])
+    def test_hjb_rejects_nonpositive_beta(self, beta):
+        base = base_spec(8, sine_cosine())
+        m = GridFunction(base.grid, np.ones(base.grid.shape))
+        with pytest.raises(ValueError, match="beta"):
+            solve_hjb_discounted(m, (0.0, 1.0), base, beta)
+
+
+def full_jacobian(u, p, gamma, h, denom, beta):
+    """The HJB Jacobian with both neighbour entries of every axis stored,
+    zeros included: the matrix the active-entry build must reproduce."""
+    size = u.size
+    idx = np.arange(size).reshape(u.shape)
+    a, b = upwind_slopes(u, p, h)
+    rows, cols, vals = [], [], []
+    diag = np.full(u.shape, beta)
+    for k in range(u.ndim):
+        ca = gamma * a[k] ** (gamma - 1.0) / (h * denom)
+        cb = gamma * b[k] ** (gamma - 1.0) / (h * denom)
+        diag += ca + cb
+        for c, s in ((ca, 1), (cb, -1)):
+            rows.append(idx.ravel())
+            cols.append(periodic_shift(idx, s, k).ravel())
+            vals.append(-c.ravel())
+    rows.append(idx.ravel())
+    cols.append(idx.ravel())
+    vals.append(diag.ravel())
+    return sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    )
+
+
+class TestHJBJacobian:
+    n, beta, p = 12, 1e-2, np.array([0.7, -0.4])
+
+    def build(self, gamma, u_scale):
+        base = base_spec(self.n, sine_cosine(), gamma=gamma)
+        grid = base.grid
+        x, y = np.meshgrid(*(np.arange(self.n) * grid.h,) * 2, indexing="ij")
+        m = GridFunction(grid, 1.0 + 0.5 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
+        residual, denom = _hjb_scheme(m, self.p, base, self.beta)
+        u = u_scale * np.random.default_rng(3).standard_normal(grid.shape)
+        args = (self.p, gamma, grid.h, denom, self.beta)
+        jac = _hjb_jacobian(u, *args, _neighbour_columns(grid.shape))
+        return u, residual, args, jac
+
+    @pytest.mark.parametrize("u_scale", [0.0, 0.01, 0.1])
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    def test_stores_only_the_active_entries_of_the_full_matrix(self, gamma, u_scale):
+        u, _, args, jac = self.build(gamma, u_scale)
+        assert np.all(jac.data != 0.0)
+        assert np.diff(jac.indptr).max() <= 2 * u.ndim + 1
+        ref = full_jacobian(u, *args)
+        ref.eliminate_zeros()
+        assert jac.nnz == ref.nnz
+        assert np.array_equal(jac.toarray(), ref.toarray())
+        if u_scale == 0.0:
+            # a constant u leaves one upwind slope per axis: 3 entries a row
+            assert np.all(np.diff(jac.indptr) == u.ndim + 1)
+
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    def test_product_matches_central_difference_of_the_residual(self, gamma):
+        u, residual, _, jac = self.build(gamma, 0.1)
+        # away from the kinks every upwind slope is either zero for the
+        # whole stencil of the difference or bounded away from zero
+        fwd = [(periodic_shift(u, 1, k) - u) * self.n for k in range(2)]
+        assert min(np.min(np.abs(-self.p[k] - fwd[k])) for k in range(2)) > 1e-2
+        v = np.random.default_rng(4).uniform(-1.0, 1.0, u.shape)
+        eps = 1e-7
+        fd = (residual(u + eps * v) - residual(u - eps * v)) / (2.0 * eps)
+        jv = (jac @ v.ravel()).reshape(u.shape)
+        assert np.allclose(jv, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+
+class TestHJBRegressions:
+    def test_inputs_that_used_to_stall_meet_the_tolerance(self):
+        # n = 48 with |Q| = 1.2 raised HJBConvergenceError once; the two
+        # axis directions are symmetry images, so their H-bar agree
+        hbar = []
+        for Q in ((1.2, 0.0), (0.0, 1.2)):
+            res = pipeline_alpha_lt_1(DualSpec(base_spec(48, sine_cosine()), Q))
+            assert res.residuals["hjb_max_residual"] <= 1e-10
+            hbar.append(res.Hbar)
+        assert hbar[0] == pytest.approx(hbar[1], abs=1e-7)
