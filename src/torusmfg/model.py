@@ -13,7 +13,6 @@ jointly convex and lower semi-continuous for 1 < alpha <= gamma.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,8 +78,7 @@ class CouplingG:
                 lambda m: self.g(m) - qp,
                 lambda m: self.g_prime(m, z_floor=1e-300),  # > 0 at the root
                 0.0,
-                np.ones_like(qp),
-                None if m0 is None else np.asarray(m0, dtype=float)[pos],
+                np.ones_like(qp) if m0 is None else np.asarray(m0, dtype=float)[pos],
             )
         return float(out) if out.ndim == 0 else out
 
@@ -106,94 +104,90 @@ class BracketError(RuntimeError):
     """Raised when a monotone root solve cannot bracket or reach its root."""
 
 
-def monotone_root(phi, dphi, lo, hi, m0=None):
-    """Nodewise root of phi, vectorised; phi increases in m with phi(lo) <= 0.
+def monotone_root(phi, dphi, lo, m0):
+    """Nodewise root of phi on [lo, inf), vectorised, from the warm start m0.
 
-    hi (an array, one starting upper end per node) is doubled where
-    phi(hi) <= 0, so that every root lies in [lo, hi) and a Newton step can
-    land on it inside the bracket.  A safeguarded Newton iteration then
-    starts from the warm start m0, clipped into the bracket, or from the
-    midpoint.  Each node moves one end of its bracket to m by the sign of
-    phi(m), and takes the Newton step m - phi(m)/dphi(m) when it lands
-    strictly inside the bracket or when |step| <= 1e-9 m; otherwise, and
-    wherever dphi(m) is not positive, it bisects.  Such a small step is a
-    node's last: Newton converges quadratically there, so the step leaves
-    the root exact to rounding.  The loop ends once every node has taken it.
-    It raises BracketError after _MAX_STEPS steps, more than bisection needs
-    to shrink any bracket of doubles to neighbouring floats, which happens
-    only when phi or dphi is NaN.
+    phi(m) < 0 below each node's root and > 0 above it.  Each node starts
+    at max(m0, lo) with the bracket [lo, inf) and moves one end of it to m
+    by the sign of phi(m).  Until its upper end is known, the doubling point
+    max(2m, 1) stands in for it, so a Newton step from far below a convex
+    phi's root cannot overshoot to where phi overflows.  The node takes the
+    Newton step m - phi(m)/dphi(m) when it lands strictly inside the bracket
+    or when |step| <= 1e-9 m; otherwise, and wherever dphi(m) is not
+    positive, it doubles m while its upper end is unknown and bisects once
+    it is known.  Such a small step is a node's last: Newton converges
+    quadratically there, so the step leaves the root exact to rounding.  The
+    loop ends once every node has taken it.  It raises BracketError after
+    _MAX_STEPS steps, more than bisection needs to shrink any bracket of
+    doubles to neighbouring floats, which happens only when phi or dphi is
+    NaN.
     """
-    lo = np.full_like(hi, lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    for _ in range(200):
-        short = phi(hi) <= 0.0
-        if not short.any():
-            break
-        hi = np.where(short, 2.0 * hi, hi)
-    m = 0.5 * (lo + hi) if m0 is None else np.clip(m0, lo, hi)
+    m = np.maximum(np.asarray(m0, dtype=float), lo)
+    lo = np.full_like(m, lo)
+    hi = np.full_like(m, np.inf)
     done = np.zeros(m.shape, dtype=bool)
     for _ in range(_MAX_STEPS):
         f, d = phi(m), dphi(m)
         lo = np.where(f < 0.0, m, lo)
         hi = np.where(f > 0.0, m, hi)
+        known = hi < np.inf
         # a root hit exactly steps by 0; dphi <= 0, or a dphi so small that
-        # the step overflows, steps by inf, so the node bisects
+        # the step overflows, steps by inf, so the node doubles or bisects;
+        # m doubles to inf only where phi never turns positive (NaN), and
+        # the step cap reports that
         with np.errstate(over="ignore"):
             step = np.divide(f, d, out=np.where(f == 0.0, 0.0, np.inf), where=d > 0.0)
+            up = np.where(known, hi, np.maximum(2.0 * m, 1.0))
+            safe = np.where(known, 0.5 * (lo + hi), up)
         newton = m - step
         small = np.abs(step) <= 1e-9 * m
-        inside = (lo < newton) & (newton < hi)
-        m = np.where(done, m, np.where(small | inside, newton, 0.5 * (lo + hi)))
+        inside = (lo < newton) & (newton < up)
+        m = np.where(done, m, np.where(small | inside, newton, safe))
         done |= small
         if done.all():
             return m
     raise BracketError("nodewise Newton iteration did not converge")
 
 
-def mass_root(density, cell, lo, hi):
-    """Multiplier Hbar at which cell * sum(m) = 1, where density(Hbar) = (m, dm).
+def mass_root(density, cell, hbar0):
+    """(Hbar, m) with cell * sum(m) = 1, where density(Hbar) = (m, dm).
 
-    dm is dm/dHbar nodewise, and the mass must decrease in Hbar.  Each end
-    of [lo, hi] moves outward by a doubling step until the excess mass
-    changes sign across the bracket.  A safeguarded Newton iteration on
-    Hbar, with slope cell * sum(dm), then starts from lo.  It bisects when
-    the slope is 0 or the step leaves the bracket, and stops once a step is
-    at most 1e-14 + 8.9e-16 |Hbar|.  The ends' evaluations are reused.
+    dm is dm/dHbar nodewise, and the mass must decrease in Hbar.  A
+    safeguarded Newton iteration on Hbar, with slope cell * sum(dm), starts
+    from the guess hbar0.  The ends of its bracket are the Hbar evaluated so
+    far, by the sign of the excess mass.  Where the slope is 0 or a step
+    leaves the bracket, it moves by a doubling step while one end is still
+    unknown, and bisects once both are known; BracketError after 200
+    doublings.  While no Hbar with too much mass is known, a step down is at
+    most the doubling step: the mass may grow without bound below the root,
+    so a long step there can overflow the density, while a long step up at
+    worst lands where the mass vanishes.  The iteration stops once a Newton
+    step is at most 1e-14 + 8.9e-16 |Hbar| or the bracket is that narrow,
+    and returns the last Hbar evaluated with its m.
     """
-
-    @functools.cache
-    def excess(hbar):
-        m, dm = density(hbar)
-        return cell * float(m.sum()) - 1.0, cell * float(dm.sum())
-
-    step = max(hi - lo, 1.0)
-    for _ in range(200):
-        if excess(lo)[0] < 0.0:
-            lo -= step
-        elif excess(hi)[0] > 0.0:
-            hi += step
-        else:
-            break
-        step *= 2.0
-    else:
-        raise BracketError("could not bracket the mass equation root")
-    hbar = lo
+    lo, hi = -math.inf, math.inf
+    hbar, step = float(hbar0), 1.0
     for _ in range(_MAX_STEPS):
-        e, slope = excess(hbar)
+        m, dm = density(hbar)
+        e, slope = cell * float(m.sum()) - 1.0, cell * float(dm.sum())
         if e == 0.0:
-            return hbar
+            return hbar, m
         if e > 0.0:
             lo = hbar
         else:
             hi = hbar
         tol = 1e-14 + 8.9e-16 * abs(hbar)
         new = hbar - e / slope if slope < 0.0 else math.nan
-        if abs(new - hbar) <= tol:
-            return new
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-            if hi - lo <= 2.0 * tol:
-                return new
+        if abs(new - hbar) <= tol or hi - lo <= tol:
+            return hbar, m
+        if not lo < new < hi or lo == -math.inf and new < hbar - step:
+            if hi - lo < math.inf:
+                new = 0.5 * (lo + hi)
+            elif step < 2.0**200:
+                new = hbar + step if e > 0.0 else hbar - step
+                step *= 2.0
+            else:
+                raise BracketError("could not bracket the mass equation root")
         hbar = new
     raise BracketError("Newton iteration on the mass equation did not converge")
 

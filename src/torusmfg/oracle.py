@@ -2,14 +2,15 @@
 
 For P = 0 the minimiser is u = 0 with m(x) = (G*)'(V(x) - Hbar), the
 normalisation constant fixed by unit mass.  For critical congestion
-(alpha = 1, P != 0) u is constant and m solves a strictly decreasing scalar
-equation per node, again with an outer scalar solve for Hbar.  Both paths
-write the node equation as phi(m) = 0 with phi increasing in m and in Hbar,
-and run the shared kernels `model.monotone_root` (nodewise) and
-`model.mass_root` (the multiplier).  Each node takes safeguarded Newton
-steps, warm-started at its m for the previous Hbar.  The mass decreases
-strictly in Hbar with slope -h^d sum 1/phi'(m*) (implicit function theorem;
-vacuum nodes add 0), so Hbar takes safeguarded Newton steps as well.
+(alpha = 1, P != 0) u is constant and m solves a scalar equation per node,
+again with an outer scalar solve for Hbar.  Both paths write the node
+equation as phi(m) = 0 with phi < 0 below the root and > 0 above it, and run
+the shared kernels `model.monotone_root` (nodewise) and `model.mass_root`
+(the multiplier).  The Newton iteration on Hbar starts from the Hbar at
+which m = 1 solves every node for constant V; each node's starts at its m
+for the previous Hbar.  The mass decreases strictly in Hbar with slope
+h^d sum dm/dHbar, where dm/dHbar = -(dphi/dHbar) / phi'(m*) by the implicit
+function theorem (vacuum nodes add 0).
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from .variational import (
     estimate_Hbar,
 )
 from .optimizer import SolveResult
+
+# mass error allowed by solve_P0, and nodewise and mass residuals allowed by
+# solve_critical
+MASS_TOL = 1e-12
+RESIDUAL_TOL = 1e-10
+# nodes per axis of the fine grid of continuum_Hbar_P0, by dimension
+N_FINE = {1: 200_000, 2: 2048}
 
 
 def _result_from_point(spec: ProblemSpec, u: GridFunction, m: GridFunction,
@@ -62,40 +70,39 @@ def _mass_solve_P0(spec: ProblemSpec) -> tuple[float, np.ndarray]:
         dm[pos] = -1.0 / spec.coupling.g_prime(m_last[pos])  # 0 on vacuum nodes
         return m_last, dm
 
-    lo = float(V.min()) - float(spec.coupling.g(1.0)) - 1.0  # mass >= 1 here
-    hi = float(V.max())                                      # mass = 0 here
-    hbar = mass_root(density, spec.grid.h**spec.dim, lo, hi)
-    return hbar, density(hbar)[0]
+    # m = 1 everywhere at this Hbar when V is constant
+    hbar0 = float(V.mean()) - float(spec.coupling.g(1.0))
+    return mass_root(density, spec.grid.h**spec.dim, hbar0)
 
 
-def solve_P0(spec: ProblemSpec, mass_tol: float = 1e-12) -> SolveResult:
+def solve_P0(spec: ProblemSpec) -> SolveResult:
     """Explicit minimiser for P = 0: u = 0, m = (G*)'(V - Hbar)."""
     if spec.P_norm != 0.0:
         raise ValueError("closed-form path requires P = 0")
     grid = spec.grid
     hbar, m = _mass_solve_P0(spec)
-    if abs(grid.h**grid.dim * m.sum() - 1.0) > mass_tol:
+    if abs(grid.h**grid.dim * m.sum() - 1.0) > MASS_TOL:
         raise BracketError("mass normalisation did not converge to tolerance")
     return _result_from_point(spec, grid.zeros(), GridFunction(grid, m), hbar)
 
 
-def continuum_Hbar_P0(spec: ProblemSpec, potential, n_fine: int | None = None) -> float:
+def continuum_Hbar_P0(spec: ProblemSpec, potential) -> float:
     """Normalisation constant of the closed form in the continuum limit.
 
     Resolves h^d sum (G*)'(V - Hbar) = 1 on a much finer sampling of the
-    same potential, removing the O(h^2) quadrature bias of the coarse grid
-    at the free boundary of m.
+    same potential (N_FINE nodes per axis), removing the O(h^2) quadrature
+    bias of the coarse grid at the free boundary of m.
     """
-    if n_fine is None:
-        n_fine = 200_000 if spec.dim == 1 else 2048
-    return _mass_solve_P0(spec.with_grid_size(n_fine, potential))[0]
+    return _mass_solve_P0(spec.with_grid_size(N_FINE[spec.dim], potential))[0]
 
 
-def solve_critical(spec: ProblemSpec, residual_tol: float = 1e-10) -> SolveResult:
+def solve_critical(spec: ProblemSpec) -> SolveResult:
     """Critical congestion alpha = 1: u constant, m from the algebraic solve.
 
-    Each node solves g(m) + Hbar - V - |P|^gamma / (gamma m) = 0, whose left
-    side increases strictly from -inf to +inf on m > 0.
+    Each node solves g(m) + Hbar - V = |P|^gamma / (gamma m), multiplied by
+    m: psi(m) = m (g(m) + Hbar - V) - |P|^gamma / gamma = 0.  psi is convex
+    on m >= 0 with psi(0) < 0, so it has one positive root, and Newton
+    started above it stays above it.
     """
     if spec.alpha != 1.0:
         raise ValueError("critical path requires alpha = 1")
@@ -105,35 +112,30 @@ def solve_critical(spec: ProblemSpec, residual_tol: float = 1e-10) -> SolveResul
     hd = grid.h**grid.dim
     V = spec.V.values
     kinetic = spec.P_norm**spec.gamma / spec.gamma
-    g = spec.coupling.g
+    g, g_prime = spec.coupling.g, spec.coupling.g_prime
 
-    m_last = None
-
-    def dphi(m):
-        return spec.coupling.g_prime(m) + kinetic / m**2
+    m_last = np.ones(grid.shape)
 
     def density(hbar):
         # each solve is warm-started at the previous one's m
         nonlocal m_last
-        m_last = monotone_root(
-            lambda m: g(m) + hbar - V - kinetic / m,
-            dphi,
-            1e-14,
-            np.ones(grid.shape),
-            m_last,
-        )
-        return m_last, -1.0 / dphi(m_last)
 
-    g1 = float(g(1.0))
-    lo = float(V.min()) - g1 - kinetic - 1.0   # every root exceeds 1 here
-    hi = float(V.max()) + g1 + kinetic + 1.0   # every root is below 1 here
-    hbar = mass_root(density, hd, lo, hi)
-    m = density(hbar)[0]
+        def dpsi(m):
+            return g(m) + m * g_prime(m) + hbar - V
+
+        m_last = monotone_root(
+            lambda m: m * (g(m) + hbar - V) - kinetic, dpsi, 0.0, m_last
+        )
+        return m_last, -m_last / dpsi(m_last)
+
+    # m = 1 everywhere at this Hbar when V is constant
+    hbar0 = float(V.mean()) - float(g(1.0)) + kinetic
+    hbar, m = mass_root(density, hd, hbar0)
 
     residual = kinetic / m - g(m) - (hbar - V)
-    if np.max(np.abs(residual)) > residual_tol:
+    if np.max(np.abs(residual)) > RESIDUAL_TOL:
         raise BracketError("nodewise algebraic residual above tolerance")
-    if abs(hd * m.sum() - 1.0) > residual_tol:
+    if abs(hd * m.sum() - 1.0) > RESIDUAL_TOL:
         raise BracketError("critical mass normalisation above tolerance")
     # J_h is undefined at alpha = 1, so the objective is reported as NaN
     return _result_from_point(spec, grid.zeros(), GridFunction(grid, m), hbar)

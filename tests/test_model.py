@@ -86,15 +86,15 @@ class TestConjugateDeriv:
 
 class TestRootKernels:
     def test_monotone_root_doubles_past_the_start(self):
-        # m^3 = q with roots up to 100, far above the starting upper end 1
+        # m^3 = q with roots up to 100, far above the start 1
         q = np.array([1e-9, 0.5, 8.0, 1e6])
         m = monotone_root(lambda m: m**3 - q, lambda m: 3.0 * m**2,
                           0.0, np.ones_like(q))
         assert np.allclose(m, np.cbrt(q), rtol=1e-14, atol=0.0)
 
     def test_monotone_root_matches_bisection_in_few_steps(self):
-        # the kernel against 90 bisections and 3 Newton steps, and its phi
-        # calls after the doubling of the upper end, cold and warm-started
+        # the kernel against 90 bisections and 3 Newton steps, and all its
+        # phi calls, cold and warm-started
         q = np.geomspace(1e-6, 1e4, 300)
         calls = 0
 
@@ -112,7 +112,6 @@ class TestRootKernels:
             if not short.any():
                 break
             hi = np.where(short, 2.0 * hi, hi)
-        doubling_calls, calls = calls, 0
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             below = phi(mid) < 0.0
@@ -125,15 +124,15 @@ class TestRootKernels:
         calls = 0
         m = monotone_root(phi, dphi, 0.0, np.ones_like(q))
         assert np.allclose(m, ref, rtol=1e-15, atol=0.0)
-        assert calls - doubling_calls <= 15
+        assert calls <= 16
 
         calls = 0
-        m = monotone_root(phi, dphi, 0.0, np.ones_like(q), m0=np.cbrt(q))
+        m = monotone_root(phi, dphi, 0.0, np.cbrt(q))
         assert np.allclose(m, ref, rtol=1e-15, atol=0.0)
-        assert calls - doubling_calls <= 2
+        assert calls <= 2
 
     def test_zero_derivative_bisects_without_warning(self):
-        # g'(0) = 0 for theta > 2: a node started at m = 0 must bisect
+        # g'(0) = 0 for theta > 2: a node started at m = 0 must not divide by it
         quartic = CouplingG(((1.0, 4.0),))
         q = np.array([1e-6, 0.3, 4.0, 2e3])
         with warnings.catch_warnings():
@@ -157,14 +156,13 @@ class TestRootKernels:
     def test_monotone_root_property(self, terms, log_q, warm):
         coupling = CouplingG(tuple(terms))
         q = 10.0 ** np.array(log_q)
-        m0 = None if warm is None else np.full_like(q, warm)
+        m0 = np.ones_like(q) if warm is None else np.full_like(q, warm)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m = monotone_root(
                 lambda m: coupling.g(m) - q,
                 lambda m: coupling.g_prime(m, z_floor=1e-300),
                 0.0,
-                np.ones_like(q),
                 m0,
             )
         hi = np.ones_like(q)
@@ -173,28 +171,60 @@ class TestRootKernels:
         assert np.all((0.0 <= m) & (m <= hi))
         assert np.all(np.abs(coupling.g(m) - q) <= 1e-12 * np.maximum(1.0, q))
 
-    def test_mass_root_widens_the_bracket(self):
+    @pytest.mark.parametrize("hbar0", [-10.0, -1e-3, 1e-3, 10.0])
+    def test_mass_root_widens_the_bracket(self, hbar0):
         # mass e^(-Hbar) on four nodes of weight 1/4: unit mass at Hbar = 0,
-        # outside both starting brackets
+        # approached from guesses on both sides
         def density(hbar):
             return np.full(4, np.exp(-hbar)), np.full(4, -np.exp(-hbar))
 
-        assert mass_root(density, 0.25, 5.0, 10.0) == pytest.approx(0.0, abs=1e-14)
-        assert mass_root(density, 0.25, -10.0, -5.0) == pytest.approx(0.0, abs=1e-14)
+        hbar, m = mass_root(density, 0.25, hbar0)
+        assert hbar == pytest.approx(0.0, abs=1e-14)
+        assert np.array_equal(m, density(hbar)[0])
 
-    def test_mass_root_bisects_where_the_slope_is_zero(self):
+    @pytest.mark.parametrize("hbar0", [-3.0, 5.0])
+    def test_mass_root_bisects_where_the_slope_is_zero(self, hbar0):
         # a zero slope, as where every node is vacuum, must not be divided by
         def density(hbar):
             return np.full(4, np.exp(-hbar)), np.zeros(4)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hbar = mass_root(density, 0.25, -3.0, 5.0)
+            hbar, _ = mass_root(density, 0.25, hbar0)
         assert hbar == pytest.approx(0.0, abs=1e-13)
 
-    def test_mass_root_raises_without_sign_change(self):
+    @pytest.mark.parametrize("hbar0", [-5.0, 5.0])
+    @pytest.mark.parametrize("mass", [0.5, 2.0])
+    def test_mass_root_raises_without_sign_change(self, mass, hbar0):
+        # constant mass below and above 1: the search runs out of doublings
         with pytest.raises(BracketError):
-            mass_root(lambda hbar: (np.full(4, 0.5), np.zeros(4)), 0.25, 0.0, 1.0)
+            mass_root(lambda hbar: (np.full(4, mass), np.zeros(4)), 0.25, hbar0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        nodes=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 3.0)),
+                       min_size=1, max_size=8),
+        vacuum=st.booleans(),
+        hbar0=st.floats(-100.0, 100.0),
+    )
+    def test_mass_root_property(self, nodes, vacuum, hbar0):
+        # masses c e^(-a Hbar), or max(b - Hbar, 0) with vacuum nodes of slope
+        # 0, from an arbitrary guess
+        first, second = (np.array(x) for x in zip(*nodes))
+        if vacuum:
+            def density(hbar):
+                m = np.maximum(second * first - hbar, 0.0)
+                return m, -(m > 0.0).astype(float)
+        else:
+            def density(hbar):
+                m = first * np.exp(-second * hbar)
+                return m, -second * m
+        cell = 1.0 / len(nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hbar, m = mass_root(density, cell, hbar0)
+        assert np.array_equal(m, density(hbar)[0])
+        assert abs(cell * m.sum() - 1.0) <= 1e-12
 
 
 class TestBarf:

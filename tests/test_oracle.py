@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from torusmfg.grid import GridFunction, TorusGrid, integrate_values
 from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
+from torusmfg import oracle
 from torusmfg.optimizer import SolveOptions, minimize
 from torusmfg.oracle import (
     classical_existence_check,
@@ -140,6 +141,54 @@ class TestSolveCritical:
             SolveOptions(step0=50.0, max_iters=200000),
         )
         assert np.max(np.abs(res.m.values - crit.m.values)) <= 5e-2
+
+
+def _solve_counting_densities(monkeypatch, solve, spec):
+    """solve(spec) and the number of density evaluations its mass solve made."""
+    calls = 0
+    mass_root = oracle.mass_root
+
+    def counting_mass_root(density, *args):
+        def counted(hbar):
+            nonlocal calls
+            calls += 1
+            return density(hbar)
+
+        return mass_root(counted, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "mass_root", counting_mass_root)
+        res = solve(spec)
+    return res, calls
+
+
+class TestWarmStartedMassSolve:
+    """The mass solves start from Hbar guesses exact for constant V."""
+
+    @pytest.mark.parametrize("coupling", [
+        QUAD, CouplingG(((1.0, 3.0),)), CouplingG(((0.5, 2.0), (1.0, 3.0))),
+    ])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_constant_potential_takes_at_most_two_densities(self, monkeypatch,
+                                                            coupling, dim):
+        for solve, alpha, P in ((solve_P0, 1.5, (0.0,) * dim),
+                                (solve_critical, 1.0, (0.8, -0.5)[:dim])):
+            spec = make_spec(n=16, dim=dim, alpha=alpha, P=P,
+                             V_fn=lambda *x: np.full(np.shape(x[0]), 3.0),
+                             coupling=coupling)
+            res, calls = _solve_counting_densities(monkeypatch, solve, spec)
+            assert calls <= 2
+            assert np.allclose(res.m.values, 1.0, rtol=0.0, atol=1e-12)
+
+    def test_steep_critical_solve_takes_fewer_densities(self, monkeypatch):
+        # 1D n = 4096, cosine amplitude 12: 6 density evaluations from the
+        # constant-V guess, where a bracket grown from both ends takes 8
+        pot = PotentialFamily("cosine-shift", {"amplitude": 12.0, "shift": 0.3})
+        grid = TorusGrid(1, 4096)
+        spec = ProblemSpec(1, 4096, 1.0, 2.0, (1.0,), pot.sample(grid), QUAD)
+        res, calls = _solve_counting_densities(monkeypatch, solve_critical, spec)
+        assert calls <= 6
+        assert abs(integrate_values(res.m.values, grid.h) - 1.0) <= 1e-12
 
 
 def _bisection_root(phi, dphi, lo, hi):
