@@ -116,11 +116,13 @@ def monotone_root(phi, dphi, lo, m0):
     or when |step| <= 1e-9 m; otherwise, and wherever dphi(m) is not
     positive, it doubles m while its upper end is unknown and bisects once
     it is known.  Such a small step is a node's last: Newton converges
-    quadratically there, so the step leaves the root exact to rounding.  The
-    loop ends once every node has taken it.  It raises BracketError after
-    _MAX_STEPS steps, more than bisection needs to shrink any bracket of
-    doubles to neighbouring floats, which happens only when phi or dphi is
-    NaN.
+    quadratically there, so the step leaves the root exact to rounding.  A
+    node also stops, keeping m, once its known bracket is so narrow that
+    the midpoint is m: rounding noise in phi kept its Newton step from
+    being small.  The loop ends once every node has stopped.  It raises
+    BracketError after _MAX_STEPS steps, more than bisection needs to shrink
+    any bracket of doubles to neighbouring floats, which happens only when
+    phi or dphi is NaN.
     """
     m = np.maximum(np.asarray(m0, dtype=float), lo)
     lo = np.full_like(m, lo)
@@ -142,6 +144,8 @@ def monotone_root(phi, dphi, lo, m0):
         newton = m - step
         small = np.abs(step) <= 1e-9 * m
         inside = (lo < newton) & (newton < up)
+        # a known bracket shrunk onto m stops the node where it is
+        done |= known & (safe == m)
         m = np.where(done, m, np.where(small | inside, newton, safe))
         done |= small
         if done.all():

@@ -1,77 +1,65 @@
-"""Constrained minimisation of the discrete congestion functional over A_h.
+"""Minimisation of the discrete congestion functional J_h over A_h.
 
-The engine is projected gradient descent with Armijo backtracking,
-alternating between the two blocks of the feasible set:
+For fixed u, J_h separates by node in m, with one multiplier Hbar fixing
+unit mass, so `variational.optimal_m` gives the exact m*(u) and Hbar.  The
+solver minimises the reduced functional J(u) = J_h(u, m*(u)) over mean-zero
+u; by the envelope theorem its gradient is the u-partial of J_h at m*(u).
 
-  u-block: mean-zero hyperplane, handled by de-meaning the step;
-  m-block: scaled simplex {m >= 0, h^d sum m = 1}, handled by exact
-           Euclidean sort-projection.
+The direction is the L-BFGS two-loop recursion (Nocedal & Wright, Numerical
+Optimization, ch. 7) over the last LBFGS_MEMORY steps.  Its initial inverse
+Hessian is the spectral step M v = pinv(L) v / (h^d mean(a)), de-meaned,
+with L = sum_k D_k^T D_k applied by FFT (`grid.normal_pinv_values`) and
+kinetic stiffness a = 1/((alpha-1) m^(alpha-1)).  For gamma = 2 and constant
+m, M is the inverse u-Hessian, so iteration counts stay flat under grid
+refinement.  Once a step is stored, M is scaled by s.y / (y.M y) of the
+newest one.
 
-The u-step is preconditioned with the inverse of the constant-coefficient
-kinetic Hessian.  For gamma = 2 the u-Hessian of J_h is h^d D^T diag(a) D
-with kinetic stiffness a = 1/((alpha-1) m^(alpha-1)); its D^T D part makes
-the condition number grow like N^2, and a step scaled only nodewise needs
-O(N^2) iterations.  The direction is instead
-
-    pinv(L) grad_u / (h^d mean(a)),    L = sum_k D_k^T D_k,
-
-applied by FFT (`grid.normal_pinv_values`).  For gamma = 2 and constant m
-it is exactly the Newton step, and on smooth problems the iteration count
-stays flat under grid refinement.
-
-Every accepted step decreases the objective (Armijo on the true
-objective), every iterate is feasible, and convergence is declared on the
-projected-gradient mapping, with the u-block measured in this metric, not
-on the raw gradient, because the constraint multipliers make the raw
-gradient nonzero at the constrained optimum.  When neither block finds an
-Armijo step the iterate is frozen, and the solve stops at once.
-
-The line searches do no stencil work.  The solver keeps w = P + Du and
-|w|^gamma for the current u.  D is linear, so a u-trial along the direction
-d has P + D(u - t d) = w - t Dd, with Dd taken once per step; w is taken
-afresh from the accepted u, so rounding does not build up along the
-iterations.  The m-block leaves u alone, so its gradient and every m-trial
-reuse |w|^gamma.  An outer iteration costs one stencil per axis for each
-of the u-gradient, Dd and the new w.
+The line search halves the trial step from min(step0, 1).  Its Armijo test
+is on the Lagrangian J_h + Hbar (h^d sum m - 1): m* has unit mass only to
+rounding, and the multiplier term cancels the first-order effect of that
+error.  Where the decrease lies within rounding of J, a trial passes on the
+approximate Wolfe slope test of Hager & Zhang (SIAM J. Optim. 16, 2005)
+instead.  The solve is stationary once |M grad J| <= tol_gradmap.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, central_diff_values, normal_pinv_values
+from .grid import GridFunction, normal_pinv_values
 from .variational import (
     M_FLOOR,
     AprioriDiagnostics,
-    DegenerateSolutionError,
     DiscreteObjective,
     FeasiblePoint,
     apriori_diagnostics,
     estimate_Hbar,
+    optimal_m,
     project_feasible,
     project_simplex_values,
 )
 
 
-ARMIJO_C = 1e-4   # accepted steps decrease J by at least this share of slope * t
-BACKTRACK = 0.5   # factor on the trial step after each rejected trial
+ARMIJO_C = 1e-4     # accepted steps decrease J by at least this share of slope * t
+BACKTRACK = 0.5     # factor on the trial step after each rejected trial
+LBFGS_MEMORY = 20   # (s, y) pairs kept by the two-loop recursion
+ROUNDING = 64 * np.finfo(float).eps  # a change in J below this share of |J| is noise
 
 
 @dataclass
 class SolveOptions:
     max_iters: int = 50000
-    tol_gradmap: float = 1e-9      # norm of projected-gradient step per unit step
-    tol_obj: float = 1e-13         # relative decrease over 50 iterations
-    step0: float = 1.0             # trial-step cap; trial = min(step0, 2 * last)
+    tol_gradmap: float = 1e-9      # norm of the gradient in the metric M
+    step0: float = 1.0             # cap on the first trial step, which is at most 1
     min_step: float = 1e-18        # a line search fails once its trial falls below
 
     def __post_init__(self):
         # min_step = 0 would let a line search backtrack forever: a trial at
         # t = 0 can fail Armijo by rounding, and 0 * BACKTRACK stays 0
-        for name in ("tol_gradmap", "tol_obj", "step0", "min_step"):
+        for name in ("tol_gradmap", "step0", "min_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -80,13 +68,13 @@ class SolveOptions:
 class SolveResult:
     u: GridFunction
     m: GridFunction
-    Hbar: float
+    Hbar: float                 # the multiplier of the mass constraint
+    # std of the nodewise Hamiltonian over {m > 1e-4}: the m-block residual
     Hbar_std: float
     objective: float
     iters: int
     # "stationary": gradmap <= tol_gradmap, or an exact oracle solution;
-    # "stagnation": the objective fell by less than tol_obj (relative) over
-    # 50 iterations; "line_search": neither block found an Armijo step, so
+    # "line_search": no trial down to min_step passed the line search, so
     # the iterate can no longer change; "iteration_cap": max_iters ran out
     stop_reason: str
     diagnostics: AprioriDiagnostics
@@ -135,12 +123,14 @@ def random_feasible_point(grid, seed: int, u_scale: float = 0.1,
     return project_feasible(u, m)
 
 
-def _initial_point(grid, init) -> FeasiblePoint:
+def _initial_point(grid, init) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(init, FeasiblePoint):
-        return project_feasible(init.u, init.m)
-    if init == "uniform":
-        return FeasiblePoint(grid.zeros(), grid.constant(1.0))
-    raise ValueError(f"unrecognised init {init!r}")
+        u, m = init.u.values, init.m.values
+    elif init == "uniform":
+        u, m = np.zeros(grid.shape), np.ones(grid.shape)  # a fixed point of the projection
+    else:
+        raise ValueError(f"unrecognised init {init!r}")
+    return u - u.mean(), project_simplex_values(m, float(grid.num_nodes))
 
 
 def minimize(
@@ -149,139 +139,111 @@ def minimize(
     opts: SolveOptions | None = None,
     trace_file=None,
 ) -> SolveResult:
-    """Projected-gradient minimisation of J_h over A_h.
+    """L-BFGS minimisation of J_h over A_h, with m exact for every u.
 
     init is "uniform" (u = 0, m = 1) or a FeasiblePoint, which is first
-    projected onto A_h; `random_feasible_point(grid, seed)` gives a seeded
-    random one.  An optional text stream trace_file receives one
+    projected onto A_h; its m only warm-starts the first m-block.
+    `random_feasible_point(grid, seed)` gives a seeded random one.  An
+    optional text stream trace_file receives one
     "iter,objective,gradmap,step" CSV row per iteration.
     """
     opts = opts or SolveOptions()
     sp = obj.spec
-    pt = _initial_point(sp.grid, init)
-    u = pt.u.values.copy()
-    m = pt.m.values.copy()
-    total_mass = float(sp.grid.num_nodes)
+    h, hd = sp.grid.h, sp.grid.h**sp.dim
+    u, m = _initial_point(sp.grid, init)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u non-finite at the initial point (invalid init)")
 
-    J = obj.value_arrays(u, m)
-    if not np.isfinite(J):
-        raise ValueError("objective non-finite at the initial point (invalid init)")
+    kin = obj.kinetic_density(u)
+    # m = 1 everywhere at this Hbar when V and kin are constant
+    hbar0 = float(np.mean(sp.V.values)) - float(sp.coupling.g(1.0)) \
+        + float(np.mean(kin)) / sp.gamma
+    hbar, m = optimal_m(sp, kin, hbar0, m)
+    J = obj.value_arrays(u, m, kin)
+    gu = obj.gradient_u_arrays(u, m)
 
-    t_u = t_m = opts.step0
-    history: deque[float] = deque(maxlen=51)
-    history.append(J)
-    stop_reason = "iteration_cap"
-    gradmap = float("inf")
+    def pinv(v):
+        r = normal_pinv_values(v, h)
+        return r - r.mean()
+
+    def metric_step(pg, m):
+        """M grad from pg = pinv(L) grad: pg / (h^d mean stiffness)."""
+        mf = np.maximum(m, M_FLOOR)
+        return pg / (hd * float(np.mean(1.0 / ((sp.alpha - 1.0) * mf ** (sp.alpha - 1.0)))))
+
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
+    newest_scale = 1.0  # s.y / (y.pinv(L) y) of the newest pair
+    pg = pinv(gu)
+    mg = metric_step(pg, m)
+    gradmap = float(np.linalg.norm(mg))
     iters = 0
+    stop_reason = "stationary"
 
     if trace_file is not None:
         trace_file.write("iter,objective,gradmap,step\n")
 
-    h = sp.grid.h
-    hd = h**sp.dim
-    w = obj.drifted_grad(u)             # P + Du at the current u
-    kin = obj.kinetic_from_drifted(w)   # |P + Du|^gamma at the current u
-
-    def u_step():
-        """One Armijo step in the mean-zero u block; returns its gradient map."""
-        nonlocal u, w, kin, J, t_u
-        gu = obj.gradient_u_arrays(u, m, w)
-        mf = np.maximum(m, M_FLOOR)
-        stiffness = float(np.mean(1.0 / ((sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))))
-        direction = normal_pinv_values(gu, h) / (hd * stiffness)
-        direction = direction - direction.mean()
-        grad_map = float(np.linalg.norm(direction))
-        slope = float(np.vdot(gu, direction))  # decrease rate along -direction
+    while gradmap > opts.tol_gradmap:
+        if iters == opts.max_iters:
+            stop_reason = "iteration_cap"
+            break
+        slope = 0.0
+        if pairs:
+            # two-loop recursion, newest pair first
+            q = gu.copy()
+            coeffs = []
+            for s, y, rho in reversed(pairs):
+                coeffs.append(rho * float(np.vdot(s, q)))
+                q -= coeffs[-1] * y
+            direction = newest_scale * pinv(q)
+            for (s, y, rho), c in zip(pairs, reversed(coeffs)):
+                direction += (c - rho * float(np.vdot(y, direction))) * s
+            slope = float(np.vdot(gu, direction))  # decrease rate along -direction
         if slope <= 0.0:
-            return grad_map, False
-        dd = [central_diff_values(direction, h, k) for k in range(sp.dim)]
-        t = min(opts.step0, 2.0 * t_u)
+            pairs.clear()
+            direction = mg
+            slope = float(np.vdot(gu, direction))
+
+        t = min(opts.step0, 1.0)
         while t >= opts.min_step:
-            u_trial = u - t * direction
-            kin_trial = obj.kinetic_from_drifted(
-                [wk - t * dk for wk, dk in zip(w, dd)]
-            )
-            J_trial = obj.value_arrays(u_trial, m, kin_trial)
-            if J_trial <= J - ARMIJO_C * t * slope:
-                u, J, t_u = u_trial, J_trial, t
-                w = obj.drifted_grad(u)  # fresh, so rounding does not build up
-                kin = obj.kinetic_from_drifted(w)
-                return grad_map, True
+            u_try = u - t * direction
+            kin_try = obj.kinetic_density(u_try)
+            hbar_try, m_try = optimal_m(sp, kin_try, hbar, m)
+            J_try = obj.value_arrays(u_try, m_try, kin_try)
+            drop = J_try - J + hbar * hd * float(np.sum(m_try - m))
+            if drop <= -ARMIJO_C * t * slope:
+                gu_try = obj.gradient_u_arrays(u_try, m_try)
+                break
+            if abs(drop) <= ROUNDING * max(abs(J), 1.0):
+                # J cannot resolve the decrease: take the slope test
+                gu_try = obj.gradient_u_arrays(u_try, m_try)
+                if np.vdot(gu_try, direction) >= -(1.0 - 2.0 * ARMIJO_C) * slope:
+                    break
             t *= BACKTRACK
-        return grad_map, False
-
-    def m_step():
-        """One Armijo step in the simplex m block; returns its gradient map."""
-        nonlocal m, J, t_m
-        gm = obj.gradient_m_arrays(u, m, kin)
-        t0 = t = min(opts.step0, 2.0 * t_m)
-        while t >= opts.min_step:
-            m_trial = project_simplex_values(m - t * gm, total_mass)
-            delta = m_trial - m
-            slope_m = float(np.vdot(gm, delta))
-            if slope_m >= 0.0:  # projected step vanished: stationary here
-                return float(np.linalg.norm(delta)) / t, False
-            J_trial = obj.value_arrays(u, m_trial, kin)
-            if J_trial <= J + ARMIJO_C * slope_m:
-                m, J, t_m = m_trial, J_trial, t
-                return float(np.linalg.norm(delta)) / t, True
-            t *= BACKTRACK
-        # no trial passed Armijo: report the gradient map at the first trial
-        delta = project_simplex_values(m - t0 * gm, total_mass) - m
-        return float(np.linalg.norm(delta)) / t0, False
-
-    # Relax u at the initial m before touching m.  Descent that lowers m
-    # into the congested regime while u still carries noise makes the
-    # kinetic term stiff (curvature ~ m^(-alpha-1)) and stalls the line
-    # search; settling u first costs little and removes the transient.
-    warmup_cap = min(10000, opts.max_iters)
-    while iters < warmup_cap:
-        map_u, moved = u_step()
-        if not moved:
-            break
-        iters += 1
-        history.append(J)
-        if trace_file is not None:
-            trace_file.write(f"{iters},{J:.17g},{map_u:.17g},{t_u:.17g}\n")
-        if map_u <= max(opts.tol_gradmap, 1e-9):
-            break
-
-    while iters < opts.max_iters:
-        iters += 1
-        map_u, moved_u = u_step()
-        map_m, moved_m = m_step()
-        gradmap = float(np.hypot(map_u, map_m))
-        history.append(J)
-        if trace_file is not None:
-            trace_file.write(
-                f"{iters},{J:.17g},{gradmap:.17g},{max(t_u, t_m):.17g}\n"
-            )
-        if gradmap <= opts.tol_gradmap:
-            stop_reason = "stationary"
-            break
-        if not (moved_u or moved_m):
-            # (u, m, t_u, t_m, J) is frozen: every later iteration
-            # would repeat this one exactly
+        else:
             stop_reason = "line_search"
             break
-        if len(history) == history.maxlen:
-            drop = history[0] - J
-            if drop <= opts.tol_obj * max(1.0, abs(J)):
-                stop_reason = "stagnation"  # stopped, not stationary
-                break
+
+        s, y = u_try - u, gu_try - gu
+        pg_try = pinv(gu_try)
+        sy = float(np.vdot(s, y))
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+            newest_scale = sy / float(np.vdot(y, pg_try - pg))  # pinv(L) is linear
+        u, m, hbar, J, gu, pg = u_try, m_try, hbar_try, J_try, gu_try, pg_try
+        iters += 1
+        mg = metric_step(pg, m)
+        gradmap = float(np.linalg.norm(mg))
+        if trace_file is not None:
+            trace_file.write(f"{iters},{J:.17g},{gradmap:.17g},{t:.17g}\n")
 
     ugf = GridFunction(sp.grid, u)
     mgf = GridFunction(sp.grid, m)
     point = FeasiblePoint(ugf, mgf)
-    try:
-        hbar, hstd = estimate_Hbar(point, obj)
-    except DegenerateSolutionError:
-        hbar, hstd = float("nan"), float("nan")
     return SolveResult(
         u=ugf,
         m=mgf,
         Hbar=hbar,
-        Hbar_std=hstd,
+        Hbar_std=estimate_Hbar(point, obj)[1],
         objective=J,
         iters=iters,
         stop_reason=stop_reason,

@@ -100,10 +100,7 @@ class DualSpec:
 
 def solve_dual(dual: DualSpec, opts: SolveOptions | None = None) -> SolveResult:
     """Minimise the dual functional; the result's u is the stream function psi."""
-    obj = DiscreteObjective(dual.dual_problem())
-    if opts is None:
-        opts = SolveOptions(step0=float(dual.base.grid.num_nodes), max_iters=200000)
-    return minimize(obj, "uniform", opts)
+    return minimize(DiscreteObjective(dual.dual_problem()), "uniform", opts)
 
 
 def _dual_flux(psi: np.ndarray, m: np.ndarray, dual: DualSpec) -> list[np.ndarray]:

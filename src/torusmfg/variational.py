@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, central_diff_values, integrate_values
-from .model import ProblemSpec
+from .model import ProblemSpec, mass_root, monotone_root
 
 M_FLOOR = 1e-8  # floor of m inside negative powers of m
 
@@ -111,24 +111,15 @@ class DiscreteObjective:
             s = s + wk**2
         return s
 
-    def kinetic_from_drifted(self, w: list[np.ndarray]) -> np.ndarray:
-        """|w|^gamma nodewise, for w = P + D u from `drifted_grad`."""
-        return self._norm_sq(w) ** (self.spec.gamma / 2.0)
-
     def kinetic_density(self, u: np.ndarray) -> np.ndarray:
         """|P + D u|^gamma nodewise."""
-        return self.kinetic_from_drifted(self.drifted_grad(u))
+        return self._norm_sq(self.drifted_grad(u)) ** (self.spec.gamma / 2.0)
 
     def _check_point(self, pt: FeasiblePoint):
         if pt.grid != self.spec.grid:
             raise ValueError("point sampled on a different grid than the problem")
 
     # -- objective and gradient ---------------------------------------------
-    #
-    # The *_arrays methods take, as optional last argument, the part of the
-    # point that depends on u alone when the caller already has it (kin =
-    # |P + Du|^gamma, w = P + Du), so that a line search that moves only m,
-    # or moves u along a line on which D is linear, does no stencil work.
 
     def value(self, pt: FeasiblePoint) -> float:
         self._check_point(pt)
@@ -136,6 +127,7 @@ class DiscreteObjective:
 
     def value_arrays(self, u: np.ndarray, m: np.ndarray,
                      kin: np.ndarray | None = None) -> float:
+        """J_h at (u, m); kin = |P + Du|^gamma saves its stencil if known."""
         sp = self.spec
         if kin is None:
             kin = self.kinetic_density(u)
@@ -152,14 +144,12 @@ class DiscreteObjective:
     def gradient_arrays(self, u: np.ndarray, m: np.ndarray):
         return self.gradient_u_arrays(u, m), self.gradient_m_arrays(u, m)
 
-    def gradient_u_arrays(self, u: np.ndarray, m: np.ndarray,
-                          w: list[np.ndarray] | None = None) -> np.ndarray:
+    def gradient_u_arrays(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
         """u-partial: adjoint (negative transpose) of the central stencil
         applied to |P+Du|^(gamma-2)(P+Du) / ((alpha-1) m^(alpha-1))."""
         sp = self.spec
         h = sp.grid.h
-        if w is None:
-            w = self.drifted_grad(u)
+        w = self.drifted_grad(u)
         mf = np.maximum(m, M_FLOOR)
         nsq = self._norm_sq(w)
         if sp.gamma == 2.0:
@@ -174,16 +164,60 @@ class DiscreteObjective:
             gu -= central_diff_values(scale * w[k], h, k)
         return h**sp.dim * gu
 
-    def gradient_m_arrays(self, u: np.ndarray, m: np.ndarray,
-                          kin: np.ndarray | None = None) -> np.ndarray:
+    def gradient_m_arrays(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
         """m-partial only; avoids the adjoint-divergence work of the u-partial."""
         sp = self.spec
         hd = sp.grid.h**sp.dim
-        if kin is None:
-            kin = self.kinetic_density(u)
+        kin = self.kinetic_density(u)
         mf = np.maximum(m, M_FLOOR)
         dkin_dm = np.where(m > M_FLOOR, -kin / (sp.gamma * mf**sp.alpha), 0.0)
         return hd * (dkin_dm - sp.V.values + sp.coupling.g(np.maximum(m, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# exact m-block
+
+def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
+              m0: np.ndarray) -> tuple[float, np.ndarray]:
+    """(Hbar, m): the minimiser of J_h(u, .) over unit-mass m >= 0.
+
+    kin = |P + Du|^gamma.  J_h separates by node in m, and the multiplier
+    Hbar of the mass constraint makes each node stationary:
+    g(m) - V - kin/(gamma m^alpha) = -Hbar.  Where kin > 0 the node solves
+    this multiplied by m^alpha, psi(m) = m^alpha (g(m) + Hbar - V) - kin/gamma
+    = 0, whose one root is positive, with dm/dHbar = -m^alpha / psi'(m).  At
+    alpha = 1 this is `oracle.solve_critical`'s node equation.  Where kin = 0
+    it takes m = (G*)'(V - Hbar), vacuum allowed, with dm/dHbar = -1/g'(m)
+    where m > 0 and 0 elsewhere, as `oracle.solve_P0` does.  `mass_root`
+    finds Hbar from the guess hbar0; each nodewise solve starts from the
+    previous one's m, the first from m0.
+    """
+    a, V = spec.alpha, spec.V.values
+    g, g_prime = spec.coupling.g, spec.coupling.g_prime
+    pos = kin > 0.0
+    vac = ~pos
+    c, Vp, Vv = kin[pos] / spec.gamma, V[pos], V[vac]
+    m_last = np.asarray(m0, dtype=float)
+
+    def density(hbar):
+        nonlocal m_last
+
+        def dpsi(x):
+            return a * x ** (a - 1.0) * (g(x) + hbar - Vp) \
+                + x**a * g_prime(x, z_floor=1e-300)
+
+        mp = monotone_root(lambda x: x**a * (g(x) + hbar - Vp) - c, dpsi,
+                           0.0, m_last[pos])
+        mv = spec.coupling.conjugate_deriv(Vv - hbar, m_last[vac])
+        m, dm = np.empty_like(m_last), np.zeros_like(m_last)
+        m[pos], m[vac] = mp, mv
+        dm[pos] = -(mp**a) / dpsi(mp)
+        dm[vac] = np.divide(-1.0, g_prime(mv, z_floor=1e-300),
+                            out=np.zeros_like(mv), where=mv > 0.0)
+        m_last = m
+        return m, dm
+
+    return mass_root(density, spec.grid.h**spec.dim, hbar0)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,13 @@ class TestRootKernels:
             monotone_root(lambda m: np.full_like(m, np.nan), np.ones_like,
                           0.0, np.ones(3))
 
+    def test_monotone_root_stops_on_a_collapsed_bracket(self):
+        # phi jumps at its root, so no Newton step there is small; the
+        # bracket shrinks onto one float and the node must stop at it
+        root = monotone_root(lambda m: np.where(m >= 1.0, 1.0, -1.0), np.ones_like,
+                             0.0, np.array([0.3, 5.0]))
+        assert np.array_equal(root, [1.0, 1.0])
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         terms=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(1.2, 6.0)),

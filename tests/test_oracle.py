@@ -14,7 +14,7 @@ from torusmfg.oracle import (
     solve_critical,
     solve_P0,
 )
-from torusmfg.variational import DiscreteObjective
+from torusmfg.variational import DiscreteObjective, optimal_m
 
 QUAD = CouplingG.quadratic()
 
@@ -272,6 +272,35 @@ class TestNewtonKernelsMatchBisection:
                 res = solve(spec)
             assert res.Hbar == pytest.approx(hbar_ref, abs=1e-12)
             assert np.max(np.abs(res.m.values - m_ref)) <= 1e-12
+
+
+class TestOptimalMatchesOracles:
+    """The oracles are u = 0 evaluations of the minimiser's exact m-block."""
+
+    @pytest.mark.parametrize("terms", [((0.5, 2.0),), ((1.0, 1.5),), ((0.5, 2.0), (1.0, 3.0))])
+    @pytest.mark.parametrize("dim, n", [(1, 512), (2, 32)])
+    @pytest.mark.parametrize("amplitude", [0.5, 12.0])
+    def test_hbar_and_m(self, terms, dim, n, amplitude):
+        grid = TorusGrid(dim, n)
+        if dim == 1:
+            pot = PotentialFamily("cosine-shift", {"amplitude": amplitude, "shift": 0.3})
+        else:
+            pot = PotentialFamily("sine-cosine-product",
+                                  {"amplitude": amplitude, "shift_x": 0.1, "shift_y": 0.2})
+        V, coupling = pot.sample(grid), CouplingG(terms)
+        g1 = float(coupling.g(1.0))
+        for solve, alpha, P in ((solve_P0, 1.5, (0.0,) * dim),
+                                (solve_critical, 1.0, (0.8, -0.5)[:dim])):
+            spec = ProblemSpec(dim, n, alpha, 2.0, P, V, coupling)
+            kin = np.full(grid.shape, spec.P_norm**2)
+            # the oracles' first guess
+            hbar0 = float(V.values.mean()) - g1 + spec.P_norm**2 / 2.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                hbar, m = optimal_m(spec, kin, hbar0, np.ones(grid.shape))
+            res = solve(spec)
+            assert hbar == pytest.approx(res.Hbar, abs=1e-13)
+            assert np.max(np.abs(m - res.m.values)) <= 1e-13
 
 
 class TestClassicalExistence:
