@@ -67,9 +67,18 @@ class CouplingG:
         """(G*)'(q): the unique m >= 0 with g(m) = q for q > 0, else 0.
 
         Total on all of R since g(0+) = 0 and g is increasing and coercive.
-        m0, shaped like q, is a warm start for the nodewise Newton solve.
+        A one-term coupling c z^theta has the closed form
+        (max(q, 0) / (c theta))^(1 / (theta - 1)), with no power at
+        theta = 2, and m0 is unused.  A sum of terms runs `monotone_root`
+        nodewise on g(m) - q, warm-started at m0 (shaped like q).
         """
         q = np.asarray(q, dtype=float)
+        if len(self.terms) == 1:
+            (c, t), = self.terms
+            out = np.maximum(q, 0.0) / (c * t)
+            if t != 2.0:
+                out = out ** (1.0 / (t - 1.0))
+            return float(out) if out.ndim == 0 else out
         out = np.zeros(q.shape)
         pos = q > 0.0
         if np.any(pos):

@@ -3,14 +3,23 @@
 For P = 0 the minimiser is u = 0 with m(x) = (G*)'(V(x) - Hbar), the
 normalisation constant fixed by unit mass.  For critical congestion
 (alpha = 1, P != 0) u is constant and m solves a scalar equation per node,
-again with an outer scalar solve for Hbar.  Both paths write the node
-equation as phi(m) = 0 with phi < 0 below the root and > 0 above it, and run
-the shared kernels `model.monotone_root` (nodewise) and `model.mass_root`
-(the multiplier).  The Newton iteration on Hbar starts from the Hbar at
-which m = 1 solves every node for constant V; each node's starts at its m
-for the previous Hbar.  The mass decreases strictly in Hbar with slope
-h^d sum dm/dHbar, where dm/dHbar = -(dphi/dHbar) / phi'(m*) by the implicit
-function theorem (vacuum nodes add 0).
+again with an outer scalar solve for Hbar.  The multiplier Hbar comes from
+the shared Newton kernel `model.mass_root`.  The mass decreases strictly in
+Hbar with slope h^d sum dm/dHbar; vacuum nodes add 0.
+
+The node solves are explicit wherever the coupling allows it:
+
+- at P = 0, `CouplingG.conjugate_deriv` is a closed-form power for a
+  one-term coupling c z^theta, with dm/dHbar = -1/g'(m);
+- at alpha = 1, g(m) = 2c m (the one term (c, 2)) makes each node a
+  quadratic, solved by the cancellation-free formula of `solve_critical`.
+
+Other couplings, sums of terms included, write the node equation as
+phi(m) = 0 with phi < 0 below the root and > 0 above it, and run the
+nodewise Newton kernel `model.monotone_root`, each node warm-started at its
+m for the previous Hbar; there dm/dHbar = -(dphi/dHbar) / phi'(m*) by the
+implicit function theorem.  Either way the iteration on Hbar starts from
+the Hbar at which m = 1 solves every node for constant V.
 """
 
 from __future__ import annotations
@@ -41,8 +50,10 @@ def _result_from_point(spec: ProblemSpec, u: GridFunction, m: GridFunction,
                        hbar: float) -> SolveResult:
     obj = DiscreteObjective(spec)
     point = FeasiblePoint(u, m)
-    _, hstd = estimate_Hbar(point, obj)
-    objective = obj.value(point) if spec.alpha > 1.0 else float("nan")
+    kin = obj.kinetic_density(u.values)  # shared by the three evaluations
+    _, hstd = estimate_Hbar(point, obj, kin=kin)
+    objective = (obj.value_arrays(u.values, m.values, kin) if spec.alpha > 1.0
+                 else float("nan"))
     return SolveResult(
         u=u,
         m=m,
@@ -51,7 +62,7 @@ def _result_from_point(spec: ProblemSpec, u: GridFunction, m: GridFunction,
         objective=objective,
         iters=0,
         stop_reason="stationary",
-        diagnostics=apriori_diagnostics(point, obj),
+        diagnostics=apriori_diagnostics(point, obj, kin=kin),
         gradmap=0.0,
     )
 
@@ -100,9 +111,16 @@ def solve_critical(spec: ProblemSpec) -> SolveResult:
     """Critical congestion alpha = 1: u constant, m from the algebraic solve.
 
     Each node solves g(m) + Hbar - V = |P|^gamma / (gamma m), multiplied by
-    m: psi(m) = m (g(m) + Hbar - V) - |P|^gamma / gamma = 0.  psi is convex
-    on m >= 0 with psi(0) < 0, so it has one positive root, and Newton
-    started above it stays above it.
+    m: psi(m) = m (g(m) + Hbar - V) - k = 0 with k = |P|^gamma / gamma.
+    psi is convex on m >= 0 with psi(0) < 0, so it has one positive root.
+
+    For g(m) = kappa m, the one-term coupling (c, 2) with kappa = 2c, psi is
+    the quadratic kappa m^2 + b m - k with b = Hbar - V.  With
+    s = sqrt(b^2 + 4 kappa k) its root is m = 2k / (b + s) where b >= 0 and
+    m = (s - b) / (2 kappa) where b < 0, neither of which cancels, and
+    dm/dHbar = -m / s.  Every other coupling runs `monotone_root` on psi,
+    warm-started at the previous Hbar's m; Newton started above the root
+    stays above it.  Both paths share the mass solve and its checks.
     """
     if spec.alpha != 1.0:
         raise ValueError("critical path requires alpha = 1")
@@ -113,20 +131,32 @@ def solve_critical(spec: ProblemSpec) -> SolveResult:
     V = spec.V.values
     kinetic = spec.P_norm**spec.gamma / spec.gamma
     g, g_prime = spec.coupling.g, spec.coupling.g_prime
+    terms = spec.coupling.terms
 
-    m_last = np.ones(grid.shape)
+    if len(terms) == 1 and terms[0][1] == 2.0:
+        kappa = 2.0 * terms[0][0]
+        r = 2.0 * np.sqrt(kappa * kinetic)  # s = hypot(b, r) cannot overflow
 
-    def density(hbar):
-        # each solve is warm-started at the previous one's m
-        nonlocal m_last
+        def density(hbar):
+            b = hbar - V
+            s = np.hypot(b, r)
+            big = s + np.abs(b)  # b + s where b >= 0, s - b where b < 0
+            m = np.where(b >= 0.0, 2.0 * kinetic / big, big / (2.0 * kappa))
+            return m, -m / s
+    else:
+        m_last = np.ones(grid.shape)
 
-        def dpsi(m):
-            return g(m) + m * g_prime(m) + hbar - V
+        def density(hbar):
+            # each solve is warm-started at the previous one's m
+            nonlocal m_last
 
-        m_last = monotone_root(
-            lambda m: m * (g(m) + hbar - V) - kinetic, dpsi, 0.0, m_last
-        )
-        return m_last, -m_last / dpsi(m_last)
+            def dpsi(m):
+                return g(m) + m * g_prime(m) + hbar - V
+
+            m_last = monotone_root(
+                lambda m: m * (g(m) + hbar - V) - kinetic, dpsi, 0.0, m_last
+            )
+            return m_last, -m_last / dpsi(m_last)
 
     # m = 1 everywhere at this Hbar when V is constant
     hbar0 = float(V.mean()) - float(g(1.0)) + kinetic

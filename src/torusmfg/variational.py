@@ -247,12 +247,14 @@ def project_feasible(u: GridFunction, m: GridFunction) -> FeasiblePoint:
 # effective-Hamiltonian estimate and a priori diagnostics
 
 def estimate_Hbar(
-    pt: FeasiblePoint, obj: DiscreteObjective, mass_cutoff: float = 1e-4
+    pt: FeasiblePoint, obj: DiscreteObjective, mass_cutoff: float = 1e-4,
+    kin: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(mean, std) of |P+Du|^gamma/(gamma m^alpha) + V - g(m) over {m > cutoff}.
 
     At a minimizer the nodewise quantity is the constant making the HJB
     equation hold; the standard deviation is a stationarity residual.
+    kin = |P + Du|^gamma saves its stencil if known.
     """
     obj._check_point(pt)
     sp = obj.spec
@@ -262,20 +264,26 @@ def estimate_Hbar(
         raise DegenerateSolutionError(
             f"no nodes with m > {mass_cutoff}; cannot estimate the effective Hamiltonian"
         )
-    kin = obj.kinetic_density(pt.u.values)
+    if kin is None:
+        kin = obj.kinetic_density(pt.u.values)
     q = kin[mask] / (sp.gamma * m[mask] ** sp.alpha) + sp.V.values[mask] \
         - sp.coupling.g(m[mask])
     return float(q.mean()), float(q.std())
 
 
-def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective) -> AprioriDiagnostics:
-    """The three diagnostic integrals, m floored inside negative powers."""
+def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective,
+                        kin: np.ndarray | None = None) -> AprioriDiagnostics:
+    """The three diagnostic integrals, m floored inside negative powers.
+
+    kin = |P + Du|^gamma saves its stencil if known.
+    """
     obj._check_point(pt)
     sp = obj.spec
     h = sp.grid.h
     m = pt.m.values
     mf = np.maximum(m, M_FLOOR)
-    kin = obj.kinetic_density(pt.u.values)
+    if kin is None:
+        kin = obj.kinetic_density(pt.u.values)
     # |(P+Du)/m^ab|^g (m^ab + m^(ab+1)) = |P+Du|^g (m^-alpha + m^(1-alpha)),
     # using ab = alpha/(gamma-1)
     congestion = kin * (mf ** (-sp.alpha) + mf ** (1.0 - sp.alpha))

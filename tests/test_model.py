@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusmfg import model
 from torusmfg.grid import TorusGrid
 from torusmfg.model import (
     BracketError,
@@ -82,6 +83,41 @@ class TestConjugateDeriv:
             assert np.all(np.diff(vals) >= -1e-13)
             assert np.all(vals[q <= 0.0] == 0.0)
             assert np.all(vals[q > 1e-8] > 0.0)
+
+
+class TestConjugateDerivClosedForm:
+    """One-term couplings invert g by a power, sums of terms by Newton."""
+
+    def test_theta_near_one_round_trips_without_newton(self, monkeypatch):
+        # roots from about 4e-41 to 4e19; monotone_root took 138 steps here
+        calls = 0
+        root = model.monotone_root
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return root(*args)
+
+        monkeypatch.setattr(model, "monotone_root", counting)
+        q = np.geomspace(1e-8, 1e4, 400)
+        coupling = CouplingG(((1.0, 1.2),))
+        m = coupling.conjugate_deriv(q)
+        assert calls == 0
+        assert np.all(m > 0.0)
+        assert np.allclose(coupling.g(m), q, rtol=1e-12, atol=0.0)
+        # the same g split in two terms goes through Newton
+        split = CouplingG(((0.5, 1.2), (0.5, 1.2))).conjugate_deriv(q)
+        assert calls == 1
+        assert np.allclose(split, m, rtol=1e-12, atol=0.0)
+
+    def test_sum_started_at_zero_derivative_without_warning(self):
+        # g'(0) = 0 for a sum of theta > 2 terms: Newton from m = 0 must bisect
+        coupling = CouplingG(((1.0, 4.0), (0.5, 3.0)))
+        q = np.array([1e-6, 0.3, 4.0, 2e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = coupling.conjugate_deriv(q, m0=np.zeros_like(q))
+        assert np.allclose(coupling.g(m), q, rtol=1e-14, atol=0.0)
 
 
 class TestRootKernels:

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from torusmfg.grid import GridFunction, TorusGrid, integrate_values
 from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
-from torusmfg import oracle
+from torusmfg import model, oracle
 from torusmfg.optimizer import SolveOptions, minimize
 from torusmfg.oracle import (
     classical_existence_check,
@@ -272,6 +272,48 @@ class TestNewtonKernelsMatchBisection:
                 res = solve(spec)
             assert res.Hbar == pytest.approx(hbar_ref, abs=1e-12)
             assert np.max(np.abs(res.m.values - m_ref)) <= 1e-12
+
+
+class TestClosedFormMatchesNewton:
+    """Closed-form node roots against Newton on the same g split in two terms."""
+
+    @pytest.mark.parametrize("one, split, solvers", [
+        (((0.5, 2.0),), ((0.25, 2.0), (0.25, 2.0)), ("P0", "critical")),
+        (((0.5, 1.5),), ((0.25, 1.5), (0.25, 1.5)), ("P0",)),
+    ])
+    @pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64)])
+    @pytest.mark.parametrize("amplitude", [0.5, 12.0])
+    def test_hbar_and_m(self, monkeypatch, one, split, solvers, dim, n, amplitude):
+        calls = 0
+
+        def counting(root):
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return root(*args)
+            return counted
+
+        monkeypatch.setattr(model, "monotone_root", counting(model.monotone_root))
+        monkeypatch.setattr(oracle, "monotone_root", counting(oracle.monotone_root))
+        grid = TorusGrid(dim, n)
+        if dim == 1:
+            pot = PotentialFamily("cosine-shift", {"amplitude": amplitude, "shift": 0.3})
+        else:
+            pot = PotentialFamily("sine-cosine-product",
+                                  {"amplitude": amplitude, "shift_x": 0.1, "shift_y": 0.2})
+        V = pot.sample(grid)
+        cases = {"P0": (solve_P0, 1.5, (0.0,) * dim),
+                 "critical": (solve_critical, 1.0, (0.8, -0.5)[:dim])}
+        for solve, alpha, P in (cases[k] for k in solvers):
+            calls = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                closed = solve(ProblemSpec(dim, n, alpha, 2.0, P, V, CouplingG(one)))
+                assert calls == 0
+                newton = solve(ProblemSpec(dim, n, alpha, 2.0, P, V, CouplingG(split)))
+                assert calls > 0
+            assert closed.Hbar == pytest.approx(newton.Hbar, abs=1e-12)
+            assert np.max(np.abs(closed.m.values - newton.m.values)) <= 1e-12
 
 
 class TestOptimalMatchesOracles:
