@@ -15,7 +15,9 @@ which is antisymmetric on the periodic grid (exact discrete integration by
 parts).  Its normal operator sum_k D_k^T D_k is circulant, and its
 pseudo-inverse is applied by FFT (`normal_pinv_values`); the optimizer uses
 it as the u-block metric.  A first-order monotone upwind discretisation of
-|P + Du|^gamma is provided for Hamilton-Jacobi solves.  Quadrature is the
+|P + Du|^gamma is provided for Hamilton-Jacobi solves, with a
+nested-dissection order of the nodes (`nested_dissection_order`) for the
+sparse direct solves of their Newton steps.  Quadrature is the
 periodic trapezoid rule h^d * sum(values).
 
 Every periodic shift is a gather through one cached table of neighbour
@@ -211,6 +213,48 @@ def upwind_grad_power_values(
     for ak, bk in zip(a, b):
         out += ak**gamma + bk**gamma
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def nested_dissection_order(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (perm, inv): a nested-dissection order of the periodic grid.
+
+    perm[i] is the C-order flat index of the node placed i-th and inv is its
+    inverse.  The longest axis of a box is split recursively and each
+    separator is placed after the two halves it splits.  A periodic axis
+    needs two planes, at its index 0 and at its midpoint, to fall apart; an
+    axis already cut needs one, at its midpoint.  Boxes whose longest axis
+    has at most 3 nodes keep C order.  On the 5-point lattice this is the
+    order of George (SIAM J. Numer. Anal. 10, 1973): the LU factors of a
+    matrix with that pattern fill in far less than in C order.
+    """
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    parts = []
+
+    def dissect(box, periodic):
+        sizes = [hi - lo for lo, hi in box]
+        k = int(np.argmax(sizes))
+        if sizes[k] <= 3:
+            parts.append(idx[tuple(slice(lo, hi) for lo, hi in box)].ravel())
+            return
+        lo, hi = box[k]
+        mid = lo + sizes[k] // 2
+        planes = (lo, mid) if periodic[k] else (mid,)
+        cut = periodic[:k] + (False,) + periodic[k + 1:]
+        for half in ((lo + 1 if periodic[k] else lo, mid), (mid + 1, hi)):
+            dissect(box[:k] + (half,) + box[k + 1:], cut)
+        for plane in planes:
+            sep = [slice(a, b) for a, b in box]
+            sep[k] = slice(plane, plane + 1)
+            parts.append(idx[tuple(sep)].ravel())
+
+    dissect(tuple((0, n) for n in shape), (True,) * len(shape))
+    perm = np.concatenate(parts)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    perm.setflags(write=False)
+    inv.setflags(write=False)
+    return perm, inv
 
 
 def integrate_values(v: np.ndarray, h: float) -> float:

@@ -46,16 +46,20 @@ RESIDUAL_TOL = 1e-10
 N_FINE = {1: 200_000, 2: 2048}
 
 
-def _result_from_point(spec: ProblemSpec, u: GridFunction, m: GridFunction,
-                       hbar: float) -> SolveResult:
+def _result_from_point(spec: ProblemSpec, m: GridFunction, hbar: float) -> SolveResult:
+    """The SolveResult of the oracle point (u, m) = (0, m)."""
     obj = DiscreteObjective(spec)
-    point = FeasiblePoint(u, m)
-    kin = obj.kinetic_density(u.values)  # shared by the three evaluations
+    point = FeasiblePoint(spec.grid.zeros(), m)
+    # with u = 0, P + Du is P at every node: |P|^gamma summed and raised as
+    # `kinetic_density` does, without its stencils; shared by the three
+    # evaluations
+    p_sq = sum(p * p for p in spec.P)
+    kin = np.full(spec.grid.shape, p_sq) ** (spec.gamma / 2.0)
     _, hstd = estimate_Hbar(point, obj, kin=kin)
-    objective = (obj.value_arrays(u.values, m.values, kin) if spec.alpha > 1.0
+    objective = (obj.value_arrays(point.u.values, m.values, kin) if spec.alpha > 1.0
                  else float("nan"))
     return SolveResult(
-        u=u,
+        u=point.u,
         m=m,
         Hbar=hbar,
         Hbar_std=hstd,
@@ -94,7 +98,7 @@ def solve_P0(spec: ProblemSpec) -> SolveResult:
     hbar, m = _mass_solve_P0(spec)
     if abs(grid.h**grid.dim * m.sum() - 1.0) > MASS_TOL:
         raise BracketError("mass normalisation did not converge to tolerance")
-    return _result_from_point(spec, grid.zeros(), GridFunction(grid, m), hbar)
+    return _result_from_point(spec, GridFunction(grid, m), hbar)
 
 
 def continuum_Hbar_P0(spec: ProblemSpec, potential) -> float:
@@ -168,7 +172,7 @@ def solve_critical(spec: ProblemSpec) -> SolveResult:
     if abs(hd * m.sum() - 1.0) > RESIDUAL_TOL:
         raise BracketError("critical mass normalisation above tolerance")
     # J_h is undefined at alpha = 1, so the objective is reported as NaN
-    return _result_from_point(spec, grid.zeros(), GridFunction(grid, m), hbar)
+    return _result_from_point(spec, GridFunction(grid, m), hbar)
 
 
 @dataclass

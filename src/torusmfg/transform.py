@@ -26,6 +26,7 @@ constant-field round trip Pperp = Q.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ from .grid import (
     central_diff2_values,
     central_diff_values,
     integrate_values,
+    nested_dissection_order,
     periodic_shift,
     upwind_grad_power_values,
     upwind_slopes,
@@ -175,45 +177,64 @@ def _hjb_scheme(m: GridFunction, p: np.ndarray, spec: ProblemSpec, beta: float):
     return residual, denom
 
 
-def _neighbour_columns(shape: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flat indices of the (i+1, i-1) periodic neighbours of every node, per axis."""
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
-    return [
-        (periodic_shift(idx, 1, k).ravel(), periodic_shift(idx, -1, k).ravel())
-        for k in range(len(shape))
+@functools.lru_cache(maxsize=32)
+def _nd_stencil(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (cols, gather, diag) of the HJB Jacobian in nested-dissection
+    order, built once per grid shape.
+
+    Row i of the Jacobian is node perm[i] of `nested_dissection_order`.  Its
+    2d+1 stencil columns (the node, then the i+1 and i-1 neighbours of each
+    axis k) are numbered in that order and sorted, so that any subset of a
+    row is a canonical CSR row; the rows are laid end to end in flat arrays.
+    gather holds the flat index of each entry's coefficient in the
+    (2d+1, N) stack [diag, -c_a0, -c_b0, ...] in C order, and diag marks
+    the diagonal entries.
+    """
+    perm, inv = nested_dissection_order(shape)
+    size = perm.size
+    idx = np.arange(size).reshape(shape)
+    stencil = [idx.ravel()] + [
+        periodic_shift(idx, s, k).ravel() for k in range(len(shape)) for s in (1, -1)
     ]
+    cols = inv[np.stack(stencil, axis=1)[perm]]
+    slots = np.argsort(cols, axis=1)
+    table = (np.take_along_axis(cols, slots, axis=1).astype(np.intc).ravel(),
+             (slots * size + perm[:, None]).ravel(), (slots == 0).ravel())
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def _hjb_jacobian(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
-                  denom: np.ndarray, beta: float, neighbours) -> sps.csr_matrix:
-    """Jacobian of the `_hjb_scheme` residual at u, with only its nonzeros stored.
+                  denom: np.ndarray, beta: float, stencil) -> sps.csr_matrix:
+    """Jacobian of the `_hjb_scheme` residual at u in nested-dissection order,
+    with only its nonzeros stored.
 
-    Row i holds beta + sum_k (c_a + c_b) on the diagonal, -c_a at the i+1
+    Node i holds beta + sum_k (c_a + c_b) on the diagonal, -c_a at the i+1
     neighbour and -c_b at the i-1 neighbour of axis k, where
     c = gamma slope^(gamma-1) / (h denom) for the upwind slopes a_k, b_k.
     An off-diagonal entry is stored only where its coefficient is positive.
+    `stencil` is `_nd_stencil(u.shape)`: the CSR arrays are gathered straight
+    into its order, with indptr from the count of stored entries per row.
     """
+    cols, gather, diag_slot = stencil
     a, b = upwind_slopes(u, p, h)
     size = u.size
-    nodes = np.arange(size)
-    diag = np.full(size, beta)
-    rows, cols, vals = [], [], []
-    for k, (plus, minus) in enumerate(neighbours):
+    width = 2 * u.ndim + 1
+    coef = np.empty((width, size))
+    diag = coef[0]
+    diag.fill(beta)
+    for k in range(u.ndim):
         ca = (gamma * a[k] ** (gamma - 1.0) / (h * denom)).ravel()
         cb = (gamma * b[k] ** (gamma - 1.0) / (h * denom)).ravel()
         diag += ca + cb
-        for c, col in ((ca, plus), (cb, minus)):
-            active = np.flatnonzero(c > 0.0)
-            rows.append(active)
-            cols.append(col[active])
-            vals.append(-c[active])
-    rows.append(nodes)
-    cols.append(nodes)
-    vals.append(diag)
-    return sps.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
+        coef[2 * k + 1] = -ca
+        coef[2 * k + 2] = -cb
+    vals = coef.ravel()[gather]
+    stored = np.flatnonzero((vals < 0.0) | diag_slot)
+    indptr = np.zeros(size + 1, dtype=np.intc)
+    np.cumsum(np.bincount(stored // width, minlength=size), out=indptr[1:])
+    return sps.csr_matrix((vals[stored], cols[stored], indptr), shape=(size, size))
 
 
 def solve_hjb_discounted(
@@ -234,15 +255,28 @@ def solve_hjb_discounted(
     Each Newton step is one sparse direct solve (SuperLU).  At most one of
     the two upwind slopes of an axis is active at most nodes, so the
     Jacobian stores only its active entries: an explicit zero would still
-    count as structure in the column ordering and in the LU fill, and
-    storing both neighbours of every axis about doubles the fill.
+    count as structure in the LU fill, and storing both neighbours of every
+    axis about doubles the fill.
+
+    The Jacobian is built in the nested-dissection order of the grid
+    (`grid.nested_dissection_order`, computed once per grid shape), and
+    SuperLU takes that order (permc_spec="NATURAL") instead of running a
+    fresh COLAMD analysis on every Newton step.  Pivoting leaves the order
+    alone: the permuted Jacobian is still strictly row diagonally dominant,
+    so in every column of the transpose, which SuperLU factors for CSR
+    input, the diagonal is the largest entry, and elimination keeps it so.
+    The threshold pivoting of `spla.spsolve` therefore already pivots on the
+    diagonal, and `splu` with symmetric-mode options has nothing left to
+    gain: `spsolve` stays the solver, one call per Newton step.  A Newton
+    step that is not finite raises `HJBConvergenceError` at once.
     """
     if beta <= 0:
         raise ValueError("discount rate beta must be positive")
     grid = m.grid
     p = np.asarray(P, dtype=float)
     residual, denom = _hjb_scheme(m, p, spec, beta)
-    neighbours = _neighbour_columns(grid.shape)
+    stencil = _nd_stencil(grid.shape)
+    perm, inv = nested_dissection_order(grid.shape)
 
     u = np.zeros(grid.shape) if u0 is None else np.array(u0, dtype=float)
     r = residual(u)
@@ -250,8 +284,13 @@ def solve_hjb_discounted(
     for _ in range(_MAX_NEWTON):
         if best <= tol:
             break
-        jac = _hjb_jacobian(u, p, spec.gamma, grid.h, denom, beta, neighbours)
-        delta = spla.spsolve(jac, -r.ravel()).reshape(grid.shape)
+        jac = _hjb_jacobian(u, p, spec.gamma, grid.h, denom, beta, stencil)
+        step_nd = spla.spsolve(jac, -r.ravel()[perm], permc_spec="NATURAL")
+        delta = step_nd[inv].reshape(grid.shape)
+        if not np.all(np.isfinite(delta)):
+            raise HJBConvergenceError(
+                f"Newton step is not finite at max residual {best:.3e}"
+            )
         step = 1.0
         for _ in range(60):
             u_try = u + step * delta

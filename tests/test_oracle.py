@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from torusmfg.grid import GridFunction, TorusGrid, integrate_values
 from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
-from torusmfg import model, oracle
+from torusmfg import model, oracle, variational
 from torusmfg.optimizer import SolveOptions, minimize
 from torusmfg.oracle import (
     classical_existence_check,
@@ -14,7 +14,13 @@ from torusmfg.oracle import (
     solve_critical,
     solve_P0,
 )
-from torusmfg.variational import DiscreteObjective, optimal_m
+from torusmfg.variational import (
+    DiscreteObjective,
+    FeasiblePoint,
+    apriori_diagnostics,
+    estimate_Hbar,
+    optimal_m,
+)
 
 QUAD = CouplingG.quadratic()
 
@@ -189,6 +195,46 @@ class TestWarmStartedMassSolve:
         res, calls = _solve_counting_densities(monkeypatch, solve_critical, spec)
         assert calls <= 6
         assert abs(integrate_values(res.m.values, grid.h) - 1.0) <= 1e-12
+
+
+class TestResultAssembly:
+    """The oracle point has u = 0, so the result needs no stencil on u."""
+
+    @pytest.mark.parametrize("solve, dim, alpha, gamma, P", [
+        (solve_P0, 1, 1.5, 2.0, (0.0,)),
+        (solve_P0, 2, 1.5, 3.0, (0.0, 0.0)),
+        (solve_critical, 1, 1.0, 2.0, (-0.7,)),
+        (solve_critical, 1, 1.0, 1.5, (1.3,)),
+        (solve_critical, 2, 1.0, 3.0, (0.3, -1.1)),
+        (solve_critical, 2, 1.0, 2.0, (0.6, 0.0)),
+    ])
+    def test_no_stencil_on_u_and_fields_equal_the_stencil_path(
+            self, monkeypatch, solve, dim, alpha, gamma, P):
+        V_fn = (lambda x: 2.0 * np.cos(2 * np.pi * x)) if dim == 1 else \
+            (lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
+        spec = make_spec(n=16, dim=dim, alpha=alpha, gamma=gamma, P=P, V_fn=V_fn)
+        on_zero = []
+        stencil = variational.central_diff_values
+
+        def counting(v, h, axis):
+            if not np.any(v):
+                on_zero.append(axis)
+            return stencil(v, h, axis)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(variational, "central_diff_values", counting)
+            res = solve(spec)
+        assert on_zero == []
+        # the same evaluations with kin = |P + Du|^gamma from the stencils
+        obj = DiscreteObjective(spec)
+        point = FeasiblePoint(spec.grid.zeros(), res.m)
+        assert np.array_equal(res.u.values, point.u.values)
+        assert res.Hbar_std == estimate_Hbar(point, obj)[1]
+        assert res.diagnostics == apriori_diagnostics(point, obj)
+        if alpha > 1.0:
+            assert res.objective == obj.value(point)
+        else:
+            assert np.isnan(res.objective)
 
 
 def _bisection_root(phi, dphi, lo, hi):

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from torusmfg import transform
-from torusmfg.grid import GridFunction, TorusGrid, integrate_values, periodic_shift, upwind_slopes
+from torusmfg.grid import (
+    GridFunction,
+    TorusGrid,
+    integrate_values,
+    nested_dissection_order,
+    periodic_shift,
+    upwind_slopes,
+)
 from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
 from torusmfg.transform import (
     DualSpec,
+    HJBConvergenceError,
     _hjb_jacobian,
     _hjb_scheme,
-    _neighbour_columns,
+    _nd_stencil,
     pipeline_alpha_lt_1,
     recover_P,
     solve_dual,
@@ -155,29 +164,35 @@ def full_jacobian(u, p, gamma, h, denom, beta):
 
 
 class TestHJBJacobian:
+    """The Jacobian is built in the nested-dissection order of the grid:
+    row and column i belong to node perm[i]."""
+
     n, beta, p = 12, 1e-2, np.array([0.7, -0.4])
 
-    def build(self, gamma, u_scale):
-        base = base_spec(self.n, sine_cosine(), gamma=gamma)
+    def build(self, gamma, u_scale, n=None):
+        n = self.n if n is None else n
+        base = base_spec(n, sine_cosine(), gamma=gamma)
         grid = base.grid
-        x, y = np.meshgrid(*(np.arange(self.n) * grid.h,) * 2, indexing="ij")
+        x, y = np.meshgrid(*(np.arange(n) * grid.h,) * 2, indexing="ij")
         m = GridFunction(grid, 1.0 + 0.5 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
         residual, denom = _hjb_scheme(m, self.p, base, self.beta)
         u = u_scale * np.random.default_rng(3).standard_normal(grid.shape)
         args = (self.p, gamma, grid.h, denom, self.beta)
-        jac = _hjb_jacobian(u, *args, _neighbour_columns(grid.shape))
+        jac = _hjb_jacobian(u, *args, _nd_stencil(grid.shape))
         return u, residual, args, jac
 
     @pytest.mark.parametrize("u_scale", [0.0, 0.01, 0.1])
     @pytest.mark.parametrize("gamma", [2.0, 3.0])
     def test_stores_only_the_active_entries_of_the_full_matrix(self, gamma, u_scale):
         u, _, args, jac = self.build(gamma, u_scale)
+        perm, _ = nested_dissection_order(u.shape)
+        assert jac.has_sorted_indices
         assert np.all(jac.data != 0.0)
         assert np.diff(jac.indptr).max() <= 2 * u.ndim + 1
         ref = full_jacobian(u, *args)
         ref.eliminate_zeros()
         assert jac.nnz == ref.nnz
-        assert np.array_equal(jac.toarray(), ref.toarray())
+        assert np.array_equal(jac.toarray(), ref.toarray()[np.ix_(perm, perm)])
         if u_scale == 0.0:
             # a constant u leaves one upwind slope per axis: 3 entries a row
             assert np.all(np.diff(jac.indptr) == u.ndim + 1)
@@ -185,15 +200,63 @@ class TestHJBJacobian:
     @pytest.mark.parametrize("gamma", [2.0, 3.0])
     def test_product_matches_central_difference_of_the_residual(self, gamma):
         u, residual, _, jac = self.build(gamma, 0.1)
+        perm, _ = nested_dissection_order(u.shape)
         # away from the kinks every upwind slope is either zero for the
         # whole stencil of the difference or bounded away from zero
         fwd = [(periodic_shift(u, 1, k) - u) * self.n for k in range(2)]
         assert min(np.min(np.abs(-self.p[k] - fwd[k])) for k in range(2)) > 1e-2
         v = np.random.default_rng(4).uniform(-1.0, 1.0, u.shape)
         eps = 1e-7
-        fd = (residual(u + eps * v) - residual(u - eps * v)) / (2.0 * eps)
-        jv = (jac @ v.ravel()).reshape(u.shape)
+        fd = ((residual(u + eps * v) - residual(u - eps * v)) / (2.0 * eps)).ravel()[perm]
+        jv = jac @ v.ravel()[perm]
         assert np.allclose(jv, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("n", [12, 33])
+    def test_nested_dissection_step_equals_the_natural_order_step(self, n):
+        # the Newton step as solve_hjb_discounted takes it, scattered back
+        # through perm, against SuperLU's default ordering on C order
+        u, residual, args, jac = self.build(3.0, 0.1, n)
+        perm, inv = nested_dissection_order(u.shape)
+        r = residual(u).ravel()
+        step = spla.spsolve(jac, -r[perm], permc_spec="NATURAL")[inv]
+        ref = full_jacobian(u, *args)
+        ref.eliminate_zeros()
+        expected = spla.spsolve(ref, -r)
+        assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestHJBNewton:
+    def test_pipeline_newton_work_and_hbar_are_pinned(self, monkeypatch):
+        # alpha_lt_1-style problem: 4 + 3 + 3 Newton steps over
+        # beta = 0.1, 0.01, 0.001, and the H-bar of the C-order solves
+        calls = []
+        spsolve = spla.spsolve
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return spsolve(*args, **kwargs)
+
+        monkeypatch.setattr(transform.spla, "spsolve", counting)
+        res = pipeline_alpha_lt_1(DualSpec(base_spec(32, sine_cosine()), (1.0, 0.0)))
+        assert calls == [32 * 32] * 10
+        assert res.Hbar == pytest.approx(-0.4300979012669483, abs=1e-12)
+        assert res.residuals["hjb_max_residual"] <= 1e-10
+
+    def test_non_finite_step_raises_at_once(self, monkeypatch):
+        # spsolve returns NaN for an exactly singular matrix; the step
+        # used to be halved 60 times before a "stalled" error
+        calls = []
+
+        def nan_solve(jac, rhs, **kwargs):
+            calls.append(1)
+            return np.full(rhs.shape, np.nan)
+
+        monkeypatch.setattr(transform.spla, "spsolve", nan_solve)
+        base = base_spec(8, sine_cosine())
+        m = GridFunction(base.grid, np.ones(base.grid.shape))
+        with pytest.raises(HJBConvergenceError, match="not finite"):
+            solve_hjb_discounted(m, (1.0, 0.0), base, 0.1)
+        assert calls == [1]
 
 
 class TestHJBRegressions:
