@@ -49,6 +49,7 @@ from .variational import M_FLOOR, DiscreteObjective
 
 _MASS_CUTOFF = 1e-4   # floor of m in the HJB denominator gamma m^alpha
 _MAX_NEWTON = 200
+_RHO = 0.5             # least contraction per step that keeps the LU factor
 
 
 class HJBConvergenceError(RuntimeError):
@@ -248,27 +249,39 @@ def solve_hjb_discounted(
     """Solve beta u + |P+Du|^gamma/(gamma m^alpha) + V - g(m) = 0.
 
     The upwind scheme is monotone and the residual is componentwise convex
-    in u, so a damped semismooth Newton iteration converges globally; the
-    Jacobian beta I + diag(1/(gamma m^alpha)) dS/du is a strictly
-    diagonally dominant M-matrix.
+    in u, with Jacobian beta I + diag(1/(gamma m^alpha)) dS/du, a strictly
+    diagonally dominant M-matrix.  Full Newton steps therefore converge
+    from any start with no line search (Howard's algorithm): after the
+    first step every iterate is a supersolution, and the iterates fall
+    monotonically to the solution.  The max residual may grow on the way,
+    so it is not used to damp a step.
 
-    Each Newton step is one sparse direct solve (SuperLU).  At most one of
-    the two upwind slopes of an axis is active at most nodes, so the
-    Jacobian stores only its active entries: an explicit zero would still
-    count as structure in the LU fill, and storing both neighbours of every
-    axis about doubles the fill.
+    Each Jacobian is factored once by SuperLU and the factor is kept (a
+    chord step reuses it) while each step cuts the max residual by at least
+    the ratio _RHO.  A step that contracts less drops the factor, and the
+    next step refactors at the current iterate; a chord step that does not
+    lower the residual is also undone.  The solve stops at `tol` only once
+    the factor has been dropped, so chord steps keep polishing below `tol`
+    while they still contract.  The first step of a cold start (`u0` None)
+    is one plain `spsolve` whose factor is not kept: at u = 0 the Jacobian
+    has the upwind pattern of P alone, about half of whose active slopes
+    flip in that step, so a chord step on it would soon raise the residual.
+    A step that is not finite raises `HJBConvergenceError` at once.
 
-    The Jacobian is built in the nested-dissection order of the grid
+    At most one of the two upwind slopes of an axis is active at most
+    nodes, so the Jacobian stores only its active entries: an explicit zero
+    would still count as structure in the LU fill, and storing both
+    neighbours of every axis about doubles the fill.  The Jacobian is built
+    in the nested-dissection order of the grid
     (`grid.nested_dissection_order`, computed once per grid shape), and
     SuperLU takes that order (permc_spec="NATURAL") instead of running a
-    fresh COLAMD analysis on every Newton step.  Pivoting leaves the order
-    alone: the permuted Jacobian is still strictly row diagonally dominant,
-    so in every column of the transpose, which SuperLU factors for CSR
-    input, the diagonal is the largest entry, and elimination keeps it so.
-    The threshold pivoting of `spla.spsolve` therefore already pivots on the
-    diagonal, and `splu` with symmetric-mode options has nothing left to
-    gain: `spsolve` stays the solver, one call per Newton step.  A Newton
-    step that is not finite raises `HJBConvergenceError` at once.
+    fresh COLAMD analysis.  Pivoting leaves the order alone: the permuted
+    Jacobian is still strictly row diagonally dominant, so in every column
+    of its transpose the diagonal is the largest entry, and elimination
+    keeps it so.  SuperLU factors that transpose: its CSC arrays are the
+    CSR arrays of the Jacobian, so `splu` takes them without a copy, and a
+    solve with trans="T" is a solve with the Jacobian, as in `spsolve`
+    with CSR input.
     """
     if beta <= 0:
         raise ValueError("discount rate beta must be positive")
@@ -278,35 +291,43 @@ def solve_hjb_discounted(
     stencil = _nd_stencil(grid.shape)
     perm, inv = nested_dissection_order(grid.shape)
 
-    u = np.zeros(grid.shape) if u0 is None else np.array(u0, dtype=float)
+    cold = u0 is None
+    u = np.zeros(grid.shape) if cold else np.array(u0, dtype=float)
     r = residual(u)
-    best = float(np.max(np.abs(r)))
+    norm = float(np.max(np.abs(r)))
+    lu = None
     for _ in range(_MAX_NEWTON):
-        if best <= tol:
+        if lu is None and norm <= tol:
             break
-        jac = _hjb_jacobian(u, p, spec.gamma, grid.h, denom, beta, stencil)
-        step_nd = spla.spsolve(jac, -r.ravel()[perm], permc_spec="NATURAL")
+        chord = lu is not None
+        rhs = -r.ravel()[perm]
+        if chord:
+            step_nd = lu.solve(rhs, trans="T")
+        else:
+            jac = _hjb_jacobian(u, p, spec.gamma, grid.h, denom, beta, stencil)
+            if cold:
+                step_nd = spla.spsolve(jac, rhs, permc_spec="NATURAL")
+                cold = False
+            else:
+                # the CSR arrays of J are the CSC arrays of J^T
+                lu = spla.splu(jac.T, permc_spec="NATURAL")
+                step_nd = lu.solve(rhs, trans="T")
         delta = step_nd[inv].reshape(grid.shape)
         if not np.all(np.isfinite(delta)):
             raise HJBConvergenceError(
-                f"Newton step is not finite at max residual {best:.3e}"
+                f"Newton step is not finite at max residual {norm:.3e}"
             )
-        step = 1.0
-        for _ in range(60):
-            u_try = u + step * delta
-            r_try = residual(u_try)
-            norm_try = float(np.max(np.abs(r_try)))
-            if norm_try < best:
-                u, r, best = u_try, r_try, norm_try
-                break
-            step *= 0.5
-        else:
-            raise HJBConvergenceError(
-                f"damped Newton stalled at max residual {best:.3e}"
-            )
-    if best > tol:
+        u_try = u + delta
+        r_try = residual(u_try)
+        norm_try = float(np.max(np.abs(r_try)))
+        if norm_try > _RHO * norm:
+            lu = None
+            if chord and norm_try >= norm:
+                continue
+        u, r, norm = u_try, r_try, norm_try
+    if norm > tol:
         raise HJBConvergenceError(
-            f"discounted HJB did not reach tolerance: max residual {best:.3e}"
+            f"discounted HJB did not reach tolerance: max residual {norm:.3e}"
         )
     return GridFunction(grid, u)
 

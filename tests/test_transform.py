@@ -19,6 +19,7 @@ from torusmfg.transform import (
     _hjb_jacobian,
     _hjb_scheme,
     _nd_stencil,
+    hjb_residual,
     pipeline_alpha_lt_1,
     recover_P,
     solve_dual,
@@ -225,20 +226,78 @@ class TestHJBJacobian:
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+class CountingFactor:
+    """A SuperLU factor whose solves are counted; `fill` replaces them."""
+
+    def __init__(self, lu, solves, fill=None):
+        self.lu, self.solves, self.fill = lu, solves, fill
+
+    def solve(self, rhs, trans="N"):
+        self.solves.append(trans)
+        if self.fill is not None:
+            return np.full(rhs.shape, self.fill)
+        return self.lu.solve(rhs, trans=trans)
+
+
+def count_factor_work(monkeypatch, fill=None):
+    """Wrap spsolve and splu in transform: the sizes of the spsolve and splu
+    calls, and the trans flag of every factor solve."""
+    work = {"spsolve": [], "splu": [], "solve": []}
+    spsolve, splu = spla.spsolve, spla.splu
+
+    def counting_spsolve(*args, **kwargs):
+        work["spsolve"].append(args[0].shape[0])
+        return spsolve(*args, **kwargs)
+
+    def counting_splu(*args, **kwargs):
+        work["splu"].append(args[0].shape[0])
+        return CountingFactor(splu(*args, **kwargs), work["solve"], fill)
+
+    monkeypatch.setattr(transform.spla, "spsolve", counting_spsolve)
+    monkeypatch.setattr(transform.spla, "splu", counting_splu)
+    return work
+
+
+def hjb_problem(dim, n, gamma):
+    """sin V (sin cos in 2D), m proportional to 1 + 0.5 cos 2 pi (x + 0.3),
+    unit quadratic G, alpha 0.5: the input of the cold-start stalls."""
+    grid = TorusGrid(dim, n)
+    if dim == 1:
+        V = PotentialFamily("cosine-shift", {"amplitude": 1.0, "shift": 0.25})
+    else:
+        V = sine_cosine()
+    spec = ProblemSpec(dim, n, 0.5, gamma, (0.0,) * dim, V.sample(grid), QUAD)
+    mv = 1.0 + 0.5 * np.cos(2 * np.pi * (grid.coords()[0] + 0.3))
+    return spec, GridFunction(grid, mv / mv.mean())
+
+
+def plain_newton(m, P, spec, beta, u0):
+    """Full Newton steps in C order, a fresh `spsolve` every step, until the
+    residual is under 1e-10 and stops falling."""
+    p = np.asarray(P, dtype=float)
+    residual, denom = _hjb_scheme(m, p, spec, beta)
+    u = np.array(u0, dtype=float)
+    r = residual(u)
+    for _ in range(200):
+        jac = full_jacobian(u, p, spec.gamma, m.grid.h, denom, beta)
+        u_next = u + spla.spsolve(jac.tocsc(), -r.ravel()).reshape(u.shape)
+        r_next = residual(u_next)
+        if np.max(np.abs(r)) <= 1e-10 and np.max(np.abs(r_next)) >= np.max(np.abs(r)):
+            return u
+        u, r = u_next, r_next
+    raise AssertionError("plain Newton did not settle")
+
+
 class TestHJBNewton:
     def test_pipeline_newton_work_and_hbar_are_pinned(self, monkeypatch):
-        # alpha_lt_1-style problem: 4 + 3 + 3 Newton steps over
-        # beta = 0.1, 0.01, 0.001, and the H-bar of the C-order solves
-        calls = []
-        spsolve = spla.spsolve
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape[0])
-            return spsolve(*args, **kwargs)
-
-        monkeypatch.setattr(transform.spla, "spsolve", counting)
+        # alpha_lt_1-style problem over beta = 0.1, 0.01, 0.001: one cold
+        # spsolve, then one kept factor per discount rate, and the H-bar of
+        # the parent's 10 C-order Newton solves
+        work = count_factor_work(monkeypatch)
         res = pipeline_alpha_lt_1(DualSpec(base_spec(32, sine_cosine()), (1.0, 0.0)))
-        assert calls == [32 * 32] * 10
+        assert work["spsolve"] == [32 * 32]
+        assert work["splu"] == [32 * 32] * 3
+        assert work["solve"] == ["T"] * 34
         assert res.Hbar == pytest.approx(-0.4300979012669483, abs=1e-12)
         assert res.residuals["hjb_max_residual"] <= 1e-10
 
@@ -258,6 +317,30 @@ class TestHJBNewton:
             solve_hjb_discounted(m, (1.0, 0.0), base, 0.1)
         assert calls == [1]
 
+    def test_non_finite_factor_solve_raises_at_once(self, monkeypatch):
+        # the warm start factors its first Jacobian and keeps the factor
+        work = count_factor_work(monkeypatch, fill=np.nan)
+        base = base_spec(8, sine_cosine())
+        m = GridFunction(base.grid, np.ones(base.grid.shape))
+        with pytest.raises(HJBConvergenceError, match="not finite"):
+            solve_hjb_discounted(m, (1.0, 0.0), base, 0.1, u0=base.V.values)
+        assert work == {"spsolve": [], "splu": [64], "solve": ["T"]}
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("beta", [0.1, 1e-3])
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 12), (2, 24), (2, 33)])
+    def test_kept_factor_solves_agree_with_plain_newton(self, dim, n, gamma, beta, warm):
+        spec, m = hjb_problem(dim, n, gamma)
+        P = (0.5,) if dim == 1 else (0.7, -0.4)
+        u0 = spec.V.values - 0.45 / beta if warm else None
+        u = solve_hjb_discounted(m, P, spec, beta, u0=u0).values
+        ref = plain_newton(m, P, spec, beta, np.zeros(spec.grid.shape) if u0 is None else u0)
+        h = spec.grid.h
+        assert -beta * integrate_values(u, h) == pytest.approx(
+            -beta * integrate_values(ref, h), abs=1e-12)
+        assert np.max(np.abs(u - ref)) <= 1e-10
+
 
 class TestHJBRegressions:
     def test_inputs_that_used_to_stall_meet_the_tolerance(self):
@@ -269,3 +352,19 @@ class TestHJBRegressions:
             assert res.residuals["hjb_max_residual"] <= 1e-10
             hbar.append(res.Hbar)
         assert hbar[0] == pytest.approx(hbar[1], abs=1e-7)
+
+    # Backtracking on the max residual stalled cold starts at these inputs
+    # until the 200-step cap (HJBConvergenceError); full Newton steps on
+    # fresh Jacobians converge.
+    @pytest.mark.parametrize("P", [0.5, -0.9])
+    @pytest.mark.parametrize("beta", [0.1, 1e-3])
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    def test_1d_cold_starts_that_used_to_stall(self, gamma, beta, P):
+        spec, m = hjb_problem(1, 256, gamma)
+        u = solve_hjb_discounted(m, (P,), spec, beta)
+        assert hjb_residual(u, m, (P,), spec, beta) <= 1e-10
+
+    def test_2d_cold_start_that_used_to_stall(self):
+        spec, m = hjb_problem(2, 96, 2.0)
+        u = solve_hjb_discounted(m, (0.5, 0.5), spec, 0.1)
+        assert hjb_residual(u, m, (0.5, 0.5), spec, 0.1) <= 1e-10
