@@ -238,6 +238,21 @@ def _hjb_jacobian(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
     return sps.csr_matrix((vals[stored], cols[stored], indptr), shape=(size, size))
 
 
+def _residual_floor(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
+                    denom: np.ndarray) -> float:
+    """Rounding floor of the max `_hjb_scheme` residual at u.
+
+    u is known to about eps |u|_inf, so an upwind slope s is known to about
+    eps |u|_inf / h, and the residual moves by that times the slope
+    coefficient gamma s^(gamma-1) / denom.  The floor takes the largest
+    coefficient over the active slopes.
+    """
+    a, b = upwind_slopes(u, p, h)
+    s = functools.reduce(np.maximum, [*a, *b])
+    coef = float(np.max(gamma * s ** (gamma - 1.0) / denom))
+    return float(np.finfo(float).eps) * float(np.max(np.abs(u))) / h * coef
+
+
 def solve_hjb_discounted(
     m: GridFunction,
     P,
@@ -262,7 +277,10 @@ def solve_hjb_discounted(
     next step refactors at the current iterate; a chord step that does not
     lower the residual is also undone.  The solve stops at `tol` only once
     the factor has been dropped, so chord steps keep polishing below `tol`
-    while they still contract.  The first step of a cold start (`u0` None)
+    while they still contract.  Where |u| is large on a fine grid the
+    residual cannot get below `tol`, so the stop, and the error raised at
+    the _MAX_NEWTON cap, allow `tol` plus the rounding floor of
+    `_residual_floor`.  The first step of a cold start (`u0` None)
     is one plain `spsolve` whose factor is not kept: at u = 0 the Jacobian
     has the upwind pattern of P alone, about half of whose active slopes
     flip in that step, so a chord step on it would soon raise the residual.
@@ -297,7 +315,10 @@ def solve_hjb_discounted(
     norm = float(np.max(np.abs(r)))
     lu = None
     for _ in range(_MAX_NEWTON):
-        if lu is None and norm <= tol:
+        # the floor costs a pass of upwind slopes: only where tol is not met,
+        # here and below
+        if lu is None and (norm <= tol or norm <= tol + _residual_floor(
+                u, p, spec.gamma, grid.h, denom)):
             break
         chord = lu is not None
         rhs = -r.ravel()[perm]
@@ -325,7 +346,7 @@ def solve_hjb_discounted(
             if chord and norm_try >= norm:
                 continue
         u, r, norm = u_try, r_try, norm_try
-    if norm > tol:
+    if norm > tol and norm > tol + _residual_floor(u, p, spec.gamma, grid.h, denom):
         raise HJBConvergenceError(
             f"discounted HJB did not reach tolerance: max residual {norm:.3e}"
         )

@@ -18,6 +18,7 @@ m at the same value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +178,11 @@ class DiscreteObjective:
 # ---------------------------------------------------------------------------
 # exact m-block
 
+# step cap of the joint Newton iteration in optimal_m; the bracketed solve
+# takes over past it
+_JOINT_STEPS = 40
+
+
 def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
               m0: np.ndarray) -> tuple[float, np.ndarray]:
     """(Hbar, m): the minimiser of J_h(u, .) over unit-mass m >= 0.
@@ -185,13 +191,83 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
     Hbar of the mass constraint makes each node stationary:
     g(m) - V - kin/(gamma m^alpha) = -Hbar.  Where kin > 0 the node solves
     this multiplied by m^alpha, psi(m) = m^alpha (g(m) + Hbar - V) - kin/gamma
-    = 0, whose one root is positive, with dm/dHbar = -m^alpha / psi'(m).  At
-    alpha = 1 this is `oracle.solve_critical`'s node equation.  Where kin = 0
-    it takes m = (G*)'(V - Hbar), vacuum allowed, with dm/dHbar = -1/g'(m)
-    where m > 0 and 0 elsewhere, as `oracle.solve_P0` does.  `mass_root`
-    finds Hbar from the guess hbar0; each nodewise solve starts from the
-    previous one's m, the first from m0.
+    = 0, whose one root is positive.  At alpha = 1 this is
+    `oracle.solve_critical`'s node equation.  Where kin = 0 it takes
+    m = (G*)'(V - Hbar), vacuum allowed, with dm/dHbar = -1/g'(m) where
+    m > 0 and 0 elsewhere, as `oracle.solve_P0` does.
+
+    One Newton iteration moves every kin > 0 node and Hbar together, from
+    (hbar0, m0).  Linearised, a node steps by
+    dm = -(psi + m^alpha dHbar) / psi'(m), and the mass constraint is the
+    border row of this diagonal system: its Schur complement gives
+    dHbar = -e / slope, with the mass excess e = h^d sum(m - psi/psi') - 1
+    and slope h^d sum(-m^alpha/psi') over those nodes, the kin = 0 nodes
+    adding their m to e and their dm/dHbar to the slope.  A node step that
+    would leave m > 0 moves m to a quarter of itself.  The iteration stops
+    once every node's step is at most 1e-9 m and |dHbar| at most
+    1e-14 + 8.9e-16 |Hbar|, the stop rules of `monotone_root` and
+    `mass_root`, and returns after taking that last step.
+
+    Where psi' <= 0 at some node, the slope is not negative, a step is not
+    finite, or _JOINT_STEPS steps pass without a stop, the bracketed nested
+    solve `_bracketed_m` takes over from the current (Hbar, m).
     """
+    a, V = spec.alpha, spec.V.values
+    coupling = spec.coupling
+    cell = spec.grid.h**spec.dim
+    pos = kin > 0.0
+    vac = ~pos
+    c, Vp, Vv = kin[pos] / spec.gamma, V[pos], V[vac]
+    m = np.array(m0, dtype=float)
+    hbar, x, mv = float(hbar0), m[pos], m[vac]
+    # overflow and 0 * inf show as non-finite steps, which hand over
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_JOINT_STEPS):
+            mv, dmv = _vacuum_density(coupling, Vv - hbar, mv)
+            xa1 = x ** (a - 1.0)
+            xa = x * xa1
+            s = coupling.g(x) + hbar - Vp
+            dpsi = a * xa1 * s + xa * coupling.g_prime(x, z_floor=1e-300)
+            if not np.all(dpsi > 0.0):
+                break
+            r, q = (xa * s - c) / dpsi, xa / dpsi
+            e = cell * (float(np.sum(x - r)) + float(np.sum(mv))) - 1.0
+            slope = cell * (float(np.sum(dmv)) - float(np.sum(q)))
+            if not slope < 0.0:
+                break
+            dh = -e / slope
+            dx = -(r + q * dh)
+            if not (math.isfinite(dh) and np.all(np.isfinite(dx))):
+                break
+            done = abs(dh) <= 1e-14 + 8.9e-16 * abs(hbar) \
+                and bool(np.all(np.abs(dx) <= 1e-9 * x))
+            x = np.where(x + dx > 0.0, x + dx, 0.25 * x)
+            hbar += dh
+            if done:
+                m[pos] = x
+                if mv.size:
+                    m[vac] = coupling.conjugate_deriv(Vv - hbar, mv)
+                return hbar, m
+    m[pos], m[vac] = x, mv
+    return _bracketed_m(spec, kin, hbar, m)
+
+
+def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
+    """(m, dm/dHbar) of the kin = 0 nodes at V - Hbar = q."""
+    if not q.size:
+        return q, q
+    m = coupling.conjugate_deriv(q, m0)
+    dm = np.divide(-1.0, coupling.g_prime(m, z_floor=1e-300),
+                   out=np.zeros_like(m), where=m > 0.0)
+    return m, dm
+
+
+def _bracketed_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
+                 m0: np.ndarray) -> tuple[float, np.ndarray]:
+    """`optimal_m` by nested solves: `mass_root` on Hbar from hbar0 around
+    `monotone_root` on the kin > 0 nodes, each nodewise solve warm-started
+    at the previous one's m, the first at m0; dm/dHbar = -m^alpha / psi'(m)
+    there.  The safeguard of `optimal_m`'s joint Newton iteration."""
     a, V = spec.alpha, spec.V.values
     g, g_prime = spec.coupling.g, spec.coupling.g_prime
     pos = kin > 0.0
@@ -208,12 +284,10 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
 
         mp = monotone_root(lambda x: x**a * (g(x) + hbar - Vp) - c, dpsi,
                            0.0, m_last[pos])
-        mv = spec.coupling.conjugate_deriv(Vv - hbar, m_last[vac])
-        m, dm = np.empty_like(m_last), np.zeros_like(m_last)
+        mv, dmv = _vacuum_density(spec.coupling, Vv - hbar, m_last[vac])
+        m, dm = np.empty_like(m_last), np.empty_like(m_last)
         m[pos], m[vac] = mp, mv
-        dm[pos] = -(mp**a) / dpsi(mp)
-        dm[vac] = np.divide(-1.0, g_prime(mv, z_floor=1e-300),
-                            out=np.zeros_like(mv), where=mv > 0.0)
+        dm[pos], dm[vac] = -(mp**a) / dpsi(mp), dmv
         m_last = m
         return m, dm
 

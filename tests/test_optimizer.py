@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from torusmfg import grid as grid_module
+from torusmfg import optimizer as optimizer_module
+from torusmfg import variational
 from torusmfg.grid import GridFunction, TorusGrid, central_diff_values
 from torusmfg.model import CouplingG, ProblemSpec
 from torusmfg.optimizer import SolveOptions, minimize, random_feasible_point
@@ -187,6 +189,45 @@ class TestDescentMechanics:
         assert np.array_equal(r1.m.values, r2.m.values)
         assert np.array_equal(r1.u.values, r2.u.values)
         assert r1.objective == r2.objective
+
+
+class TestMBlockWork:
+    def test_joint_newton_steps_per_m_block(self, monkeypatch):
+        # a var1d-like solve: each joint Newton step of the m-block makes one
+        # g' call, so g' calls inside optimal_m count its steps.  The nested
+        # solve made about 14 g' calls per block here (3 Newton steps on
+        # H-bar, each a full nodewise solve and a psi' at its root)
+        blocks, inside, g_prime_calls, handovers = [], [False], [], []
+        optimal, g_prime = optimizer_module.optimal_m, CouplingG.g_prime
+        bracketed = variational._bracketed_m
+
+        def counted_optimal_m(*args):
+            blocks.append(1)
+            inside[0] = True
+            try:
+                return optimal(*args)
+            finally:
+                inside[0] = False
+
+        def counted_g_prime(self, *args, **kwargs):
+            if inside[0]:
+                g_prime_calls.append(1)
+            return g_prime(self, *args, **kwargs)
+
+        def counted_bracketed(*args):
+            handovers.append(1)
+            return bracketed(*args)
+
+        monkeypatch.setattr(optimizer_module, "optimal_m", counted_optimal_m)
+        monkeypatch.setattr(CouplingG, "g_prime", counted_g_prime)
+        monkeypatch.setattr(variational, "_bracketed_m", counted_bracketed)
+        spec = make_spec(n=96, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * (x - 0.3)))
+        res = minimize(DiscreteObjective(spec), "uniform", SolveOptions(step0=96.0))
+        assert res.stop_reason == "stationary"
+        assert handovers == []
+        assert len(g_prime_calls) <= 5 * len(blocks)
+        assert len(g_prime_calls) <= 50
+        assert abs(res.Hbar - HBAR_COSINE_P1) <= 2e-6
 
 
 class TestIterationCounts:

@@ -292,12 +292,13 @@ class TestHJBNewton:
     def test_pipeline_newton_work_and_hbar_are_pinned(self, monkeypatch):
         # alpha_lt_1-style problem over beta = 0.1, 0.01, 0.001: one cold
         # spsolve, then one kept factor per discount rate, and the H-bar of
-        # the parent's 10 C-order Newton solves
+        # the parent's 10 C-order Newton solves.  The factor-solve count
+        # follows the dual m to rounding: 34 with the nested m-block
         work = count_factor_work(monkeypatch)
         res = pipeline_alpha_lt_1(DualSpec(base_spec(32, sine_cosine()), (1.0, 0.0)))
         assert work["spsolve"] == [32 * 32]
         assert work["splu"] == [32 * 32] * 3
-        assert work["solve"] == ["T"] * 34
+        assert work["solve"] == ["T"] * 33
         assert res.Hbar == pytest.approx(-0.4300979012669483, abs=1e-12)
         assert res.residuals["hjb_max_residual"] <= 1e-10
 
@@ -363,6 +364,17 @@ class TestHJBRegressions:
         spec, m = hjb_problem(1, 256, gamma)
         u = solve_hjb_discounted(m, (P,), spec, beta)
         assert hjb_residual(u, m, (P,), spec, beta) <= 1e-10
+
+    # |u| is about 480 at beta = 1e-3, so on n = 512 the residual cannot
+    # get under about 1e-10: rounding of u moves the gamma = 3 slopes by
+    # eps |u| / h.  The solve stopped at 1.068e-10 (P 0.5) and 1.013e-10
+    # (P -0.9) and raised HJBConvergenceError after 200 steps; it now stops
+    # at tol plus that rounding estimate, 2.2e-10 here
+    @pytest.mark.parametrize("P", [0.5, -0.9])
+    def test_1d_fine_grid_stops_at_the_rounding_floor(self, P):
+        spec, m = hjb_problem(1, 512, 3.0)
+        u = solve_hjb_discounted(m, (P,), spec, 1e-3)
+        assert hjb_residual(u, m, (P,), spec, 1e-3) <= 1.5e-10
 
     def test_2d_cold_start_that_used_to_stall(self):
         spec, m = hjb_problem(2, 96, 2.0)
