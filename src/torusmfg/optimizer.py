@@ -36,6 +36,7 @@ from .variational import (
     DiscreteObjective,
     FeasiblePoint,
     apriori_diagnostics,
+    cold_hbar,
     estimate_Hbar,
     optimal_m,
     project_feasible,
@@ -155,10 +156,7 @@ def minimize(
         raise ValueError("u non-finite at the initial point (invalid init)")
 
     kin = obj.kinetic_density(u)
-    # m = 1 everywhere at this Hbar when V and kin are constant
-    hbar0 = float(np.mean(sp.V.values)) - float(sp.coupling.g(1.0)) \
-        + float(np.mean(kin)) / sp.gamma
-    hbar, m = optimal_m(sp, kin, hbar0, m)
+    hbar, m = optimal_m(sp, kin, cold_hbar(sp, kin), m)
     J = obj.value_arrays(u, m, kin)
     gu = obj.gradient_u_arrays(u, m)
 

@@ -50,6 +50,8 @@ from .variational import M_FLOOR, DiscreteObjective
 _MASS_CUTOFF = 1e-4   # floor of m in the HJB denominator gamma m^alpha
 _MAX_NEWTON = 200
 _RHO = 0.5             # least contraction per step that keeps the LU factor
+_HJB_TOL = 1e-10       # max residual at which a discounted HJB solve stops
+_BETAS = (1e-1, 1e-2, 1e-3)  # vanishing discount rates; Hbar is read at the last
 
 
 class HJBConvergenceError(RuntimeError):
@@ -258,7 +260,6 @@ def solve_hjb_discounted(
     P,
     spec: ProblemSpec,
     beta: float,
-    tol: float = 1e-10,
     u0: np.ndarray | None = None,
 ) -> GridFunction:
     """Solve beta u + |P+Du|^gamma/(gamma m^alpha) + V - g(m) = 0.
@@ -275,11 +276,11 @@ def solve_hjb_discounted(
     chord step reuses it) while each step cuts the max residual by at least
     the ratio _RHO.  A step that contracts less drops the factor, and the
     next step refactors at the current iterate; a chord step that does not
-    lower the residual is also undone.  The solve stops at `tol` only once
-    the factor has been dropped, so chord steps keep polishing below `tol`
-    while they still contract.  Where |u| is large on a fine grid the
-    residual cannot get below `tol`, so the stop, and the error raised at
-    the _MAX_NEWTON cap, allow `tol` plus the rounding floor of
+    lower the residual is also undone.  The solve stops at _HJB_TOL only
+    once the factor has been dropped, so chord steps keep polishing below
+    it while they still contract.  Where |u| is large on a fine grid the
+    residual cannot get below _HJB_TOL, so the stop, and the error raised at
+    the _MAX_NEWTON cap, allow _HJB_TOL plus the rounding floor of
     `_residual_floor`.  The first step of a cold start (`u0` None)
     is one plain `spsolve` whose factor is not kept: at u = 0 the Jacobian
     has the upwind pattern of P alone, about half of whose active slopes
@@ -315,9 +316,9 @@ def solve_hjb_discounted(
     norm = float(np.max(np.abs(r)))
     lu = None
     for _ in range(_MAX_NEWTON):
-        # the floor costs a pass of upwind slopes: only where tol is not met,
-        # here and below
-        if lu is None and (norm <= tol or norm <= tol + _residual_floor(
+        # the floor costs a pass of upwind slopes: only where _HJB_TOL is not
+        # met, here and below
+        if lu is None and (norm <= _HJB_TOL or norm <= _HJB_TOL + _residual_floor(
                 u, p, spec.gamma, grid.h, denom)):
             break
         chord = lu is not None
@@ -346,7 +347,8 @@ def solve_hjb_discounted(
             if chord and norm_try >= norm:
                 continue
         u, r, norm = u_try, r_try, norm_try
-    if norm > tol and norm > tol + _residual_floor(u, p, spec.gamma, grid.h, denom):
+    if norm > _HJB_TOL and norm > _HJB_TOL + _residual_floor(
+            u, p, spec.gamma, grid.h, denom):
         raise HJBConvergenceError(
             f"discounted HJB did not reach tolerance: max residual {norm:.3e}"
         )
@@ -378,22 +380,13 @@ class TransformResult:
 
 def pipeline_alpha_lt_1(
     dual: DualSpec,
-    beta_schedule=(1e-1, 1e-2, 1e-3),
     opts: SolveOptions | None = None,
-    hjb_tol: float = 1e-10,
 ) -> TransformResult:
     """Exponent transform, dual solve, drift recovery, vanishing discount.
 
-    `beta_schedule` is a non-empty, strictly decreasing sequence of finite
-    positive discount rates; H-bar is read off at its last entry.
+    The discount rates are _BETAS, and H-bar is read off at the last one.
+    `opts` goes to the dual solve.
     """
-    betas = [float(b) for b in beta_schedule]
-    if not (betas and all(0.0 < b < np.inf for b in betas)
-            and all(nxt < prev for prev, nxt in zip(betas, betas[1:]))):
-        raise ValueError(
-            "beta_schedule must be non-empty, positive and strictly decreasing,"
-            f" got {tuple(beta_schedule)}"
-        )
     base = dual.base
     res = solve_dual(dual, opts)
     psi, m = res.u, res.m
@@ -402,14 +395,14 @@ def pipeline_alpha_lt_1(
     h = base.grid.h
     estimates = []
     u_beta = None
-    for beta in betas:
+    for beta in _BETAS:
         warm = None
         if u_beta is not None:
             # -beta u^beta tends to Hbar, so only the mean of u scales like
             # 1/beta; the oscillating part converges and is carried as is
             mean = float(u_beta.values.mean())
             warm = u_beta.values + mean * (last_beta / beta - 1.0)
-        u_beta = solve_hjb_discounted(m, P, base, beta, tol=hjb_tol, u0=warm)
+        u_beta = solve_hjb_discounted(m, P, base, beta, u0=warm)
         last_beta = beta
         est = -beta * integrate_values(u_beta.values, h)
         estimates.append(

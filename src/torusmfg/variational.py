@@ -178,9 +178,16 @@ class DiscreteObjective:
 # ---------------------------------------------------------------------------
 # exact m-block
 
-# step cap of the joint Newton iteration in optimal_m; the bracketed solve
+# step cap of the joint Newton iteration in optimal_m; the nested solve
 # takes over past it
 _JOINT_STEPS = 40
+
+
+def cold_hbar(spec: ProblemSpec, kin: np.ndarray) -> float:
+    """The Hbar at which m = 1 solves every node when V and kin are
+    constant: the first guess of an m-block started at m = 1."""
+    return float(np.mean(spec.V.values)) - float(spec.coupling.g(1.0)) \
+        + float(np.mean(kin)) / spec.gamma
 
 
 def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
@@ -191,10 +198,10 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
     Hbar of the mass constraint makes each node stationary:
     g(m) - V - kin/(gamma m^alpha) = -Hbar.  Where kin > 0 the node solves
     this multiplied by m^alpha, psi(m) = m^alpha (g(m) + Hbar - V) - kin/gamma
-    = 0, whose one root is positive.  At alpha = 1 this is
-    `oracle.solve_critical`'s node equation.  Where kin = 0 it takes
+    = 0, whose one root is positive.  Where kin = 0 it takes
     m = (G*)'(V - Hbar), vacuum allowed, with dm/dHbar = -1/g'(m) where
-    m > 0 and 0 elsewhere, as `oracle.solve_P0` does.
+    m > 0 and 0 elsewhere.  The oracles solve these equations at u = 0
+    with `nested_m`.
 
     One Newton iteration moves every kin > 0 node and Hbar together, from
     (hbar0, m0).  Linearised, a node steps by
@@ -209,8 +216,8 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
     `mass_root`, and returns after taking that last step.
 
     Where psi' <= 0 at some node, the slope is not negative, a step is not
-    finite, or _JOINT_STEPS steps pass without a stop, the bracketed nested
-    solve `_bracketed_m` takes over from the current (Hbar, m).
+    finite, or _JOINT_STEPS steps pass without a stop, the nested solve
+    `nested_m` takes over from the current (Hbar, m).
     """
     a, V = spec.alpha, spec.V.values
     coupling = spec.coupling
@@ -249,7 +256,7 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
                     m[vac] = coupling.conjugate_deriv(Vv - hbar, mv)
                 return hbar, m
     m[pos], m[vac] = x, mv
-    return _bracketed_m(spec, kin, hbar, m)
+    return nested_m(spec, kin, hbar, m)
 
 
 def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
@@ -262,36 +269,78 @@ def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
     return m, dm
 
 
-def _bracketed_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
-                 m0: np.ndarray) -> tuple[float, np.ndarray]:
+def nested_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
+             m0: np.ndarray) -> tuple[float, np.ndarray]:
     """`optimal_m` by nested solves: `mass_root` on Hbar from hbar0 around
-    `monotone_root` on the kin > 0 nodes, each nodewise solve warm-started
-    at the previous one's m, the first at m0; dm/dHbar = -m^alpha / psi'(m)
-    there.  The safeguard of `optimal_m`'s joint Newton iteration."""
-    a, V = spec.alpha, spec.V.values
-    g, g_prime = spec.coupling.g, spec.coupling.g_prime
-    pos = kin > 0.0
-    vac = ~pos
-    c, Vp, Vv = kin[pos] / spec.gamma, V[pos], V[vac]
-    m_last = np.asarray(m0, dtype=float)
+    nodewise roots.  It is the oracles' m-block at u = 0 and the safeguard
+    of `optimal_m`'s joint Newton iteration.
 
-    def density(hbar):
+    The kin > 0 nodes run `monotone_root` on psi, each solve warm-started at
+    the previous one's m, the first at m0; dm/dHbar = -m^alpha / psi'(m)
+    there.  At alpha = 1 with the one-term coupling (c, 2), psi is the
+    quadratic kappa m^2 + b m - k with kappa = 2c, b = Hbar - V and
+    k = kin/gamma.  With s = sqrt(b^2 + 4 kappa k) its root is
+    m = 2k / (b + s) where b >= 0 and m = (s - b) / (2 kappa) where b < 0,
+    neither of which cancels, and dm/dHbar = -m / s.  The kin = 0 nodes
+    take `_vacuum_density`, warm-started the same way.  Where kin is
+    positive at every node or at none, the density works on whole arrays,
+    with no masked copies.
+    """
+    V, m0 = spec.V.values, np.asarray(m0, dtype=float)
+    pos = kin > 0.0
+    if pos.all() or not pos.any():
+        density = _node_density(spec, kin / spec.gamma, V, m0)
+    else:
+        parts = [(idx, _node_density(spec, kin[idx] / spec.gamma, V[idx], m0[idx]))
+                 for idx in (pos, ~pos)]
+
+        def density(hbar):
+            m, dm = np.empty_like(m0), np.empty_like(m0)
+            for idx, part in parts:
+                m[idx], dm[idx] = part(hbar)
+            return m, dm
+
+    return mass_root(density, spec.grid.h**spec.dim, hbar0)
+
+
+def _node_density(spec: ProblemSpec, k: np.ndarray, V: np.ndarray, m0: np.ndarray):
+    """density(Hbar) -> (m, dm/dHbar) of nodes with kin = gamma k, either
+    positive at every one of them or 0 at every one."""
+    a, coupling = spec.alpha, spec.coupling
+    g, g_prime, terms = coupling.g, coupling.g_prime, coupling.terms
+    m_last = m0
+    if not k.any():
+        def vacuum(hbar):
+            nonlocal m_last
+            m_last, dm = _vacuum_density(coupling, V - hbar, m_last)
+            return m_last, dm
+
+        return vacuum
+    if a == 1.0 and len(terms) == 1 and terms[0][1] == 2.0:
+        kappa = 2.0 * terms[0][0]
+        r = 2.0 * np.sqrt(kappa * k)  # s = hypot(b, r) cannot overflow
+
+        def quadratic(hbar):
+            b = hbar - V
+            s = np.hypot(b, r)
+            big = s + np.abs(b)  # b + s where b >= 0, s - b where b < 0
+            m = np.where(b >= 0.0, 2.0 * k / big, big / (2.0 * kappa))
+            return m, -m / s
+
+        return quadratic
+
+    def roots(hbar):
         nonlocal m_last
 
         def dpsi(x):
-            return a * x ** (a - 1.0) * (g(x) + hbar - Vp) \
+            return a * x ** (a - 1.0) * (g(x) + hbar - V) \
                 + x**a * g_prime(x, z_floor=1e-300)
 
-        mp = monotone_root(lambda x: x**a * (g(x) + hbar - Vp) - c, dpsi,
-                           0.0, m_last[pos])
-        mv, dmv = _vacuum_density(spec.coupling, Vv - hbar, m_last[vac])
-        m, dm = np.empty_like(m_last), np.empty_like(m_last)
-        m[pos], m[vac] = mp, mv
-        dm[pos], dm[vac] = -(mp**a) / dpsi(mp), dmv
-        m_last = m
-        return m, dm
+        m_last = monotone_root(lambda x: x**a * (g(x) + hbar - V) - k, dpsi,
+                               0.0, m_last)
+        return m_last, -(m_last**a) / dpsi(m_last)
 
-    return mass_root(density, spec.grid.h**spec.dim, hbar0)
+    return roots
 
 
 # ---------------------------------------------------------------------------

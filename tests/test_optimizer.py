@@ -199,7 +199,7 @@ class TestMBlockWork:
         # H-bar, each a full nodewise solve and a psi' at its root)
         blocks, inside, g_prime_calls, handovers = [], [False], [], []
         optimal, g_prime = optimizer_module.optimal_m, CouplingG.g_prime
-        bracketed = variational._bracketed_m
+        nested = variational.nested_m
 
         def counted_optimal_m(*args):
             blocks.append(1)
@@ -214,13 +214,13 @@ class TestMBlockWork:
                 g_prime_calls.append(1)
             return g_prime(self, *args, **kwargs)
 
-        def counted_bracketed(*args):
+        def counted_nested(*args):
             handovers.append(1)
-            return bracketed(*args)
+            return nested(*args)
 
         monkeypatch.setattr(optimizer_module, "optimal_m", counted_optimal_m)
         monkeypatch.setattr(CouplingG, "g_prime", counted_g_prime)
-        monkeypatch.setattr(variational, "_bracketed_m", counted_bracketed)
+        monkeypatch.setattr(variational, "nested_m", counted_nested)
         spec = make_spec(n=96, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * (x - 0.3)))
         res = minimize(DiscreteObjective(spec), "uniform", SolveOptions(step0=96.0))
         assert res.stop_reason == "stationary"

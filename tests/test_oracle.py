@@ -18,6 +18,7 @@ from torusmfg.variational import (
     DiscreteObjective,
     FeasiblePoint,
     apriori_diagnostics,
+    cold_hbar,
     estimate_Hbar,
     optimal_m,
 )
@@ -152,7 +153,7 @@ class TestSolveCritical:
 def _solve_counting_densities(monkeypatch, solve, spec):
     """solve(spec) and the number of density evaluations its mass solve made."""
     calls = 0
-    mass_root = oracle.mass_root
+    mass_root = variational.mass_root
 
     def counting_mass_root(density, *args):
         def counted(hbar):
@@ -163,7 +164,7 @@ def _solve_counting_densities(monkeypatch, solve, spec):
         return mass_root(counted, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "mass_root", counting_mass_root)
+        patch.setattr(variational, "mass_root", counting_mass_root)
         res = solve(spec)
     return res, calls
 
@@ -183,7 +184,7 @@ class TestWarmStartedMassSolve:
                              V_fn=lambda *x: np.full(np.shape(x[0]), 3.0),
                              coupling=coupling)
             res, calls = _solve_counting_densities(monkeypatch, solve, spec)
-            assert calls <= 2
+            assert 1 <= calls <= 2
             assert np.allclose(res.m.values, 1.0, rtol=0.0, atol=1e-12)
 
     def test_steep_critical_solve_takes_fewer_densities(self, monkeypatch):
@@ -193,8 +194,43 @@ class TestWarmStartedMassSolve:
         grid = TorusGrid(1, 4096)
         spec = ProblemSpec(1, 4096, 1.0, 2.0, (1.0,), pot.sample(grid), QUAD)
         res, calls = _solve_counting_densities(monkeypatch, solve_critical, spec)
-        assert calls <= 6
+        assert 1 <= calls <= 6
         assert abs(integrate_values(res.m.values, grid.h) - 1.0) <= 1e-12
+
+
+class TestOneNestedBlockCall:
+    """Each oracle is one u = 0 call of the nested m-block, never the joint
+    Newton iteration."""
+
+    @pytest.mark.parametrize("coupling", [QUAD, CouplingG(((0.5, 2.0), (1.0, 3.0)))])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_nested_call_and_no_joint_call(self, monkeypatch, coupling, dim):
+        nested, joint = [], []
+        nested_m, optimal_m_ = oracle.nested_m, variational.optimal_m
+
+        def counted_nested(spec, kin, *args):
+            nested.append(kin)
+            return nested_m(spec, kin, *args)
+
+        def counted_joint(*args):
+            joint.append(1)
+            return optimal_m_(*args)
+
+        monkeypatch.setattr(oracle, "nested_m", counted_nested)
+        monkeypatch.setattr(variational, "optimal_m", counted_joint)
+        V_fn = (lambda x: 12.0 * np.cos(2 * np.pi * (x - 0.3))) if dim == 1 else \
+            (lambda x, y: 3.0 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
+        for solve, alpha, P in ((solve_P0, 1.5, (0.0,) * dim),
+                                (solve_critical, 1.0, (0.8, -0.5)[:dim])):
+            nested.clear()
+            spec = make_spec(n=32, dim=dim, alpha=alpha, P=P, V_fn=V_fn,
+                             coupling=coupling)
+            solve(spec)
+            assert len(nested) == 1
+            # kin = |P|^gamma at every node
+            assert nested[0].shape == spec.grid.shape
+            assert np.allclose(nested[0], spec.P_norm**2, rtol=1e-14, atol=0.0)
+        assert joint == []
 
 
 class TestResultAssembly:
@@ -340,7 +376,8 @@ class TestClosedFormMatchesNewton:
             return counted
 
         monkeypatch.setattr(model, "monotone_root", counting(model.monotone_root))
-        monkeypatch.setattr(oracle, "monotone_root", counting(oracle.monotone_root))
+        monkeypatch.setattr(variational, "monotone_root",
+                            counting(variational.monotone_root))
         grid = TorusGrid(dim, n)
         if dim == 1:
             pot = PotentialFamily("cosine-shift", {"amplitude": amplitude, "shift": 0.3})
@@ -363,7 +400,7 @@ class TestClosedFormMatchesNewton:
 
 
 class TestOptimalMatchesOracles:
-    """The oracles are u = 0 evaluations of the minimiser's exact m-block."""
+    """The joint m-block at u = 0 agrees with the oracles' nested block."""
 
     @pytest.mark.parametrize("terms", [((0.5, 2.0),), ((1.0, 1.5),), ((0.5, 2.0), (1.0, 3.0))])
     @pytest.mark.parametrize("dim, n", [(1, 512), (2, 32)])
@@ -376,16 +413,14 @@ class TestOptimalMatchesOracles:
             pot = PotentialFamily("sine-cosine-product",
                                   {"amplitude": amplitude, "shift_x": 0.1, "shift_y": 0.2})
         V, coupling = pot.sample(grid), CouplingG(terms)
-        g1 = float(coupling.g(1.0))
         for solve, alpha, P in ((solve_P0, 1.5, (0.0,) * dim),
                                 (solve_critical, 1.0, (0.8, -0.5)[:dim])):
             spec = ProblemSpec(dim, n, alpha, 2.0, P, V, coupling)
             kin = np.full(grid.shape, spec.P_norm**2)
-            # the oracles' first guess
-            hbar0 = float(V.values.mean()) - g1 + spec.P_norm**2 / 2.0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                hbar, m = optimal_m(spec, kin, hbar0, np.ones(grid.shape))
+                # the oracles' first guess
+                hbar, m = optimal_m(spec, kin, cold_hbar(spec, kin), np.ones(grid.shape))
             res = solve(spec)
             assert hbar == pytest.approx(res.Hbar, abs=1e-13)
             assert np.max(np.abs(m - res.m.values)) <= 1e-13

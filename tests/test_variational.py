@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from torusmfg import variational
 from torusmfg.grid import GridFunction, TorusGrid
@@ -11,10 +12,11 @@ from torusmfg.variational import (
     DegenerateSolutionError,
     DiscreteObjective,
     FeasiblePoint,
-    _bracketed_m,
     apriori_diagnostics,
+    cold_hbar,
     diagnostics_record,
     estimate_Hbar,
+    nested_m,
     optimal_m,
     project_feasible,
 )
@@ -316,22 +318,19 @@ def m_block_case(dim, alpha, gamma, terms, amplitude, seed, zeros):
 
 
 def cold_start(spec, kin):
-    """(hbar0, m0) of the minimiser's first m-block: m = 1 solves every node
-    at this H-bar when V and kin are constant."""
-    hbar0 = float(spec.V.values.mean()) - float(spec.coupling.g(1.0)) \
-        + float(kin.mean()) / spec.gamma
-    return hbar0, np.ones(spec.grid.shape)
+    """(hbar0, m0) of the minimiser's first m-block."""
+    return cold_hbar(spec, kin), np.ones(spec.grid.shape)
 
 
 def count_safeguard(monkeypatch):
-    """Wrap `_bracketed_m`; the list collects one entry per hand-over."""
+    """Wrap `nested_m`; the list collects one entry per hand-over."""
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return _bracketed_m(*args)
+        return nested_m(*args)
 
-    monkeypatch.setattr(variational, "_bracketed_m", counted)
+    monkeypatch.setattr(variational, "nested_m", counted)
     return calls
 
 
@@ -373,10 +372,10 @@ class TestOptimalM:
                                          zeros, scale, shift, seed):
         alpha = gamma if alpha == "gamma" else alpha
         spec, kin = m_block_case(dim, alpha, gamma, tuple(terms), amplitude, seed, zeros)
-        hbar, m = _bracketed_m(spec, kin, *cold_start(spec, kin))
+        hbar, m = nested_m(spec, kin, *cold_start(spec, kin))
         hbar0, m0 = hbar + shift, scale * m
         got = optimal_m(spec, kin, hbar0, m0)
-        self.assert_agree(got, _bracketed_m(spec, kin, hbar0, m0))
+        self.assert_agree(got, nested_m(spec, kin, hbar0, m0))
         assert abs(spec.grid.h**dim * got[1].sum() - 1.0) <= self.M_TOL
         assert got[1].min() >= 0.0
 
@@ -397,7 +396,7 @@ class TestOptimalM:
         hbar, m = optimal_m(spec, kin, hbar0, m0)
         assert calls == [1]
         # handed over at the start itself, so the answers are the same
-        want = _bracketed_m(spec, kin, hbar0, m0)
+        want = nested_m(spec, kin, hbar0, m0)
         assert hbar == want[0] and np.array_equal(m, want[1])
         # and the joint iteration from a warm start agrees without it
         self.assert_agree(optimal_m(spec, kin, hbar + 0.5, 1.5 * m), (hbar, m))
@@ -423,3 +422,54 @@ class TestOptimalM:
         got = optimal_m(spec, kin, hbar0, m0)
         assert calls == [1]
         self.assert_agree(got, want)
+
+
+def bisection_m_block(spec, kin):
+    """(Hbar, m) by nodewise bisection inside brentq on the mass.
+
+    Each node bisects phi(m) = g(m) + Hbar - V - kin/(gamma m^alpha), which
+    increases in m; at kin = 0 a node with phi(0+) >= 0 bisects down to 0.
+    """
+    a, g = spec.alpha, spec.coupling.g
+    k, V = kin / spec.gamma, spec.V.values
+
+    def density(hbar):
+        def phi(m):
+            return g(m) + hbar - V - k / m**a
+
+        lo, hi = np.zeros_like(V), np.ones_like(V)
+        while np.any(phi(hi) < 0.0):
+            hi = np.where(phi(hi) < 0.0, 2.0 * hi, hi)
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            below = phi(mid) < 0.0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
+
+    cell = spec.grid.h**spec.dim
+    span = float(np.max(np.abs(V))) + float(np.max(k)) + float(g(1.0)) + 1.0
+    hbar = brentq(lambda h: cell * density(h).sum() - 1.0, -span, span,
+                  xtol=1e-14, rtol=8.9e-16)
+    return hbar, density(hbar)
+
+
+class TestNestedM:
+    """The nested block on whole arrays (kin > 0 at every node or at none)
+    and on masked ones (mixed kin), against bisection."""
+
+    @pytest.mark.parametrize("terms", [((0.5, 2.0),), ((0.5, 2.0), (1.0, 3.0))])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    @pytest.mark.parametrize("kin_pattern", ["positive", "zero", "mixed"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_bisection(self, dim, kin_pattern, alpha, terms):
+        spec, kin = m_block_case(dim, alpha, 2.0, terms, 5.0, 11,
+                                 kin_pattern == "mixed")
+        if kin_pattern == "zero":
+            kin = np.zeros_like(kin)
+        pos = kin > 0.0
+        assert {"positive": pos.all(), "zero": not pos.any(),
+                "mixed": pos.any() and not pos.all()}[kin_pattern]
+        hbar, m = nested_m(spec, kin, *cold_start(spec, kin))
+        want_hbar, want_m = bisection_m_block(spec, kin)
+        assert hbar == pytest.approx(want_hbar, abs=1e-12)
+        assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(want_m)
