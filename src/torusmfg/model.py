@@ -107,6 +107,13 @@ def _check_nonneg(z):
 
 # step cap of the Newton loops in monotone_root and mass_root
 _MAX_STEPS = 2000
+# a node's Newton step of at most NODE_STEP_RTOL m is its last
+NODE_STEP_RTOL = 1e-9
+
+
+def hbar_tol(hbar: float) -> float:
+    """Least Newton step in Hbar that a mass solve still takes."""
+    return 1e-14 + 8.9e-16 * abs(hbar)
 
 
 class BracketError(RuntimeError):
@@ -122,9 +129,9 @@ def monotone_root(phi, dphi, lo, m0):
     max(2m, 1) stands in for it, so a Newton step from far below a convex
     phi's root cannot overshoot to where phi overflows.  The node takes the
     Newton step m - phi(m)/dphi(m) when it lands strictly inside the bracket
-    or when |step| <= 1e-9 m; otherwise, and wherever dphi(m) is not
-    positive, it doubles m while its upper end is unknown and bisects once
-    it is known.  Such a small step is a node's last: Newton converges
+    or when |step| <= NODE_STEP_RTOL m; otherwise, and wherever dphi(m) is
+    not positive, it doubles m while its upper end is unknown and bisects
+    once it is known.  Such a small step is a node's last: Newton converges
     quadratically there, so the step leaves the root exact to rounding.  A
     node also stops, keeping m, once its known bracket is so narrow that
     the midpoint is m: rounding noise in phi kept its Newton step from
@@ -151,7 +158,7 @@ def monotone_root(phi, dphi, lo, m0):
             up = np.where(known, hi, np.maximum(2.0 * m, 1.0))
             safe = np.where(known, 0.5 * (lo + hi), up)
         newton = m - step
-        small = np.abs(step) <= 1e-9 * m
+        small = np.abs(step) <= NODE_STEP_RTOL * m
         inside = (lo < newton) & (newton < up)
         # a known bracket shrunk onto m stops the node where it is
         done |= known & (safe == m)
@@ -175,8 +182,8 @@ def mass_root(density, cell, hbar0):
     most the doubling step: the mass may grow without bound below the root,
     so a long step there can overflow the density, while a long step up at
     worst lands where the mass vanishes.  The iteration stops once a Newton
-    step is at most 1e-14 + 8.9e-16 |Hbar| or the bracket is that narrow,
-    and returns the last Hbar evaluated with its m.
+    step is at most hbar_tol(Hbar) or the bracket is that narrow, and
+    returns the last Hbar evaluated with its m.
     """
     lo, hi = -math.inf, math.inf
     hbar, step = float(hbar0), 1.0
@@ -189,7 +196,7 @@ def mass_root(density, cell, hbar0):
             lo = hbar
         else:
             hi = hbar
-        tol = 1e-14 + 8.9e-16 * abs(hbar)
+        tol = hbar_tol(hbar)
         new = hbar - e / slope if slope < 0.0 else math.nan
         if abs(new - hbar) <= tol or hi - lo <= tol:
             return hbar, m

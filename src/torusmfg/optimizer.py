@@ -9,10 +9,10 @@ The direction is the L-BFGS two-loop recursion (Nocedal & Wright, Numerical
 Optimization, ch. 7) over the last LBFGS_MEMORY steps.  Its initial inverse
 Hessian is the spectral step M v = pinv(L) v / (h^d mean(a)), de-meaned,
 with L = sum_k D_k^T D_k applied by FFT (`grid.normal_pinv_values`) and
-kinetic stiffness a = 1/((alpha-1) m^(alpha-1)).  For gamma = 2 and constant
-m, M is the inverse u-Hessian, so iteration counts stay flat under grid
-refinement.  Once a step is stored, M is scaled by s.y / (y.M y) of the
-newest one.
+the kinetic stiffness a = 1/((alpha-1) m^(alpha-1)) of
+`DiscreteObjective.stiffness`.  For gamma = 2 and constant m, M is the
+inverse u-Hessian, so iteration counts stay flat under grid refinement.
+Once a step is stored, M is scaled by s.y / (y.M y) of the newest one.
 
 The line search halves the trial step from min(step0, 1).  Its Armijo test
 is on the Lagrangian J_h + Hbar (h^d sum m - 1): m* has unit mass only to
@@ -31,7 +31,6 @@ import numpy as np
 
 from .grid import GridFunction, normal_pinv_values
 from .variational import (
-    M_FLOOR,
     AprioriDiagnostics,
     DiscreteObjective,
     FeasiblePoint,
@@ -47,6 +46,10 @@ from .variational import (
 ARMIJO_C = 1e-4     # accepted steps decrease J by at least this share of slope * t
 BACKTRACK = 0.5     # factor on the trial step after each rejected trial
 LBFGS_MEMORY = 20   # (s, y) pairs kept by the two-loop recursion
+# a line search fails once its trial step falls below MIN_STEP; it must be
+# positive, since a trial at t = 0 can fail Armijo by rounding and
+# 0 * BACKTRACK stays 0
+MIN_STEP = 1e-18
 ROUNDING = 64 * np.finfo(float).eps  # a change in J below this share of |J| is noise
 
 
@@ -55,12 +58,9 @@ class SolveOptions:
     max_iters: int = 50000
     tol_gradmap: float = 1e-9      # norm of the gradient in the metric M
     step0: float = 1.0             # cap on the first trial step, which is at most 1
-    min_step: float = 1e-18        # a line search fails once its trial falls below
 
     def __post_init__(self):
-        # min_step = 0 would let a line search backtrack forever: a trial at
-        # t = 0 can fail Armijo by rounding, and 0 * BACKTRACK stays 0
-        for name in ("tol_gradmap", "step0", "min_step"):
+        for name in ("tol_gradmap", "step0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -70,12 +70,13 @@ class SolveResult:
     u: GridFunction
     m: GridFunction
     Hbar: float                 # the multiplier of the mass constraint
-    # std of the nodewise Hamiltonian over {m > 1e-4}: the m-block residual
+    # std of the nodewise Hamiltonian over {m > MASS_CUTOFF}: the m-block
+    # residual
     Hbar_std: float
     objective: float
     iters: int
     # "stationary": gradmap <= tol_gradmap, or an exact oracle solution;
-    # "line_search": no trial down to min_step passed the line search, so
+    # "line_search": no trial down to MIN_STEP passed the line search, so
     # the iterate can no longer change; "iteration_cap": max_iters ran out
     stop_reason: str
     diagnostics: AprioriDiagnostics
@@ -89,6 +90,26 @@ class SolveResult:
     @property
     def point(self) -> FeasiblePoint:
         return FeasiblePoint(self.u, self.m)
+
+
+def solve_result(obj: DiscreteObjective, u: np.ndarray, m: np.ndarray,
+                 kin: np.ndarray, hbar: float, objective: float, iters: int,
+                 stop_reason: str, gradmap: float) -> SolveResult:
+    """The SolveResult at (u, m); kin = |P + Du|^gamma gives both Hbar_std
+    and the diagnostics."""
+    grid = obj.spec.grid
+    point = FeasiblePoint(GridFunction(grid, u), GridFunction(grid, m))
+    return SolveResult(
+        u=point.u,
+        m=point.m,
+        Hbar=hbar,
+        Hbar_std=estimate_Hbar(point, obj, kin=kin)[1],
+        objective=objective,
+        iters=iters,
+        stop_reason=stop_reason,
+        diagnostics=apriori_diagnostics(point, obj, kin=kin),
+        gradmap=gradmap,
+    )
 
 
 def random_feasible_point(grid, seed: int, u_scale: float = 0.1,
@@ -166,8 +187,7 @@ def minimize(
 
     def metric_step(pg, m):
         """M grad from pg = pinv(L) grad: pg / (h^d mean stiffness)."""
-        mf = np.maximum(m, M_FLOOR)
-        return pg / (hd * float(np.mean(1.0 / ((sp.alpha - 1.0) * mf ** (sp.alpha - 1.0)))))
+        return pg / (hd * float(np.mean(obj.stiffness(m))))
 
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
     newest_scale = 1.0  # s.y / (y.pinv(L) y) of the newest pair
@@ -202,7 +222,7 @@ def minimize(
             slope = float(np.vdot(gu, direction))
 
         t = min(opts.step0, 1.0)
-        while t >= opts.min_step:
+        while t >= MIN_STEP:
             u_try = u - t * direction
             kin_try = obj.kinetic_density(u_try)
             hbar_try, m_try = optimal_m(sp, kin_try, hbar, m)
@@ -227,24 +247,12 @@ def minimize(
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
             newest_scale = sy / float(np.vdot(y, pg_try - pg))  # pinv(L) is linear
-        u, m, hbar, J, gu, pg = u_try, m_try, hbar_try, J_try, gu_try, pg_try
+        u, m, kin, hbar, J = u_try, m_try, kin_try, hbar_try, J_try
+        gu, pg = gu_try, pg_try
         iters += 1
         mg = metric_step(pg, m)
         gradmap = float(np.linalg.norm(mg))
         if trace_file is not None:
             trace_file.write(f"{iters},{J:.17g},{gradmap:.17g},{t:.17g}\n")
 
-    ugf = GridFunction(sp.grid, u)
-    mgf = GridFunction(sp.grid, m)
-    point = FeasiblePoint(ugf, mgf)
-    return SolveResult(
-        u=ugf,
-        m=mgf,
-        Hbar=hbar,
-        Hbar_std=estimate_Hbar(point, obj)[1],
-        objective=J,
-        iters=iters,
-        stop_reason=stop_reason,
-        diagnostics=apriori_diagnostics(point, obj),
-        gradmap=gradmap,
-    )
+    return solve_result(obj, u, m, kin, hbar, J, iters, stop_reason, gradmap)

@@ -20,15 +20,8 @@ import numpy as np
 
 from .grid import GridFunction, integrate_values
 from .model import BracketError, ProblemSpec
-from .variational import (
-    DiscreteObjective,
-    FeasiblePoint,
-    apriori_diagnostics,
-    cold_hbar,
-    estimate_Hbar,
-    nested_m,
-)
-from .optimizer import SolveResult
+from .variational import DiscreteObjective, cold_hbar, nested_m
+from .optimizer import SolveResult, solve_result
 
 # mass error allowed by solve_P0, and nodewise and mass residuals allowed by
 # solve_critical
@@ -50,25 +43,14 @@ def _m_block_at_u0(spec: ProblemSpec, kin: np.ndarray) -> tuple[float, np.ndarra
     return nested_m(spec, kin, cold_hbar(spec, kin), np.ones(spec.grid.shape))
 
 
-def _result_from_point(spec: ProblemSpec, kin: np.ndarray, m: GridFunction,
+def _result_from_point(spec: ProblemSpec, kin: np.ndarray, m: np.ndarray,
                        hbar: float) -> SolveResult:
-    """The SolveResult of the oracle point (u, m) = (0, m), kin at u = 0."""
+    """The SolveResult of the oracle point (u, m) = (0, m), kin at u = 0;
+    J_h is undefined at alpha = 1, so the objective is NaN there."""
     obj = DiscreteObjective(spec)
-    point = FeasiblePoint(spec.grid.zeros(), m)
-    _, hstd = estimate_Hbar(point, obj, kin=kin)
-    objective = (obj.value_arrays(point.u.values, m.values, kin) if spec.alpha > 1.0
-                 else float("nan"))
-    return SolveResult(
-        u=point.u,
-        m=m,
-        Hbar=hbar,
-        Hbar_std=hstd,
-        objective=objective,
-        iters=0,
-        stop_reason="stationary",
-        diagnostics=apriori_diagnostics(point, obj, kin=kin),
-        gradmap=0.0,
-    )
+    u = np.zeros(spec.grid.shape)
+    objective = obj.value_arrays(u, m, kin) if spec.alpha > 1.0 else float("nan")
+    return solve_result(obj, u, m, kin, hbar, objective, 0, "stationary", 0.0)
 
 
 def solve_P0(spec: ProblemSpec) -> SolveResult:
@@ -80,7 +62,7 @@ def solve_P0(spec: ProblemSpec) -> SolveResult:
     hbar, m = _m_block_at_u0(spec, kin)
     if abs(grid.h**grid.dim * m.sum() - 1.0) > MASS_TOL:
         raise BracketError("mass normalisation did not converge to tolerance")
-    return _result_from_point(spec, kin, GridFunction(grid, m), hbar)
+    return _result_from_point(spec, kin, m, hbar)
 
 
 def continuum_Hbar_P0(spec: ProblemSpec, potential) -> float:
@@ -90,6 +72,8 @@ def continuum_Hbar_P0(spec: ProblemSpec, potential) -> float:
     same potential (N_FINE nodes per axis), removing the O(h^2) quadrature
     bias of the coarse grid at the free boundary of m.
     """
+    if spec.P_norm != 0.0:
+        raise ValueError("closed-form path requires P = 0")
     fine = spec.with_grid_size(N_FINE[spec.dim], potential)
     return _m_block_at_u0(fine, np.zeros(fine.grid.shape))[0]
 
@@ -117,8 +101,7 @@ def solve_critical(spec: ProblemSpec) -> SolveResult:
         raise BracketError("nodewise algebraic residual above tolerance")
     if abs(grid.h**grid.dim * m.sum() - 1.0) > RESIDUAL_TOL:
         raise BracketError("critical mass normalisation above tolerance")
-    # J_h is undefined at alpha = 1, so the objective is reported as NaN
-    return _result_from_point(spec, kin, GridFunction(grid, m), hbar)
+    return _result_from_point(spec, kin, m, hbar)
 
 
 @dataclass

@@ -7,13 +7,21 @@ with D the 5-point central gradient and the admissible set
 
     A_h = { h^d sum u = 0,  h^d sum m = 1,  m >= 0 }.
 
+The congestion current is j = |P+Du|^(gamma-2) (P+Du) a(m), with kinetic
+stiffness a(m) = 1/((alpha-1) m^(alpha-1)); `DiscreteObjective.flux` and
+`DiscreteObjective.stiffness` are their one implementation.  The u-partial
+of J_h is h^d D^T j, so stationarity in u is the discrete transport
+equation D^T j = 0, and the stream-function transform reads its drift off
+the dual problem's j.
+
 m is floored at M_FLOOR inside negative powers so the objective stays finite
 and differentiable; the floor plays the role of the +inf extension of the
 integrand at m = 0.  The gradient below is the exact gradient of the floored
 objective (the kinetic m-derivative switches off where the floor is active),
 which keeps Armijo line searches consistent; on points with m >= M_FLOOR it
-coincides with the unfloored formula.  The stream-function transform floors
-m at the same value.
+coincides with the unfloored formula.  Nodes with m <= MASS_CUTOFF count as
+vacuum wherever m^alpha divides the Hamiltonian: in the H-bar estimate and
+in the HJB solve of the stream-function transform.
 """
 
 from __future__ import annotations
@@ -24,9 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, central_diff_values, integrate_values
-from .model import ProblemSpec, mass_root, monotone_root
+from .model import NODE_STEP_RTOL, ProblemSpec, hbar_tol, mass_root, monotone_root
 
 M_FLOOR = 1e-8  # floor of m inside negative powers of m
+MASS_CUTOFF = 1e-4  # vacuum at or below it: gamma m^alpha in the HJB is not trusted
 
 
 class DegenerateSolutionError(RuntimeError):
@@ -132,38 +141,36 @@ class DiscreteObjective:
         sp = self.spec
         if kin is None:
             kin = self.kinetic_density(u)
-        mf = np.maximum(m, M_FLOOR)
-        fh = kin / (sp.gamma * (sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))
-        dens = fh - sp.V.values * m + sp.coupling.G(m)
+        dens = kin * self.stiffness(m) / sp.gamma - sp.V.values * m + sp.coupling.G(m)
         return integrate_values(dens, sp.grid.h)
 
-    def gradient(self, pt: FeasiblePoint) -> tuple[GridFunction, GridFunction]:
-        self._check_point(pt)
-        gu, gm = self.gradient_arrays(pt.u.values, pt.m.values)
-        return GridFunction(pt.grid, gu), GridFunction(pt.grid, gm)
-
-    def gradient_arrays(self, u: np.ndarray, m: np.ndarray):
-        return self.gradient_u_arrays(u, m), self.gradient_m_arrays(u, m)
-
-    def gradient_u_arrays(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """u-partial: adjoint (negative transpose) of the central stencil
-        applied to |P+Du|^(gamma-2)(P+Du) / ((alpha-1) m^(alpha-1))."""
+    def stiffness(self, m: np.ndarray) -> np.ndarray:
+        """Kinetic stiffness 1/((alpha-1) m^(alpha-1)), m floored at M_FLOOR."""
         sp = self.spec
-        h = sp.grid.h
-        w = self.drifted_grad(u)
         mf = np.maximum(m, M_FLOOR)
-        nsq = self._norm_sq(w)
-        if sp.gamma == 2.0:
-            coef = 1.0  # |P+Du|^0
-        else:
+        return 1.0 / ((sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))
+
+    def flux(self, u: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
+        """The current j = |P+Du|^(gamma-2) (P+Du) / ((alpha-1) m^(alpha-1)),
+        one array per axis."""
+        gamma = self.spec.gamma
+        w = self.drifted_grad(u)
+        scale = self.stiffness(m)
+        if gamma != 2.0:
+            nsq = self._norm_sq(w)
             # the magnitude-power limit at |P+Du| = 0 is 0 for gamma > 1
             with np.errstate(divide="ignore"):
-                coef = np.where(nsq > 0.0, nsq ** ((sp.gamma - 2.0) / 2.0), 0.0)
-        scale = coef / ((sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))
+                scale = np.where(nsq > 0.0, nsq ** ((gamma - 2.0) / 2.0), 0.0) * scale
+        return [scale * wk for wk in w]
+
+    def gradient_u_arrays(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """u-partial h^d sum_k D_k^T j_k, with D_k^T = -D_k the adjoint of
+        the central stencil."""
+        h, dim = self.spec.grid.h, self.spec.dim
         gu = np.zeros_like(u)
-        for k in range(sp.dim):
-            gu -= central_diff_values(scale * w[k], h, k)
-        return h**sp.dim * gu
+        for k, jk in enumerate(self.flux(u, m)):
+            gu -= central_diff_values(jk, h, k)
+        return h**dim * gu
 
     def gradient_m_arrays(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
         """m-partial only; avoids the adjoint-divergence work of the u-partial."""
@@ -211,8 +218,8 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
     and slope h^d sum(-m^alpha/psi') over those nodes, the kin = 0 nodes
     adding their m to e and their dm/dHbar to the slope.  A node step that
     would leave m > 0 moves m to a quarter of itself.  The iteration stops
-    once every node's step is at most 1e-9 m and |dHbar| at most
-    1e-14 + 8.9e-16 |Hbar|, the stop rules of `monotone_root` and
+    once every node's step is at most NODE_STEP_RTOL m and |dHbar| at
+    most hbar_tol(Hbar), the stop rules of `monotone_root` and
     `mass_root`, and returns after taking that last step.
 
     Where psi' <= 0 at some node, the slope is not negative, a step is not
@@ -246,8 +253,8 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
             dx = -(r + q * dh)
             if not (math.isfinite(dh) and np.all(np.isfinite(dx))):
                 break
-            done = abs(dh) <= 1e-14 + 8.9e-16 * abs(hbar) \
-                and bool(np.all(np.abs(dx) <= 1e-9 * x))
+            done = abs(dh) <= hbar_tol(hbar) \
+                and bool(np.all(np.abs(dx) <= NODE_STEP_RTOL * x))
             x = np.where(x + dx > 0.0, x + dx, 0.25 * x)
             hbar += dh
             if done:
@@ -369,11 +376,10 @@ def project_feasible(u: GridFunction, m: GridFunction) -> FeasiblePoint:
 # ---------------------------------------------------------------------------
 # effective-Hamiltonian estimate and a priori diagnostics
 
-def estimate_Hbar(
-    pt: FeasiblePoint, obj: DiscreteObjective, mass_cutoff: float = 1e-4,
-    kin: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """(mean, std) of |P+Du|^gamma/(gamma m^alpha) + V - g(m) over {m > cutoff}.
+def estimate_Hbar(pt: FeasiblePoint, obj: DiscreteObjective,
+                  kin: np.ndarray | None = None) -> tuple[float, float]:
+    """(mean, std) of |P+Du|^gamma/(gamma m^alpha) + V - g(m) over
+    {m > MASS_CUTOFF}.
 
     At a minimizer the nodewise quantity is the constant making the HJB
     equation hold; the standard deviation is a stationarity residual.
@@ -382,10 +388,10 @@ def estimate_Hbar(
     obj._check_point(pt)
     sp = obj.spec
     m = pt.m.values
-    mask = m > mass_cutoff
+    mask = m > MASS_CUTOFF
     if not mask.any():
         raise DegenerateSolutionError(
-            f"no nodes with m > {mass_cutoff}; cannot estimate the effective Hamiltonian"
+            f"no nodes with m > {MASS_CUTOFF}; cannot estimate the effective Hamiltonian"
         )
     if kin is None:
         kin = obj.kinetic_density(pt.u.values)
@@ -422,13 +428,11 @@ def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective,
     )
 
 
-def diagnostics_record(
-    pt: FeasiblePoint, obj: DiscreteObjective, mass_cutoff: float = 1e-4
-) -> dict:
+def diagnostics_record(pt: FeasiblePoint, obj: DiscreteObjective) -> dict:
     """One JSON-ready record per solve."""
     eu, em = pt.feasibility_errors()
     try:
-        hbar, hstd = estimate_Hbar(pt, obj, mass_cutoff)
+        hbar, hstd = estimate_Hbar(pt, obj)
     except DegenerateSolutionError:
         hbar, hstd = float("nan"), float("nan")
     return {

@@ -99,6 +99,13 @@ class TestSolveP0:
         assert hbar_c == pytest.approx(hbar_d, abs=5e-3)
         assert hbar_c == pytest.approx(5.2741016, abs=1e-5)
 
+    def test_continuum_normalization_rejects_drift(self):
+        # the closed form holds only at P = 0, as in solve_P0
+        pot = PotentialFamily("cosine-shift", {"amplitude": 1.0})
+        spec = make_spec(n=16, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * x))
+        with pytest.raises(ValueError, match="P = 0"):
+            continuum_Hbar_P0(spec, pot)
+
 
 class TestSolveCritical:
     def test_symmetric_constant_solution(self):

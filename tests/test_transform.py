@@ -60,17 +60,19 @@ class TestExponents:
 
 
 class TestConstantRoundTrip:
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("Q", [(1.0, 0.0), (0.0, -1.0), (0.6, -1.3)])
-    def test_constant_potential_recovers_rotated_Q(self, Q):
-        # flat V: psi = 0 and m = 1 solve the dual problem, the flux is Q
-        # itself (gamma' = 2), so Pperp = Q and P = (Q2, -Q1)
-        dual = DualSpec(base_spec(12), Q)
+    def test_constant_potential_recovers_rotated_Q(self, Q, gamma):
+        # flat V: psi = 0 and m = 1 solve the dual problem, and the flux is
+        # |Q|^(gamma'-2) Q, so Pperp = |Q|^(gamma'-2) Q and P = (Pperp_2, -Pperp_1)
+        dual = DualSpec(base_spec(12, gamma=gamma), Q)
         res = solve_dual(dual)
         psi, m = res.u, res.m
         assert np.max(np.abs(psi.values)) <= 1e-12
         assert np.max(np.abs(m.values - 1.0)) <= 1e-12
+        pperp = np.hypot(*Q) ** (dual.gamma_prime - 2.0) * np.array(Q)
         P = recover_P(psi, m, dual)
-        assert P == pytest.approx([Q[1], -Q[0]], abs=1e-12)
+        assert P == pytest.approx([pperp[1], -pperp[0]], abs=1e-12)
 
 
 class TestPipeline:
