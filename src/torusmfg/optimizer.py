@@ -31,10 +31,8 @@ import numpy as np
 
 from .grid import GridFunction, normal_pinv_values
 from .variational import (
-    AprioriDiagnostics,
     DiscreteObjective,
     FeasiblePoint,
-    apriori_diagnostics,
     cold_hbar,
     estimate_Hbar,
     optimal_m,
@@ -67,6 +65,9 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
+    """The answer of one solve and why it stopped.  It holds no a-priori
+    integrals: `variational.diagnostics_record` computes them on request."""
+
     u: GridFunction
     m: GridFunction
     Hbar: float                 # the multiplier of the mass constraint
@@ -79,7 +80,6 @@ class SolveResult:
     # "line_search": no trial down to MIN_STEP passed the line search, so
     # the iterate can no longer change; "iteration_cap": max_iters ran out
     stop_reason: str
-    diagnostics: AprioriDiagnostics
     gradmap: float = float("nan")
 
     @property
@@ -95,8 +95,7 @@ class SolveResult:
 def solve_result(obj: DiscreteObjective, u: np.ndarray, m: np.ndarray,
                  kin: np.ndarray, hbar: float, objective: float, iters: int,
                  stop_reason: str, gradmap: float) -> SolveResult:
-    """The SolveResult at (u, m); kin = |P + Du|^gamma gives both Hbar_std
-    and the diagnostics."""
+    """The SolveResult at (u, m); kin = |P + Du|^gamma gives Hbar_std."""
     grid = obj.spec.grid
     point = FeasiblePoint(GridFunction(grid, u), GridFunction(grid, m))
     return SolveResult(
@@ -107,7 +106,6 @@ def solve_result(obj: DiscreteObjective, u: np.ndarray, m: np.ndarray,
         objective=objective,
         iters=iters,
         stop_reason=stop_reason,
-        diagnostics=apriori_diagnostics(point, obj, kin=kin),
         gradmap=gradmap,
     )
 

@@ -79,7 +79,8 @@ class AprioriDiagnostics:
 
     congestion_energy_weighted: integral of |(P+Du)/m^ab|^gamma (m^ab + m^(ab+1))
     with ab = alpha/(gamma-1); coupling_balance: integral of (m-1) g(m);
-    second_order_proxy: integral of g'(m) |Dm|^2.  Observational only.
+    second_order_proxy: integral of g'(m) |Dm|^2.  Observational only:
+    computed by `diagnostics_record` on request, never by a solve.
     """
 
     congestion_energy_weighted: float
@@ -326,12 +327,13 @@ def _node_density(spec: ProblemSpec, k: np.ndarray, V: np.ndarray, m0: np.ndarra
     if a == 1.0 and len(terms) == 1 and terms[0][1] == 2.0:
         kappa = 2.0 * terms[0][0]
         r = 2.0 * np.sqrt(kappa * k)  # s = hypot(b, r) cannot overflow
+        two_k, two_kappa = 2.0 * k, 2.0 * kappa
 
         def quadratic(hbar):
             b = hbar - V
             s = np.hypot(b, r)
             big = s + np.abs(b)  # b + s where b >= 0, s - b where b < 0
-            m = np.where(b >= 0.0, 2.0 * k / big, big / (2.0 * kappa))
+            m = np.divide(two_k, big, out=big / two_kappa, where=b >= 0.0)
             return m, -m / s
 
         return quadratic
@@ -400,19 +402,14 @@ def estimate_Hbar(pt: FeasiblePoint, obj: DiscreteObjective,
     return float(q.mean()), float(q.std())
 
 
-def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective,
-                        kin: np.ndarray | None = None) -> AprioriDiagnostics:
-    """The three diagnostic integrals, m floored inside negative powers.
-
-    kin = |P + Du|^gamma saves its stencil if known.
-    """
+def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective) -> AprioriDiagnostics:
+    """The three diagnostic integrals, m floored inside negative powers."""
     obj._check_point(pt)
     sp = obj.spec
     h = sp.grid.h
     m = pt.m.values
     mf = np.maximum(m, M_FLOOR)
-    if kin is None:
-        kin = obj.kinetic_density(pt.u.values)
+    kin = obj.kinetic_density(pt.u.values)
     # |(P+Du)/m^ab|^g (m^ab + m^(ab+1)) = |P+Du|^g (m^-alpha + m^(1-alpha)),
     # using ab = alpha/(gamma-1)
     congestion = kin * (mf ** (-sp.alpha) + mf ** (1.0 - sp.alpha))
@@ -429,14 +426,15 @@ def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective,
 
 
 def diagnostics_record(pt: FeasiblePoint, obj: DiscreteObjective) -> dict:
-    """One JSON-ready record per solve."""
+    """One JSON-ready record per solve; J_h is undefined at alpha = 1, so
+    "Jh" is NaN there, as in the oracle's result."""
     eu, em = pt.feasibility_errors()
     try:
         hbar, hstd = estimate_Hbar(pt, obj)
     except DegenerateSolutionError:
         hbar, hstd = float("nan"), float("nan")
     return {
-        "Jh": obj.value(pt),
+        "Jh": obj.value(pt) if obj.spec.alpha > 1.0 else float("nan"),
         "Hbar_mean": hbar,
         "Hbar_std": hstd,
         "mass_error": em,

@@ -172,7 +172,7 @@ class TestDescentMechanics:
         res = minimize(DiscreteObjective(spec), "uniform",
                        SolveOptions(step0=32.0, max_iters=100000))
         assert res.iters >= 5
-        setup = 6 * spec.dim  # start point, H-bar estimate and diagnostics
+        setup = 3 * spec.dim  # P + Du and the u-gradient at the start point
         assert calls <= (3 * spec.dim + 1) * res.iters + setup
 
     def test_seeded_runs_bitwise_reproducible(self):

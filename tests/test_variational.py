@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,9 @@ from scipy.optimize import brentq
 from torusmfg import variational
 from torusmfg.grid import GridFunction, TorusGrid
 from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
+from torusmfg.optimizer import SolveOptions, minimize
+from torusmfg.oracle import solve_critical, solve_P0
+from torusmfg.transform import DualSpec, pipeline_alpha_lt_1
 from torusmfg.variational import (
     DegenerateSolutionError,
     DiscreteObjective,
@@ -300,6 +305,59 @@ class TestAprioriDiagnostics:
         assert rec["mass_error"] <= 1e-12 and rec["umean_error"] <= 1e-12
 
 
+def cosine(x):
+    return np.cos(2 * np.pi * x)
+
+
+class TestDiagnosticsOnRequest:
+    """No solve computes the a-priori integrals; `diagnostics_record` does."""
+
+    SOLVES = {
+        "minimize": (
+            lambda spec: minimize(DiscreteObjective(spec), "uniform", SolveOptions(step0=16.0)),
+            make_spec(n=16, P=(1.0,), V_fn=cosine)),
+        "solve_P0": (solve_P0, make_spec(n=16, V_fn=lambda x: 2.0 * cosine(x))),
+        "solve_critical": (solve_critical, make_spec(n=16, alpha=1.0, P=(0.7,), V_fn=cosine)),
+        "pipeline_alpha_lt_1": (pipeline_alpha_lt_1, DualSpec(
+            make_spec(n=12, dim=2, alpha=0.5, P=(0.0, 0.0),
+                      V_fn=lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)),
+            (1.0, 0.0))),
+    }
+
+    @pytest.mark.parametrize("name", list(SOLVES))
+    def test_no_solve_computes_them(self, monkeypatch, name):
+        original = variational.apriori_diagnostics
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a solve computed the a-priori diagnostics")
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("torusmfg") and \
+                    getattr(mod, "apriori_diagnostics", None) is original:
+                monkeypatch.setattr(mod, "apriori_diagnostics", refused)
+        solve, inp = self.SOLVES[name]
+        solve(inp)
+
+    @pytest.mark.parametrize("name", ["minimize", "solve_P0", "solve_critical"])
+    def test_record_at_a_solve_result(self, name):
+        solve, spec = self.SOLVES[name]
+        res = solve(spec)
+        obj = DiscreteObjective(spec)
+        rec = diagnostics_record(res.point, obj)
+        apriori = rec["apriori"]
+        assert apriori == apriori_diagnostics(res.point, obj).as_dict()
+        if spec.alpha > 1.0:
+            assert rec["Jh"] == res.objective
+        else:
+            assert np.isnan(rec["Jh"])
+        if not res.u.values.any():
+            # u = 0: the congestion integrand is |P|^gamma (m^-alpha + m^(1-alpha))
+            mf = np.maximum(res.m.values, variational.M_FLOOR)
+            hand = spec.P_norm**spec.gamma * (mf**-spec.alpha + mf**(1.0 - spec.alpha))
+            assert apriori["congestion_energy_weighted"] == pytest.approx(
+                spec.grid.h * hand.sum(), rel=1e-13, abs=1e-300)
+
+
 def m_block_case(dim, alpha, gamma, terms, amplitude, seed, zeros):
     """(spec, kin): cosine V (sin cos in 2D) and kin = |P + Du|^gamma of a
     random u; with zeros, about 30% of the nodes get kin = 0 exactly."""
@@ -476,3 +534,24 @@ class TestNestedM:
         want_hbar, want_m = bisection_m_block(spec, kin)
         assert hbar == pytest.approx(want_hbar, abs=1e-12)
         assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(want_m)
+
+    @pytest.mark.parametrize("hbar", [0.0, 1.5, -2.0])
+    def test_alpha_1_quadratic_root_is_bitwise_the_two_quotient_form(self, hbar):
+        # the positive root of kappa m^2 + (Hbar - V) m = k, g(m) = kappa m,
+        # against np.where over both of its quotients
+        terms = ((0.5, 2.0),)
+        values = np.array([-1e200, -7e199, -3.0, -1.0, -1e-300, 0.0, hbar, 0.5,
+                           1.5, 2.0, 4.0, 1e-12, 3e199, 1e200, -2.0, 1.5])
+        grid = TorusGrid(1, values.size)
+        spec = ProblemSpec(1, values.size, 1.0, 2.0, (0.7,), GridFunction(grid, values),
+                           CouplingG(terms))
+        k = np.random.default_rng(5).uniform(1e-6, 10.0, values.size)
+        b = hbar - values
+        assert (b < 0.0).any() and (b == 0.0).any() and (b > 0.0).any()
+        m, dm = variational._node_density(spec, k, values, np.ones(values.size))(hbar)
+        kappa = 2.0 * terms[0][0]
+        s = np.hypot(b, 2.0 * np.sqrt(kappa * k))
+        big = s + np.abs(b)
+        want = np.where(b >= 0.0, 2.0 * k / big, big / (2.0 * kappa))
+        assert np.array_equal(m, want)
+        assert np.array_equal(dm, -want / s)
