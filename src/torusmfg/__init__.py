@@ -12,7 +12,6 @@ from .model import (
 from .optimizer import SolveOptions, SolveResult, minimize
 from .oracle import classical_existence_check, solve_critical, solve_P0
 from .variational import (
-    AprioriDiagnostics,
     DegenerateSolutionError,
     DiscreteObjective,
     FeasiblePoint,
@@ -27,7 +26,7 @@ __all__ = [
     "TorusGrid", "GridFunction",
     "CouplingG", "PotentialFamily", "ProblemSpec",
     "barf", "barf_recession",
-    "DiscreteObjective", "FeasiblePoint", "AprioriDiagnostics",
+    "DiscreteObjective", "FeasiblePoint",
     "project_feasible", "estimate_Hbar",
     "apriori_diagnostics", "DegenerateSolutionError",
     "SolveOptions", "SolveResult", "minimize",

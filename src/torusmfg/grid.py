@@ -99,9 +99,6 @@ class GridFunction:
                     f"{self.grid.num_nodes}"
                 )
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.values, dtype=dtype, copy=copy)
 

@@ -84,8 +84,8 @@ class CouplingG:
         if np.any(pos):
             qp = q[pos]
             out[pos] = monotone_root(
-                lambda m: self.g(m) - qp,
-                lambda m: self.g_prime(m, z_floor=1e-300),  # > 0 at the root
+                # g' > 0 at the root
+                lambda m: (self.g(m) - qp, self.g_prime(m, z_floor=1e-300)),
                 0.0,
                 np.ones_like(qp) if m0 is None else np.asarray(m0, dtype=float)[pos],
             )
@@ -120,9 +120,11 @@ class BracketError(RuntimeError):
     """Raised when a monotone root solve cannot bracket or reach its root."""
 
 
-def monotone_root(phi, dphi, lo, m0):
+def monotone_root(node, lo, m0):
     """Nodewise root of phi on [lo, inf), vectorised, from the warm start m0.
 
+    node(m) returns (phi(m), dphi(m)), both shaped like m, with dphi the
+    derivative of phi: one call evaluates both, so they can share work.
     phi(m) < 0 below each node's root and > 0 above it.  Each node starts
     at max(m0, lo) with the bracket [lo, inf) and moves one end of it to m
     by the sign of phi(m).  Until its upper end is known, the doubling point
@@ -145,7 +147,7 @@ def monotone_root(phi, dphi, lo, m0):
     hi = np.full_like(m, np.inf)
     done = np.zeros(m.shape, dtype=bool)
     for _ in range(_MAX_STEPS):
-        f, d = phi(m), dphi(m)
+        f, d = node(m)
         lo = np.where(f < 0.0, m, lo)
         hi = np.where(f > 0.0, m, hi)
         known = hi < np.inf

@@ -61,6 +61,9 @@ class SolveOptions:
         for name in ("tol_gradmap", "step0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # the cap fires on iters == max_iters, which a negative value never meets
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
 
 
 @dataclass
@@ -110,9 +113,9 @@ def solve_result(obj: DiscreteObjective, u: np.ndarray, m: np.ndarray,
     )
 
 
-def random_feasible_point(grid, seed: int, u_scale: float = 0.1,
-                          m_scale: float = 0.3) -> FeasiblePoint:
-    """Smooth random start: low-frequency trig noise, projected onto A_h.
+def random_feasible_point(grid, seed: int) -> FeasiblePoint:
+    """Smooth random start: low-frequency trig noise of scale 0.1 in u and
+    0.3 about m = 1, projected onto A_h.
 
     Low-frequency by construction so the init carries no content in the
     central stencil's null modes (the Nyquist checkerboards), which the
@@ -138,8 +141,8 @@ def random_feasible_point(grid, seed: int, u_scale: float = 0.1,
                     out += a * np.cos(phase) + b * np.sin(phase)
         return out
 
-    u = GridFunction(grid, trig_noise(u_scale))
-    m = GridFunction(grid, 1.0 + trig_noise(m_scale))
+    u = GridFunction(grid, trig_noise(0.1))
+    m = GridFunction(grid, 1.0 + trig_noise(0.3))
     return project_feasible(u, m)
 
 
@@ -165,10 +168,15 @@ def minimize(
     projected onto A_h; its m only warm-starts the first m-block.
     `random_feasible_point(grid, seed)` gives a seeded random one.  An
     optional text stream trace_file receives one
-    "iter,objective,gradmap,step" CSV row per iteration.
+    "iter,objective,gradmap,step" CSV row per iteration.  J_h is convex
+    only for 1 < alpha <= gamma; other exponents raise ValueError.
     """
     opts = opts or SolveOptions()
     sp = obj.spec
+    if not 1.0 < sp.alpha <= sp.gamma:
+        raise ValueError(
+            f"minimize needs 1 < alpha <= gamma, got alpha={sp.alpha}, gamma={sp.gamma}"
+        )
     h, hd = sp.grid.h, sp.grid.h**sp.dim
     u, m = _initial_point(sp.grid, init)
     if not np.all(np.isfinite(u)):

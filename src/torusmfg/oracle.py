@@ -4,10 +4,11 @@ For P = 0 the minimiser is u = 0 with m(x) = (G*)'(V(x) - Hbar), the
 normalisation constant fixed by unit mass.  For critical congestion
 (alpha = 1, P != 0) u is constant and m solves a scalar equation per node,
 again with an outer scalar solve for Hbar.  Both are the exact minimisation
-over m at u = 0, so each oracle is one call of the nested m-block
-`variational.nested_m` with kin = |P|^gamma at every node, from m = 1 and
-the Hbar at which m = 1 solves every node for constant V.  Its node roots
-are closed forms wherever the coupling allows: the P = 0 power of
+over m at u = 0, so both oracles are one private solve, `_solve_at_u0`:
+a call of the nested m-block `variational.nested_m` with kin = |P|^gamma
+at every node, from m = 1 and the Hbar at which m = 1 solves every node
+for constant V, returned as the SolveResult of (u, m) = (0, m).  Its node
+roots are closed forms wherever the coupling allows: the P = 0 power of
 `CouplingG.conjugate_deriv` for a one-term coupling, and the quadratic for
 g(m) = kappa m at alpha = 1.  The oracles add the checks of the answer.
 """
@@ -31,24 +32,19 @@ RESIDUAL_TOL = 1e-10
 N_FINE = {1: 200_000, 2: 2048}
 
 
-def _kinetic_at_u0(spec: ProblemSpec) -> np.ndarray:
-    """|P + Du|^gamma at u = 0: P + Du is P at every node, so |P|^gamma
-    summed and raised as `kinetic_density` does, without its stencils."""
-    p_sq = sum(p * p for p in spec.P)
-    return np.full(spec.grid.shape, p_sq) ** (spec.gamma / 2.0)
+def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
+    """The SolveResult of (u, m) = (0, m), with (Hbar, m) from the nested
+    m-block started at m = 1 and the cold Hbar guess.
 
-
-def _m_block_at_u0(spec: ProblemSpec, kin: np.ndarray) -> tuple[float, np.ndarray]:
-    """(Hbar, m) of the nested m-block from m = 1 and the cold Hbar guess."""
-    return nested_m(spec, kin, cold_hbar(spec, kin), np.ones(spec.grid.shape))
-
-
-def _result_from_point(spec: ProblemSpec, kin: np.ndarray, m: np.ndarray,
-                       hbar: float) -> SolveResult:
-    """The SolveResult of the oracle point (u, m) = (0, m), kin at u = 0;
-    J_h is undefined at alpha = 1, so the objective is NaN there."""
+    At u = 0, P + Du is P at every node, so kin is |P|^gamma, summed and
+    raised as `kinetic_density` does, without its stencils.  J_h is
+    undefined at alpha = 1, so the objective is NaN there.
+    """
+    shape = spec.grid.shape
+    kin = np.full(shape, sum(p * p for p in spec.P)) ** (spec.gamma / 2.0)
+    hbar, m = nested_m(spec, kin, cold_hbar(spec, kin), np.ones(shape))
     obj = DiscreteObjective(spec)
-    u = np.zeros(spec.grid.shape)
+    u = np.zeros(shape)
     objective = obj.value_arrays(u, m, kin) if spec.alpha > 1.0 else float("nan")
     return solve_result(obj, u, m, kin, hbar, objective, 0, "stationary", 0.0)
 
@@ -58,11 +54,10 @@ def solve_P0(spec: ProblemSpec) -> SolveResult:
     if spec.P_norm != 0.0:
         raise ValueError("closed-form path requires P = 0")
     grid = spec.grid
-    kin = _kinetic_at_u0(spec)
-    hbar, m = _m_block_at_u0(spec, kin)
-    if abs(grid.h**grid.dim * m.sum() - 1.0) > MASS_TOL:
+    res = _solve_at_u0(spec)
+    if abs(grid.h**grid.dim * res.m.values.sum() - 1.0) > MASS_TOL:
         raise BracketError("mass normalisation did not converge to tolerance")
-    return _result_from_point(spec, kin, m, hbar)
+    return res
 
 
 def continuum_Hbar_P0(spec: ProblemSpec, potential) -> float:
@@ -75,7 +70,8 @@ def continuum_Hbar_P0(spec: ProblemSpec, potential) -> float:
     if spec.P_norm != 0.0:
         raise ValueError("closed-form path requires P = 0")
     fine = spec.with_grid_size(N_FINE[spec.dim], potential)
-    return _m_block_at_u0(fine, np.zeros(fine.grid.shape))[0]
+    kin = np.zeros(fine.grid.shape)
+    return nested_m(fine, kin, cold_hbar(fine, kin), np.ones(fine.grid.shape))[0]
 
 
 def solve_critical(spec: ProblemSpec) -> SolveResult:
@@ -91,17 +87,16 @@ def solve_critical(spec: ProblemSpec) -> SolveResult:
     if spec.P_norm == 0.0:
         raise ValueError("critical path requires P != 0 (nodewise solvability)")
     grid = spec.grid
-    V = spec.V.values
     kinetic = spec.P_norm**spec.gamma / spec.gamma
-    kin = _kinetic_at_u0(spec)
-    hbar, m = _m_block_at_u0(spec, kin)
+    res = _solve_at_u0(spec)
+    m = res.m.values
 
-    residual = kinetic / m - spec.coupling.g(m) - (hbar - V)
+    residual = kinetic / m - spec.coupling.g(m) - (res.Hbar - spec.V.values)
     if np.max(np.abs(residual)) > RESIDUAL_TOL:
         raise BracketError("nodewise algebraic residual above tolerance")
     if abs(grid.h**grid.dim * m.sum() - 1.0) > RESIDUAL_TOL:
         raise BracketError("critical mass normalisation above tolerance")
-    return _result_from_point(spec, kin, m, hbar)
+    return res
 
 
 @dataclass

@@ -69,31 +69,6 @@ class FeasiblePoint:
         eu, em = self.feasibility_errors()
         return eu <= tol and em <= tol and self.m.values.min() >= -tol
 
-    def copy(self) -> "FeasiblePoint":
-        return FeasiblePoint(self.u.copy(), self.m.copy())
-
-
-@dataclass
-class AprioriDiagnostics:
-    """Integral quantities bounded a priori along smooth solutions.
-
-    congestion_energy_weighted: integral of |(P+Du)/m^ab|^gamma (m^ab + m^(ab+1))
-    with ab = alpha/(gamma-1); coupling_balance: integral of (m-1) g(m);
-    second_order_proxy: integral of g'(m) |Dm|^2.  Observational only:
-    computed by `diagnostics_record` on request, never by a solve.
-    """
-
-    congestion_energy_weighted: float
-    coupling_balance: float
-    second_order_proxy: float
-
-    def as_dict(self) -> dict:
-        return {
-            "congestion_energy_weighted": self.congestion_energy_weighted,
-            "coupling_balance": self.coupling_balance,
-            "second_order_proxy": self.second_order_proxy,
-        }
-
 
 @dataclass
 class DiscreteObjective:
@@ -206,7 +181,8 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
     Hbar of the mass constraint makes each node stationary:
     g(m) - V - kin/(gamma m^alpha) = -Hbar.  Where kin > 0 the node solves
     this multiplied by m^alpha, psi(m) = m^alpha (g(m) + Hbar - V) - kin/gamma
-    = 0, whose one root is positive.  Where kin = 0 it takes
+    = 0, whose one root is positive; `_node` evaluates psi, psi' and
+    m^alpha for this iteration and for `nested_m`.  Where kin = 0 it takes
     m = (G*)'(V - Hbar), vacuum allowed, with dm/dHbar = -1/g'(m) where
     m > 0 and 0 elsewhere.  The oracles solve these equations at u = 0
     with `nested_m`.
@@ -239,13 +215,10 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_JOINT_STEPS):
             mv, dmv = _vacuum_density(coupling, Vv - hbar, mv)
-            xa1 = x ** (a - 1.0)
-            xa = x * xa1
-            s = coupling.g(x) + hbar - Vp
-            dpsi = a * xa1 * s + xa * coupling.g_prime(x, z_floor=1e-300)
+            psi, dpsi, xa = _node(a, coupling, x, hbar, Vp, c)
             if not np.all(dpsi > 0.0):
                 break
-            r, q = (xa * s - c) / dpsi, xa / dpsi
+            r, q = psi / dpsi, xa / dpsi
             e = cell * (float(np.sum(x - r)) + float(np.sum(mv))) - 1.0
             slope = cell * (float(np.sum(dmv)) - float(np.sum(q)))
             if not slope < 0.0:
@@ -267,6 +240,19 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
     return nested_m(spec, kin, hbar, m)
 
 
+def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
+          k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, psi', x^a) of the node equation at x: psi(x) = x^a (g(x) + Hbar
+    - V) - k, psi'(x) = a x^(a-1) (g(x) + Hbar - V) + x^a g'(x), with g'
+    floored at x = 1e-300.  x^a is x x^(a-1), so one power serves both; g
+    and g' are evaluated once each.  It is the one place that writes psi
+    and psi'."""
+    xa1 = x ** (a - 1.0)
+    xa = x * xa1
+    s = coupling.g(x) + hbar - V
+    return xa * s - k, a * xa1 * s + xa * coupling.g_prime(x, z_floor=1e-300), xa
+
+
 def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
     """(m, dm/dHbar) of the kin = 0 nodes at V - Hbar = q."""
     if not q.size:
@@ -283,9 +269,10 @@ def nested_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
     nodewise roots.  It is the oracles' m-block at u = 0 and the safeguard
     of `optimal_m`'s joint Newton iteration.
 
-    The kin > 0 nodes run `monotone_root` on psi, each solve warm-started at
-    the previous one's m, the first at m0; dm/dHbar = -m^alpha / psi'(m)
-    there.  At alpha = 1 with the one-term coupling (c, 2), psi is the
+    The kin > 0 nodes run `monotone_root` on psi, with psi and psi' from
+    `_node`, each solve warm-started at the previous one's m, the first at
+    m0; dm/dHbar = -m^alpha / psi'(m) there, from one more `_node` call at
+    the root.  At alpha = 1 with the one-term coupling (c, 2), psi is the
     quadratic kappa m^2 + b m - k with kappa = 2c, b = Hbar - V and
     k = kin/gamma.  With s = sqrt(b^2 + 4 kappa k) its root is
     m = 2k / (b + s) where b >= 0 and m = (s - b) / (2 kappa) where b < 0,
@@ -313,9 +300,10 @@ def nested_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
 
 def _node_density(spec: ProblemSpec, k: np.ndarray, V: np.ndarray, m0: np.ndarray):
     """density(Hbar) -> (m, dm/dHbar) of nodes with kin = gamma k, either
-    positive at every one of them or 0 at every one."""
-    a, coupling = spec.alpha, spec.coupling
-    g, g_prime, terms = coupling.g, coupling.g_prime, coupling.terms
+    positive at every one of them or 0 at every one.  Positive kin takes
+    the alpha = 1 quadratic closed form where it applies, else the roots of
+    `_node`'s psi; kin = 0 takes `_vacuum_density`."""
+    a, coupling, terms = spec.alpha, spec.coupling, spec.coupling.terms
     m_last = m0
     if not k.any():
         def vacuum(hbar):
@@ -340,14 +328,10 @@ def _node_density(spec: ProblemSpec, k: np.ndarray, V: np.ndarray, m0: np.ndarra
 
     def roots(hbar):
         nonlocal m_last
-
-        def dpsi(x):
-            return a * x ** (a - 1.0) * (g(x) + hbar - V) \
-                + x**a * g_prime(x, z_floor=1e-300)
-
-        m_last = monotone_root(lambda x: x**a * (g(x) + hbar - V) - k, dpsi,
+        m_last = monotone_root(lambda x: _node(a, coupling, x, hbar, V, k)[:2],
                                0.0, m_last)
-        return m_last, -(m_last**a) / dpsi(m_last)
+        _, dpsi, xa = _node(a, coupling, m_last, hbar, V, k)
+        return m_last, -xa / dpsi
 
     return roots
 
@@ -402,8 +386,18 @@ def estimate_Hbar(pt: FeasiblePoint, obj: DiscreteObjective,
     return float(q.mean()), float(q.std())
 
 
-def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective) -> AprioriDiagnostics:
-    """The three diagnostic integrals, m floored inside negative powers."""
+def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective) -> dict:
+    """Integral quantities bounded a priori along smooth solutions, m
+    floored at M_FLOOR inside negative powers, by key:
+
+    - "congestion_energy_weighted": integral of
+      |(P+Du)/m^ab|^gamma (m^ab + m^(ab+1)) with ab = alpha/(gamma-1);
+    - "coupling_balance": integral of (m-1) g(m);
+    - "second_order_proxy": integral of g'(m) |Dm|^2.
+
+    Observational only: `diagnostics_record` computes them on request,
+    never a solve.
+    """
     obj._check_point(pt)
     sp = obj.spec
     h = sp.grid.h
@@ -418,11 +412,11 @@ def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective) -> AprioriDia
     for k in range(sp.dim):
         dm_sq += central_diff_values(m, h, k) ** 2
     second_order = sp.coupling.g_prime(np.maximum(m, 0.0), z_floor=M_FLOOR) * dm_sq
-    return AprioriDiagnostics(
-        congestion_energy_weighted=integrate_values(congestion, h),
-        coupling_balance=integrate_values(coupling_balance, h),
-        second_order_proxy=integrate_values(second_order, h),
-    )
+    return {
+        "congestion_energy_weighted": integrate_values(congestion, h),
+        "coupling_balance": integrate_values(coupling_balance, h),
+        "second_order_proxy": integrate_values(second_order, h),
+    }
 
 
 def diagnostics_record(pt: FeasiblePoint, obj: DiscreteObjective) -> dict:
@@ -439,5 +433,5 @@ def diagnostics_record(pt: FeasiblePoint, obj: DiscreteObjective) -> dict:
         "Hbar_std": hstd,
         "mass_error": em,
         "umean_error": eu,
-        "apriori": apriori_diagnostics(pt, obj).as_dict(),
+        "apriori": apriori_diagnostics(pt, obj),
     }

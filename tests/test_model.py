@@ -124,8 +124,7 @@ class TestRootKernels:
     def test_monotone_root_doubles_past_the_start(self):
         # m^3 = q with roots up to 100, far above the start 1
         q = np.array([1e-9, 0.5, 8.0, 1e6])
-        m = monotone_root(lambda m: m**3 - q, lambda m: 3.0 * m**2,
-                          0.0, np.ones_like(q))
+        m = monotone_root(lambda m: (m**3 - q, 3.0 * m**2), 0.0, np.ones_like(q))
         assert np.allclose(m, np.cbrt(q), rtol=1e-14, atol=0.0)
 
     def test_monotone_root_matches_bisection_in_few_steps(self):
@@ -157,13 +156,16 @@ class TestRootKernels:
         for _ in range(3):
             ref = np.maximum(ref - phi(ref) / dphi(ref), 0.0)
 
+        def node(m):
+            return phi(m), dphi(m)
+
         calls = 0
-        m = monotone_root(phi, dphi, 0.0, np.ones_like(q))
+        m = monotone_root(node, 0.0, np.ones_like(q))
         assert np.allclose(m, ref, rtol=1e-15, atol=0.0)
         assert calls <= 16
 
         calls = 0
-        m = monotone_root(phi, dphi, 0.0, np.cbrt(q))
+        m = monotone_root(node, 0.0, np.cbrt(q))
         assert np.allclose(m, ref, rtol=1e-15, atol=0.0)
         assert calls <= 2
 
@@ -179,13 +181,13 @@ class TestRootKernels:
     def test_monotone_root_raises_when_newton_cannot_finish(self):
         # phi is NaN everywhere: no bracket end ever moves
         with pytest.raises(BracketError):
-            monotone_root(lambda m: np.full_like(m, np.nan), np.ones_like,
+            monotone_root(lambda m: (np.full_like(m, np.nan), np.ones_like(m)),
                           0.0, np.ones(3))
 
     def test_monotone_root_stops_on_a_collapsed_bracket(self):
         # phi jumps at its root, so no Newton step there is small; the
         # bracket shrinks onto one float and the node must stop at it
-        root = monotone_root(lambda m: np.where(m >= 1.0, 1.0, -1.0), np.ones_like,
+        root = monotone_root(lambda m: (np.where(m >= 1.0, 1.0, -1.0), np.ones_like(m)),
                              0.0, np.array([0.3, 5.0]))
         assert np.array_equal(root, [1.0, 1.0])
 
@@ -203,8 +205,7 @@ class TestRootKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m = monotone_root(
-                lambda m: coupling.g(m) - q,
-                lambda m: coupling.g_prime(m, z_floor=1e-300),
+                lambda m: (coupling.g(m) - q, coupling.g_prime(m, z_floor=1e-300)),
                 0.0,
                 m0,
             )

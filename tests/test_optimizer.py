@@ -109,6 +109,20 @@ class TestDescentMechanics:
             with pytest.raises(ValueError, match="init"):
                 minimize(DiscreteObjective(spec), init)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    def test_exponents_outside_the_convex_range_raise(self, alpha):
+        # J_h is convex only for 1 < alpha <= gamma; these used to end
+        # "line_search" (0.5), "stationary" at J = inf (1) and "stationary"
+        # on a nonconvex functional (3)
+        spec = make_spec(n=16, alpha=alpha, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * x))
+        with pytest.raises(ValueError, match="alpha"):
+            minimize(DiscreteObjective(spec))
+
+    def test_negative_max_iters_raises(self):
+        # the cap fires on iters == max_iters, which -1 never meets
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveOptions(max_iters=-1)
+
     def test_nonconverged_flag_on_iteration_cap(self):
         spec = make_spec(n=32, V_fn=lambda x: 3 * np.cos(2 * np.pi * x))
         res = minimize(DiscreteObjective(spec), random_feasible_point(spec.grid, 9),

@@ -19,6 +19,8 @@ from torusmfg.transform import (
     _hjb_jacobian,
     _hjb_scheme,
     _nd_stencil,
+    curl_proxy,
+    dual_divergence_residual,
     hjb_residual,
     pipeline_alpha_lt_1,
     recover_P,
@@ -83,6 +85,18 @@ class TestPipeline:
         assert all(r <= 1e-10 for _, _, r in res.discount_estimates)
         assert res.u.values.max() == 0.0
         assert res.residuals["hbar_dual_consistency"] <= 2e-4
+
+    def test_curl_proxy_repeats_the_divergence_residual(self):
+        # the curl of the rotated flux deficit is the 2-point divergence of
+        # the flux, so the pipeline reports only the latter
+        dual = DualSpec(base_spec(16, sine_cosine()), (1.0, 0.0))
+        res = pipeline_alpha_lt_1(dual)
+        div = dual_divergence_residual(res.psi, res.m, dual)
+        assert res.residuals["dual_divergence_l1"] == div
+        assert curl_proxy(res.psi, res.m, dual, res.P_recovered) == pytest.approx(
+            div, rel=1e-13, abs=0.0)
+        assert set(res.residuals) == {
+            "dual_divergence_l1", "hjb_max_residual", "hbar_dual_consistency"}
 
     def test_reversed_Q_mirrors_psi_and_P(self):
         # psi -> -psi with m unchanged solves the dual problem for -Q, so the

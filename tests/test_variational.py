@@ -277,15 +277,15 @@ class TestAprioriDiagnostics:
     def test_all_zero_at_rest(self):
         spec = make_spec(n=16)
         d = apriori_diagnostics(uniform_point(spec.grid), DiscreteObjective(spec))
-        assert d.congestion_energy_weighted == pytest.approx(0.0, abs=1e-14)
-        assert d.coupling_balance == pytest.approx(0.0, abs=1e-14)
-        assert d.second_order_proxy == pytest.approx(0.0, abs=1e-14)
+        assert d["congestion_energy_weighted"] == pytest.approx(0.0, abs=1e-14)
+        assert d["coupling_balance"] == pytest.approx(0.0, abs=1e-14)
+        assert d["second_order_proxy"] == pytest.approx(0.0, abs=1e-14)
 
     def test_drift_hand_value(self):
         spec = make_spec(dim=2, n=8, alpha=2.0, gamma=2.0, P=(1.0, 0.0))
         d = apriori_diagnostics(uniform_point(spec.grid), DiscreteObjective(spec))
-        assert d.congestion_energy_weighted == pytest.approx(2.0, abs=1e-14)
-        assert d.coupling_balance == pytest.approx(0.0, abs=1e-14)
+        assert d["congestion_energy_weighted"] == pytest.approx(2.0, abs=1e-14)
+        assert d["coupling_balance"] == pytest.approx(0.0, abs=1e-14)
 
     def test_nonnegativity_invariants(self):
         spec = make_spec(n=24, P=(0.7,), V_fn=lambda x: np.cos(2 * np.pi * x))
@@ -293,8 +293,8 @@ class TestAprioriDiagnostics:
         for seed in range(5):
             pt = random_feasible(spec.grid, 600 + seed)
             d = apriori_diagnostics(pt, obj)
-            assert d.congestion_energy_weighted >= 0.0
-            assert d.second_order_proxy >= 0.0
+            assert d["congestion_energy_weighted"] >= 0.0
+            assert d["second_order_proxy"] >= 0.0
 
     def test_record_schema(self):
         spec = make_spec(n=16, V_fn=lambda x: np.cos(2 * np.pi * x))
@@ -345,7 +345,7 @@ class TestDiagnosticsOnRequest:
         obj = DiscreteObjective(spec)
         rec = diagnostics_record(res.point, obj)
         apriori = rec["apriori"]
-        assert apriori == apriori_diagnostics(res.point, obj).as_dict()
+        assert apriori == apriori_diagnostics(res.point, obj)
         if spec.alpha > 1.0:
             assert rec["Jh"] == res.objective
         else:
@@ -531,6 +531,28 @@ class TestNestedM:
         assert {"positive": pos.all(), "zero": not pos.any(),
                 "mixed": pos.any() and not pos.all()}[kin_pattern]
         hbar, m = nested_m(spec, kin, *cold_start(spec, kin))
+        want_hbar, want_m = bisection_m_block(spec, kin)
+        assert hbar == pytest.approx(want_hbar, abs=1e-12)
+        assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(want_m)
+
+    def test_general_alpha_evaluates_g_once_per_node_step(self, monkeypatch):
+        # each node Newton step evaluates psi and psi' in one `_node` call,
+        # so g and g' run once each per step, and once more at the root for
+        # dm/dHbar; psi and psi' written apart took two g per step
+        spec, kin = m_block_case(2, 1.7, 2.0, ((0.5, 2.0), (1.0, 3.0)), 5.0, 11, False)
+        assert (kin > 0.0).all()
+        start = cold_start(spec, kin)
+        calls = {"g": 0, "g_prime": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _fn=getattr(CouplingG, name), **kw):
+                calls[_name] += 1
+                return _fn(self, *args, **kw)
+
+            monkeypatch.setattr(CouplingG, name, counted)
+        hbar, m = nested_m(spec, kin, *start)
+        monkeypatch.undo()
+        assert calls["g"] > 0
+        assert calls["g"] == calls["g_prime"]
         want_hbar, want_m = bisection_m_block(spec, kin)
         assert hbar == pytest.approx(want_hbar, abs=1e-12)
         assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(want_m)
