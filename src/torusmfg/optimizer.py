@@ -61,7 +61,10 @@ class SolveOptions:
         for name in ("tol_gradmap", "step0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        # the cap fires on iters == max_iters, which a negative value never meets
+        # the cap fires on iters == max_iters, which a negative or
+        # non-integral value never meets
+        if not float(self.max_iters).is_integer():
+            raise ValueError("max_iters must be an integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 

@@ -251,12 +251,25 @@ def _residual_floor(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
     return float(np.finfo(float).eps) * float(np.max(np.abs(u))) / h * coef
 
 
+class _KeptFactor:
+    """The last SuperLU factor of a discounted HJB solve and the discount
+    rate beta_f of the Jacobian it factors; `solve_hjb_discounted` updates
+    it in place, so the next rate of the schedule can start on it."""
+
+    __slots__ = ("lu", "beta")
+
+    def __init__(self):
+        self.lu = None
+        self.beta = None
+
+
 def solve_hjb_discounted(
     m: GridFunction,
     P,
     spec: ProblemSpec,
     beta: float,
     u0: np.ndarray | None = None,
+    factor: _KeptFactor | None = None,
 ) -> GridFunction:
     """Solve beta u + |P+Du|^gamma/(gamma m^alpha) + V - g(m) = 0.
 
@@ -282,6 +295,19 @@ def solve_hjb_discounted(
     has the upwind pattern of P alone, about half of whose active slopes
     flip in that step, so a chord step on it would soon raise the residual.
     A step that is not finite raises `HJBConvergenceError` at once.
+
+    `factor`, a `_KeptFactor`, hands the last factor from one discount
+    rate to the next.  The solve starts with chord steps on the factor it
+    holds, if any, under the same _RHO rule, and leaves in it the factor
+    of its last refactor, dropped or not.  Every row of the upwind part of
+    the Jacobian sums to zero, so J(beta, u) 1 = beta 1 for every u, and a
+    factor F formed at beta_f gives F^-1 1 = 1/beta_f exactly.  A chord
+    step at beta on F is therefore y = F^-1(-r) with its mean rescaled,
+    y + (beta_f/beta - 1) mean(y): the chord step of the bordered system in
+    (mean-zero v, H = -beta mean(u)), whose Jacobian [beta I + A, -1;
+    1^T/N, 0] is exact on the constant mode, where F is off by the factor
+    beta_f/beta.  At beta = beta_f it is the plain chord step.  At most
+    one factor is alive: the held one is released before each `splu`.
 
     At most one of the two upwind slopes of an axis is active at most
     nodes, so the Jacobian stores only its active entries: an explicit zero
@@ -310,26 +336,34 @@ def solve_hjb_discounted(
     u = np.zeros(grid.shape) if cold else np.array(u0, dtype=float)
     r = residual(u)
     norm = float(np.max(np.abs(r)))
-    lu = None
+    kept = _KeptFactor() if factor is None else factor
+    keep = kept.lu is not None
     for _ in range(_MAX_NEWTON):
         # the floor costs a pass of upwind slopes: only where _HJB_TOL is not
         # met, here and below
-        if lu is None and (norm <= _HJB_TOL or norm <= _HJB_TOL + _residual_floor(
+        if not keep and (norm <= _HJB_TOL or norm <= _HJB_TOL + _residual_floor(
                 u, p, spec.gamma, grid.h, denom)):
             break
-        chord = lu is not None
+        chord = keep
         rhs = -r.ravel()[perm]
         if chord:
-            step_nd = lu.solve(rhs, trans="T")
+            step_nd = kept.lu.solve(rhs, trans="T")
+            if kept.beta != beta:
+                # the factor maps the constant mode to 1/beta_f, the
+                # Jacobian at beta to 1/beta
+                step_nd += (kept.beta / beta - 1.0) * step_nd.mean()
         else:
             jac = _hjb_jacobian(u, p, spec.gamma, grid.h, denom, beta, stencil)
             if cold:
                 step_nd = spla.spsolve(jac, rhs, permc_spec="NATURAL")
                 cold = False
             else:
+                kept.lu = None      # never two factors alive
                 # the CSR arrays of J are the CSC arrays of J^T
-                lu = spla.splu(jac.T, permc_spec="NATURAL")
-                step_nd = lu.solve(rhs, trans="T")
+                kept.lu = spla.splu(jac.T, permc_spec="NATURAL")
+                kept.beta = beta
+                keep = True
+                step_nd = kept.lu.solve(rhs, trans="T")
         delta = step_nd[inv].reshape(grid.shape)
         if not np.all(np.isfinite(delta)):
             raise HJBConvergenceError(
@@ -339,7 +373,7 @@ def solve_hjb_discounted(
         r_try = residual(u_try)
         norm_try = float(np.max(np.abs(r_try)))
         if norm_try > _RHO * norm:
-            lu = None
+            keep = False
             if chord and norm_try >= norm:
                 continue
         u, r, norm = u_try, r_try, norm_try
@@ -378,7 +412,11 @@ def pipeline_alpha_lt_1(dual: DualSpec) -> TransformResult:
     """Exponent transform, dual solve, drift recovery, vanishing discount.
 
     The dual solve runs with the default `SolveOptions`.  The discount
-    rates are _BETAS, and H-bar is read off at the last one.  The residuals
+    rates are _BETAS, and H-bar is read off at the last one.  Each rate
+    starts from the last u with its mean rescaled and on the last factor
+    of the rate before (`solve_hjb_discounted`'s `factor`), so that its
+    solve may make no factorization; one factor at most is alive at a
+    time, and none once the pipeline returns.  The residuals
     are the dual flux's 2-point divergence ("dual_divergence_l1"), the
     last HJB residual ("hjb_max_residual") and the gap between the dual's
     and the HJB's H-bar ("hbar_dual_consistency").
@@ -391,6 +429,7 @@ def pipeline_alpha_lt_1(dual: DualSpec) -> TransformResult:
     h = base.grid.h
     estimates = []
     u_beta = None
+    kept = _KeptFactor()
     for beta in _BETAS:
         warm = None
         if u_beta is not None:
@@ -398,7 +437,7 @@ def pipeline_alpha_lt_1(dual: DualSpec) -> TransformResult:
             # 1/beta; the oscillating part converges and is carried as is
             mean = float(u_beta.values.mean())
             warm = u_beta.values + mean * (last_beta / beta - 1.0)
-        u_beta = solve_hjb_discounted(m, P, base, beta, u0=warm)
+        u_beta = solve_hjb_discounted(m, P, base, beta, u0=warm, factor=kept)
         last_beta = beta
         est = -beta * integrate_values(u_beta.values, h)
         estimates.append(

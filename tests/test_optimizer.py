@@ -123,6 +123,19 @@ class TestDescentMechanics:
         with pytest.raises(ValueError, match="max_iters"):
             SolveOptions(max_iters=-1)
 
+    @pytest.mark.parametrize("max_iters", [2.5, float("inf"), float("nan")])
+    def test_non_integral_max_iters_raises(self, max_iters):
+        # iters == 2.5 never holds: on 1D cosine V, P = 1, n = 32 the cap
+        # did not fire and the solve ran 8 iterations to "stationary"
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveOptions(max_iters=max_iters)
+
+    def test_integral_float_max_iters_caps(self):
+        spec = make_spec(n=32, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * x))
+        res = minimize(DiscreteObjective(spec), "uniform",
+                       SolveOptions(step0=32.0, max_iters=2.0))
+        assert (res.iters, res.stop_reason) == (2, "iteration_cap")
+
     def test_nonconverged_flag_on_iteration_cap(self):
         spec = make_spec(n=32, V_fn=lambda x: 3 * np.cos(2 * np.pi * x))
         res = minimize(DiscreteObjective(spec), random_feasible_point(spec.grid, 9),

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -18,6 +21,7 @@ from torusmfg.transform import (
     HJBConvergenceError,
     _hjb_jacobian,
     _hjb_scheme,
+    _KeptFactor,
     _nd_stencil,
     curl_proxy,
     dual_divergence_residual,
@@ -199,6 +203,15 @@ class TestHJBJacobian:
             # a constant u leaves one upwind slope per axis: 3 entries a row
             assert np.all(np.diff(jac.indptr) == u.ndim + 1)
 
+    @pytest.mark.parametrize("u_scale", [0.0, 0.01, 0.1])
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    def test_rows_sum_to_beta(self, gamma, u_scale):
+        # the upwind part of every row sums to zero, so J 1 = beta 1 for any
+        # u: the identity the rescaled chord step of a reused factor rests on
+        u, _, _, jac = self.build(gamma, u_scale)
+        sums = jac @ np.ones(u.size)
+        assert np.all(np.abs(sums - self.beta) <= 8 * np.finfo(float).eps * jac.diagonal())
+
     @pytest.mark.parametrize("gamma", [2.0, 3.0])
     def test_product_matches_central_difference_of_the_residual(self, gamma):
         u, residual, _, jac = self.build(gamma, 0.1)
@@ -292,14 +305,16 @@ def plain_newton(m, P, spec, beta, u0):
 class TestHJBNewton:
     def test_pipeline_newton_work_and_hbar_are_pinned(self, monkeypatch):
         # alpha_lt_1-style problem over beta = 0.1, 0.01, 0.001: one cold
-        # spsolve, then one kept factor per discount rate, and the H-bar of
-        # the parent's 10 C-order Newton solves.  The factor-solve count
-        # follows the dual m to rounding: 34 with the nested m-block
+        # spsolve and a factor at beta = 0.1, a refactor part way through
+        # beta = 0.01, and beta = 0.001 run wholly on the factor handed on
+        # from beta = 0.01 (15, 9 and 8 factor solves).  H-bar is that of
+        # the 10 C-order Newton solves of the first sparse pipeline, and the
+        # factor-solve count follows the dual m to rounding
         work = count_factor_work(monkeypatch)
         res = pipeline_alpha_lt_1(DualSpec(base_spec(32, sine_cosine()), (1.0, 0.0)))
         assert work["spsolve"] == [32 * 32]
-        assert work["splu"] == [32 * 32] * 3
-        assert work["solve"] == ["T"] * 33
+        assert work["splu"] == [32 * 32] * 2
+        assert work["solve"] == ["T"] * 32
         assert res.Hbar == pytest.approx(-0.4300979012669483, abs=1e-12)
         assert res.residuals["hjb_max_residual"] <= 1e-10
 
@@ -342,6 +357,53 @@ class TestHJBNewton:
         assert -beta * integrate_values(u, h) == pytest.approx(
             -beta * integrate_values(ref, h), abs=1e-12)
         assert np.max(np.abs(u - ref)) <= 1e-10
+
+    @pytest.mark.parametrize("betas", [(0.1, 1e-2), (1e-2, 1e-3)])
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 12), (2, 24), (2, 33)])
+    def test_reused_factor_solves_agree_with_fresh_solves(self, dim, n, gamma, betas):
+        # the warm start and hand-off of the pipeline: the factor last used
+        # at beta_prev starts the solve at beta with rescaled chord steps
+        spec, m = hjb_problem(dim, n, gamma)
+        P = (0.5,) if dim == 1 else (0.7, -0.4)
+        beta_prev, beta = betas
+        kept = _KeptFactor()
+        u_prev = solve_hjb_discounted(m, P, spec, beta_prev, factor=kept).values
+        assert kept.lu is not None and kept.beta == beta_prev
+        warm = u_prev + u_prev.mean() * (beta_prev / beta - 1.0)
+        u = solve_hjb_discounted(m, P, spec, beta, u0=warm, factor=kept).values
+        ref = solve_hjb_discounted(m, P, spec, beta, u0=warm).values
+        h = spec.grid.h
+        assert -beta * integrate_values(u, h) == pytest.approx(
+            -beta * integrate_values(ref, h), abs=1e-12)
+        assert np.max(np.abs(u - ref)) <= 1e-10
+
+    def test_factor_hand_off_leaves_the_first_rate_unchanged(self):
+        # the beta = 0.1 solve starts with no factor and forms its own at
+        # beta = 0.1, so it needs no rescale: it is a plain cold solve
+        base = base_spec(16, sine_cosine())
+        res = pipeline_alpha_lt_1(DualSpec(base, (1.0, 0.0)))
+        plain = solve_hjb_discounted(res.m, res.P_recovered, base, 0.1)
+        assert res.discount_estimates[0] == (
+            0.1, -0.1 * integrate_values(plain.values, base.grid.h),
+            hjb_residual(plain, res.m, res.P_recovered, base, 0.1))
+
+    def test_pipeline_never_holds_two_factors(self, monkeypatch):
+        factors = []
+        splu = spla.splu
+
+        def single_splu(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in factors)
+            lu = CountingFactor(splu(*args, **kwargs), [])
+            factors.append(weakref.ref(lu))
+            return lu
+
+        monkeypatch.setattr(transform.spla, "splu", single_splu)
+        pipeline_alpha_lt_1(DualSpec(base_spec(32, sine_cosine()), (1.0, 0.0)))
+        gc.collect()
+        assert len(factors) == 2
+        assert all(ref() is None for ref in factors)
 
 
 class TestHJBRegressions:
