@@ -14,8 +14,10 @@ Hamilton-Jacobi equation
 
     beta u + |P + Du|^gamma / (gamma m^alpha) + V - g(m) = 0
 
-with a monotone upwind scheme, letting beta -> 0 so that -beta u
-approaches the effective Hamiltonian.
+with a monotone upwind scheme at one small discount rate beta, where
+-beta u approaches the effective Hamiltonian as beta -> 0.  The solve starts
+from the dual solution, which fixes both P + Du (the rotated flux) and the
+effective Hamiltonian.
 
 The dual problem's stationarity in psi is D^T j = 0 for its current j
 (`variational.DiscreteObjective.flux`), and the drift is read off that
@@ -40,9 +42,10 @@ import scipy.sparse.linalg as spla
 from .grid import (
     GridFunction,
     central_diff2_values,
-    central_diff_values,  # unused; bench/tests checks that tracing patches it here
+    central_diff_values,
     integrate_values,
     nested_dissection_order,
+    normal_pinv_values,
     periodic_shift,
     upwind_grad_power_values,
     upwind_slopes,
@@ -54,7 +57,7 @@ from .variational import MASS_CUTOFF, DiscreteObjective
 _MAX_NEWTON = 200
 _RHO = 0.5             # least contraction per step that keeps the LU factor
 _HJB_TOL = 1e-10       # max residual at which a discounted HJB solve stops
-_BETAS = (1e-1, 1e-2, 1e-3)  # vanishing discount rates; Hbar is read at the last
+_BETA = 1e-3           # discount rate at which Hbar is read
 
 
 class HJBConvergenceError(RuntimeError):
@@ -140,22 +143,30 @@ def dual_divergence_residual(psi: GridFunction, m: GridFunction,
     return integrate_values(np.abs(div), h)
 
 
+def _flux_deficit(psi: GridFunction, m: GridFunction, dual: DualSpec,
+                  P: np.ndarray) -> list[np.ndarray]:
+    """The rotated flux deficit rot(flux) - P, one array per axis.
+
+    From Pperp + (Du)perp = flux with perp(v) = (-v2, v1), this is the
+    gradient field Du that the dual solution asks of u.
+    """
+    flux = _dual_flux(psi, m, dual)
+    return [flux[1] - P[0], -flux[0] - P[1]]
+
+
 def curl_proxy(psi: GridFunction, m: GridFunction, dual: DualSpec,
                P: np.ndarray) -> float:
     """L1 norm of the discrete curl of the reconstructed Du candidate.
 
-    From Pperp + (Du)perp = flux, the candidate gradient field is the
-    rotated flux deficit; it is an honest gradient only if its curl
-    vanishes, which the construction does not guarantee.  The pipeline
-    does not report it: it equals `dual_divergence_residual` to about 15
-    digits.  It stays because the benchmark's tracer names it.
+    The candidate gradient field is the rotated flux deficit; it is an
+    honest gradient only if its curl vanishes, which the construction does
+    not guarantee.  The pipeline does not report it: it equals
+    `dual_divergence_residual` to about 15 digits.  It stays because the
+    benchmark's tracer names it.
     """
     h = dual.base.grid.h
-    flux = _dual_flux(psi, m, dual)
-    pperp = np.array([-P[1], P[0]])
-    du1 = flux[1] - pperp[1]       # (a_2, -a_1) undoes perp
-    du2 = -(flux[0] - pperp[0])
-    curl = central_diff2_values(du2, h, 0) - central_diff2_values(du1, h, 1)
+    du = _flux_deficit(psi, m, dual, P)
+    curl = central_diff2_values(du[1], h, 0) - central_diff2_values(du[0], h, 1)
     return integrate_values(np.abs(curl), h)
 
 
@@ -251,25 +262,12 @@ def _residual_floor(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
     return float(np.finfo(float).eps) * float(np.max(np.abs(u))) / h * coef
 
 
-class _KeptFactor:
-    """The last SuperLU factor of a discounted HJB solve and the discount
-    rate beta_f of the Jacobian it factors; `solve_hjb_discounted` updates
-    it in place, so the next rate of the schedule can start on it."""
-
-    __slots__ = ("lu", "beta")
-
-    def __init__(self):
-        self.lu = None
-        self.beta = None
-
-
 def solve_hjb_discounted(
     m: GridFunction,
     P,
     spec: ProblemSpec,
     beta: float,
     u0: np.ndarray | None = None,
-    factor: _KeptFactor | None = None,
 ) -> GridFunction:
     """Solve beta u + |P+Du|^gamma/(gamma m^alpha) + V - g(m) = 0.
 
@@ -290,24 +288,13 @@ def solve_hjb_discounted(
     it while they still contract.  Where |u| is large on a fine grid the
     residual cannot get below _HJB_TOL, so the stop, and the error raised at
     the _MAX_NEWTON cap, allow _HJB_TOL plus the rounding floor of
-    `_residual_floor`.  The first step of a cold start (`u0` None)
-    is one plain `spsolve` whose factor is not kept: at u = 0 the Jacobian
-    has the upwind pattern of P alone, about half of whose active slopes
-    flip in that step, so a chord step on it would soon raise the residual.
-    A step that is not finite raises `HJBConvergenceError` at once.
-
-    `factor`, a `_KeptFactor`, hands the last factor from one discount
-    rate to the next.  The solve starts with chord steps on the factor it
-    holds, if any, under the same _RHO rule, and leaves in it the factor
-    of its last refactor, dropped or not.  Every row of the upwind part of
-    the Jacobian sums to zero, so J(beta, u) 1 = beta 1 for every u, and a
-    factor F formed at beta_f gives F^-1 1 = 1/beta_f exactly.  A chord
-    step at beta on F is therefore y = F^-1(-r) with its mean rescaled,
-    y + (beta_f/beta - 1) mean(y): the chord step of the bordered system in
-    (mean-zero v, H = -beta mean(u)), whose Jacobian [beta I + A, -1;
-    1^T/N, 0] is exact on the constant mode, where F is off by the factor
-    beta_f/beta.  At beta = beta_f it is the plain chord step.  At most
-    one factor is alive: the held one is released before each `splu`.
+    `_residual_floor`.  The solve starts at `u0`, or at u = 0 if it is
+    None.  Its first step is one plain `spsolve` whose factor is not kept:
+    the start's upwind pattern is not yet that of the solution (at u = 0 it
+    is the pattern of P alone, about half of whose active slopes flip in
+    that step), so a chord step on it would soon raise the residual.  A
+    step that is not finite raises `HJBConvergenceError` at once.  At most
+    one factor is alive, and none once the solve returns.
 
     At most one of the two upwind slopes of an axis is active at most
     nodes, so the Jacobian stores only its active entries: an explicit zero
@@ -332,38 +319,28 @@ def solve_hjb_discounted(
     stencil = _nd_stencil(grid.shape)
     perm, inv = nested_dissection_order(grid.shape)
 
-    cold = u0 is None
-    u = np.zeros(grid.shape) if cold else np.array(u0, dtype=float)
+    u = np.zeros(grid.shape) if u0 is None else np.array(u0, dtype=float)
     r = residual(u)
     norm = float(np.max(np.abs(r)))
-    kept = _KeptFactor() if factor is None else factor
-    keep = kept.lu is not None
-    for _ in range(_MAX_NEWTON):
+    lu = None
+    for it in range(_MAX_NEWTON):
         # the floor costs a pass of upwind slopes: only where _HJB_TOL is not
         # met, here and below
-        if not keep and (norm <= _HJB_TOL or norm <= _HJB_TOL + _residual_floor(
+        if lu is None and (norm <= _HJB_TOL or norm <= _HJB_TOL + _residual_floor(
                 u, p, spec.gamma, grid.h, denom)):
             break
-        chord = keep
+        chord = lu is not None
         rhs = -r.ravel()[perm]
         if chord:
-            step_nd = kept.lu.solve(rhs, trans="T")
-            if kept.beta != beta:
-                # the factor maps the constant mode to 1/beta_f, the
-                # Jacobian at beta to 1/beta
-                step_nd += (kept.beta / beta - 1.0) * step_nd.mean()
+            step_nd = lu.solve(rhs, trans="T")
         else:
             jac = _hjb_jacobian(u, p, spec.gamma, grid.h, denom, beta, stencil)
-            if cold:
+            if it == 0:
                 step_nd = spla.spsolve(jac, rhs, permc_spec="NATURAL")
-                cold = False
             else:
-                kept.lu = None      # never two factors alive
                 # the CSR arrays of J are the CSC arrays of J^T
-                kept.lu = spla.splu(jac.T, permc_spec="NATURAL")
-                kept.beta = beta
-                keep = True
-                step_nd = kept.lu.solve(rhs, trans="T")
+                lu = spla.splu(jac.T, permc_spec="NATURAL")
+                step_nd = lu.solve(rhs, trans="T")
         delta = step_nd[inv].reshape(grid.shape)
         if not np.all(np.isfinite(delta)):
             raise HJBConvergenceError(
@@ -373,7 +350,7 @@ def solve_hjb_discounted(
         r_try = residual(u_try)
         norm_try = float(np.max(np.abs(r_try)))
         if norm_try > _RHO * norm:
-            keep = False
+            lu = None
             if chord and norm_try >= norm:
                 continue
         u, r, norm = u_try, r_try, norm_try
@@ -404,22 +381,28 @@ class TransformResult:
     Hbar: float
     paper_Hbar_beta: float      # max u^(beta), the normalisation constant
     residuals: dict
-    discount_estimates: list    # (beta, -beta * integral(u^beta), max residual)
     dual_result: SolveResult = field(repr=False, default=None)
 
 
 def pipeline_alpha_lt_1(dual: DualSpec) -> TransformResult:
-    """Exponent transform, dual solve, drift recovery, vanishing discount.
+    """Exponent transform, dual solve, drift recovery, discounted HJB.
 
-    The dual solve runs with the default `SolveOptions`.  The discount
-    rates are _BETAS, and H-bar is read off at the last one.  Each rate
-    starts from the last u with its mean rescaled and on the last factor
-    of the rate before (`solve_hjb_discounted`'s `factor`), so that its
-    solve may make no factorization; one factor at most is alive at a
-    time, and none once the pipeline returns.  The residuals
-    are the dual flux's 2-point divergence ("dual_divergence_l1"), the
-    last HJB residual ("hjb_max_residual") and the gap between the dual's
-    and the HJB's H-bar ("hbar_dual_consistency").
+    The dual solve runs with the default `SolveOptions`.  The HJB is solved
+    once, at the discount rate _BETA, and H-bar = -beta integral(u^beta).
+
+    The solve starts from the dual solution, in which P + Du is the rotated
+    flux exactly.  The transport flux m^(1-alpha)|P+Du|^(gamma-2)(P+Du) is
+    the rotated Q + Dpsi, so |P+Du| = (m^(alpha-1)|Q+Dpsi|)^(gamma'-1); as
+    1 - alpha~ = (alpha-1)(gamma'-1) for every gamma, P + Du is then the
+    rotation of m^(1-alpha~)|Q+Dpsi|^(gamma'-2)(Q+Dpsi), the flux of
+    `_dual_flux`.  So the start's gradient part is the FFT least-squares
+    solution v of Du = rot(flux) - P (`_flux_deficit`).  Its mean comes
+    from the dual's H-bar, which is (gamma'/gamma) times the HJB's to within
+    discretisation error: u0 = v - (gamma'/gamma) Hbar_dual / beta.
+
+    The residuals are the dual flux's 2-point divergence
+    ("dual_divergence_l1"), the HJB residual ("hjb_max_residual") and the
+    gap between the dual's and the HJB's H-bar ("hbar_dual_consistency").
     """
     base = dual.base
     res = solve_dual(dual)
@@ -427,43 +410,26 @@ def pipeline_alpha_lt_1(dual: DualSpec) -> TransformResult:
     P = recover_P(psi, m, dual)
 
     h = base.grid.h
-    estimates = []
-    u_beta = None
-    kept = _KeptFactor()
-    for beta in _BETAS:
-        warm = None
-        if u_beta is not None:
-            # -beta u^beta tends to Hbar, so only the mean of u scales like
-            # 1/beta; the oscillating part converges and is carried as is
-            mean = float(u_beta.values.mean())
-            warm = u_beta.values + mean * (last_beta / beta - 1.0)
-        u_beta = solve_hjb_discounted(m, P, base, beta, u0=warm, factor=kept)
-        last_beta = beta
-        est = -beta * integrate_values(u_beta.values, h)
-        estimates.append(
-            (beta, est, hjb_residual(u_beta, m, P, base, beta))
-        )
-
+    du = _flux_deficit(psi, m, dual, P)
+    div = sum(central_diff_values(d, h, k) for k, d in enumerate(du))
+    v = normal_pinv_values(-div, h)      # D^T = -D for the antisymmetric stencil
+    hbar_dual = dual.gamma_prime / base.gamma * res.Hbar
+    u_beta = solve_hjb_discounted(m, P, base, _BETA, u0=v - hbar_dual / _BETA)
+    hbar = -_BETA * integrate_values(u_beta.values, h)
     top = float(u_beta.values.max())
-    u_final = GridFunction(base.grid, u_beta.values - top)
-    hbar = estimates[-1][1]
 
     residuals = {
         "dual_divergence_l1": dual_divergence_residual(psi, m, dual),
-        "hjb_max_residual": estimates[-1][2],
-        "hbar_dual_consistency": abs(
-            dual.gamma_prime / base.gamma * res.Hbar - hbar
-        ),
+        "hjb_max_residual": hjb_residual(u_beta, m, P, base, _BETA),
+        "hbar_dual_consistency": abs(hbar_dual - hbar),
     }
     return TransformResult(
         psi=psi,
         m=m,
         P_recovered=P,
-        u=u_final,
+        u=GridFunction(base.grid, u_beta.values - top),
         Hbar=hbar,
         paper_Hbar_beta=top,
         residuals=residuals,
-        discount_estimates=estimates,
         dual_result=res,
     )
-
