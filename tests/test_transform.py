@@ -379,6 +379,25 @@ class TestHJBNewton:
             -beta * integrate_values(ref, h), abs=1e-12)
         assert np.max(np.abs(u - ref)) <= 1e-10
 
+    @pytest.mark.parametrize("betas", [(0.1, 1e-2), (1e-2, 1e-3)])
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 12), (2, 24), (2, 33)])
+    def test_reused_factor_solves_agree_with_fresh_solves(self, dim, n, gamma, betas):
+        # a start near the solution, the solution at a neighbouring rate with
+        # its mean rescaled by beta_prev / beta: the chord steps on the kept
+        # factor reach the point that fresh Newton solves reach
+        spec, m = hjb_problem(dim, n, gamma)
+        P = (0.5,) if dim == 1 else (0.7, -0.4)
+        beta_prev, beta = betas
+        u_prev = solve_hjb_discounted(m, P, spec, beta_prev).values
+        warm = u_prev + u_prev.mean() * (beta_prev / beta - 1.0)
+        u = solve_hjb_discounted(m, P, spec, beta, u0=warm).values
+        ref = plain_newton(m, P, spec, beta, warm)
+        h = spec.grid.h
+        assert -beta * integrate_values(u, h) == pytest.approx(
+            -beta * integrate_values(ref, h), abs=1e-12)
+        assert np.max(np.abs(u - ref)) <= 1e-10
+
     def test_pipeline_never_holds_two_factors(self, monkeypatch):
         factors = []
         splu = spla.splu
