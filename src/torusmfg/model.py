@@ -354,11 +354,3 @@ class ProblemSpec:
     @property
     def P_norm(self) -> float:
         return float(np.linalg.norm(self.P))
-
-    def with_grid_size(self, n: int, potential: PotentialFamily) -> "ProblemSpec":
-        """Same problem resampled on an n-point grid."""
-        g = TorusGrid(self.dim, n)
-        return ProblemSpec(
-            self.dim, n, self.alpha, self.gamma, self.P,
-            potential.sample(g), self.coupling,
-        )

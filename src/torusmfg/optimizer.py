@@ -1,7 +1,8 @@
 """Minimisation of the discrete congestion functional J_h over A_h.
 
 For fixed u, J_h separates by node in m, with one multiplier Hbar fixing
-unit mass, so `variational.optimal_m` gives the exact m*(u) and Hbar.  The
+unit mass, so `variational.optimal_m` at exponent alpha and right side
+k = |P + Du|^gamma / gamma gives the exact m*(u) and Hbar.  The
 solver minimises the reduced functional J(u) = J_h(u, m*(u)) over mean-zero
 u; by the envelope theorem its gradient is the u-partial of J_h at m*(u).
 
@@ -99,16 +100,18 @@ class SolveResult:
 
 
 def solve_result(obj: DiscreteObjective, u: np.ndarray, m: np.ndarray,
-                 kin: np.ndarray, hbar: float, objective: float, iters: int,
+                 k: np.ndarray, hbar: float, objective: float, iters: int,
                  stop_reason: str, gradmap: float) -> SolveResult:
-    """The SolveResult at (u, m); kin = |P + Du|^gamma gives Hbar_std."""
+    """The SolveResult at (u, m); k = |P + Du|^gamma / gamma, the node
+    equation's right side at u (`DiscreteObjective.kinetic_density`),
+    gives Hbar_std."""
     grid = obj.spec.grid
     point = FeasiblePoint(GridFunction(grid, u), GridFunction(grid, m))
     return SolveResult(
         u=point.u,
         m=point.m,
         Hbar=hbar,
-        Hbar_std=estimate_Hbar(point, obj, kin=kin)[1],
+        Hbar_std=estimate_Hbar(point, obj, k=k)[1],
         objective=objective,
         iters=iters,
         stop_reason=stop_reason,
@@ -185,9 +188,10 @@ def minimize(
     if not np.all(np.isfinite(u)):
         raise ValueError("u non-finite at the initial point (invalid init)")
 
-    kin = obj.kinetic_density(u)
-    hbar, m = optimal_m(sp, kin, cold_hbar(sp, kin), m)
-    J = obj.value_arrays(u, m, kin)
+    a, V, coupling = sp.alpha, sp.V.values, sp.coupling
+    k = obj.kinetic_density(u)
+    hbar, m = optimal_m(a, k, V, coupling, hd, cold_hbar(k, V, coupling), m)
+    J = obj.value_arrays(u, m, k)
     gu = obj.gradient_u_arrays(u, m)
 
     def pinv(v):
@@ -233,9 +237,9 @@ def minimize(
         t = min(opts.step0, 1.0)
         while t >= MIN_STEP:
             u_try = u - t * direction
-            kin_try = obj.kinetic_density(u_try)
-            hbar_try, m_try = optimal_m(sp, kin_try, hbar, m)
-            J_try = obj.value_arrays(u_try, m_try, kin_try)
+            k_try = obj.kinetic_density(u_try)
+            hbar_try, m_try = optimal_m(a, k_try, V, coupling, hd, hbar, m)
+            J_try = obj.value_arrays(u_try, m_try, k_try)
             drop = J_try - J + hbar * hd * float(np.sum(m_try - m))
             if drop <= -ARMIJO_C * t * slope:
                 gu_try = obj.gradient_u_arrays(u_try, m_try)
@@ -256,7 +260,7 @@ def minimize(
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
             newest_scale = sy / float(np.vdot(y, pg_try - pg))  # pinv(L) is linear
-        u, m, kin, hbar, J = u_try, m_try, kin_try, hbar_try, J_try
+        u, m, k, hbar, J = u_try, m_try, k_try, hbar_try, J_try
         gu, pg = gu_try, pg_try
         iters += 1
         mg = metric_step(pg, m)
@@ -264,4 +268,4 @@ def minimize(
         if trace_file is not None:
             trace_file.write(f"{iters},{J:.17g},{gradmap:.17g},{t:.17g}\n")
 
-    return solve_result(obj, u, m, kin, hbar, J, iters, stop_reason, gradmap)
+    return solve_result(obj, u, m, k, hbar, J, iters, stop_reason, gradmap)

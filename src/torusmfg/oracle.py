@@ -5,12 +5,14 @@ normalisation constant fixed by unit mass.  For critical congestion
 (alpha = 1, P != 0) u is constant and m solves a scalar equation per node,
 again with an outer scalar solve for Hbar.  Both are the exact minimisation
 over m at u = 0, so both oracles are one private solve, `_solve_at_u0`:
-a call of the nested m-block `variational.nested_m` with kin = |P|^gamma
-at every node, from m = 1 and the Hbar at which m = 1 solves every node
-for constant V, returned as the SolveResult of (u, m) = (0, m).  Its node
-roots are closed forms wherever the coupling allows: the P = 0 power of
-`CouplingG.conjugate_deriv` for a one-term coupling, and the quadratic for
-g(m) = kappa m at alpha = 1.  The oracles add the checks of the answer.
+a call of the nested m-block `variational.nested_m` on the node equation
+m^a (g(m) + Hbar - V) = k with exponent a = alpha and right side
+k = |P|^gamma / gamma at every node, from m = 1 and the Hbar at which
+m = 1 solves every node for constant V, returned as the SolveResult of
+(u, m) = (0, m).  Its node roots are closed forms wherever the coupling
+allows: the k = 0 power of `CouplingG.conjugate_deriv` for a one-term
+coupling, and the quadratic for g(m) = kappa m at a = 1.  The oracles add
+the checks of the answer.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, integrate_values
+from .grid import GridFunction, TorusGrid, integrate_values
 from .model import BracketError, ProblemSpec
 from .variational import DiscreteObjective, cold_hbar, nested_m
 from .optimizer import SolveResult, solve_result
@@ -36,17 +38,19 @@ def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
     """The SolveResult of (u, m) = (0, m), with (Hbar, m) from the nested
     m-block started at m = 1 and the cold Hbar guess.
 
-    At u = 0, P + Du is P at every node, so kin is |P|^gamma, summed and
-    raised as `kinetic_density` does, without its stencils.  J_h is
+    At u = 0, P + Du is P at every node, so k is |P|^gamma / gamma, summed
+    and raised as `kinetic_density` does, without its stencils.  J_h is
     undefined at alpha = 1, so the objective is NaN there.
     """
-    shape = spec.grid.shape
-    kin = np.full(shape, sum(p * p for p in spec.P)) ** (spec.gamma / 2.0)
-    hbar, m = nested_m(spec, kin, cold_hbar(spec, kin), np.ones(shape))
+    shape, gamma = spec.grid.shape, spec.gamma
+    k = np.full(shape, sum(p * p for p in spec.P)) ** (gamma / 2.0) / gamma
+    V, coupling = spec.V.values, spec.coupling
+    hbar, m = nested_m(spec.alpha, k, V, coupling, spec.grid.h**spec.dim,
+                       cold_hbar(k, V, coupling), np.ones(shape))
     obj = DiscreteObjective(spec)
     u = np.zeros(shape)
-    objective = obj.value_arrays(u, m, kin) if spec.alpha > 1.0 else float("nan")
-    return solve_result(obj, u, m, kin, hbar, objective, 0, "stationary", 0.0)
+    objective = obj.value_arrays(u, m, k) if spec.alpha > 1.0 else float("nan")
+    return solve_result(obj, u, m, k, hbar, objective, 0, "stationary", 0.0)
 
 
 def solve_P0(spec: ProblemSpec) -> SolveResult:
@@ -69,9 +73,10 @@ def continuum_Hbar_P0(spec: ProblemSpec, potential) -> float:
     """
     if spec.P_norm != 0.0:
         raise ValueError("closed-form path requires P = 0")
-    fine = spec.with_grid_size(N_FINE[spec.dim], potential)
-    kin = np.zeros(fine.grid.shape)
-    return nested_m(fine, kin, cold_hbar(fine, kin), np.ones(fine.grid.shape))[0]
+    fine = TorusGrid(spec.dim, N_FINE[spec.dim])
+    k, V = np.zeros(fine.shape), potential.sample(fine).values
+    return nested_m(spec.alpha, k, V, spec.coupling, fine.h**fine.dim,
+                    cold_hbar(k, V, spec.coupling), np.ones(fine.shape))[0]
 
 
 def solve_critical(spec: ProblemSpec) -> SolveResult:

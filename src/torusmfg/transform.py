@@ -80,6 +80,8 @@ def transform_exponents(alpha: float, gamma: float) -> tuple[float, float]:
 class DualSpec:
     """Sub-critical base problem plus the stream-function drift Q.
 
+    The base problem's drift P is not an input: the pipeline recovers it
+    from the dual flux, so a base with P != 0 raises ValueError.
     `problem` is the transformed ProblemSpec, built once here.
     """
 
@@ -89,6 +91,8 @@ class DualSpec:
     def __post_init__(self):
         if self.base.dim != 2:
             raise ValueError("the stream-function transform is two-dimensional")
+        if self.base.P_norm != 0.0:
+            raise ValueError("the base drift is recovered from Q; pass P = (0, 0)")
         self.Q = tuple(float(q) for q in self.Q)
         if len(self.Q) != 2:
             raise ValueError("Q must have two components")
@@ -121,41 +125,35 @@ def _dual_flux(psi: GridFunction, m: GridFunction, dual: DualSpec) -> list[np.nd
     return [(dual.alpha_tilde - 1.0) * jk for jk in j]
 
 
-def recover_P(psi: GridFunction, m: GridFunction, dual: DualSpec) -> np.ndarray:
-    """Drift recovered from the flux quadrature; P = (Pperp_2, -Pperp_1)."""
-    h = dual.base.grid.h
-    flux = _dual_flux(psi, m, dual)
+def recover_P(flux: list[np.ndarray], h: float) -> np.ndarray:
+    """Drift recovered from the quadrature of the dual flux (`_dual_flux`);
+    P = (Pperp_2, -Pperp_1)."""
     pperp = np.array([integrate_values(flux[0], h), integrate_values(flux[1], h)])
     return np.array([pperp[1], -pperp[0]])
 
 
-def dual_divergence_residual(psi: GridFunction, m: GridFunction,
-                             dual: DualSpec) -> float:
-    """Discrete-L1 norm of a scheme-independent divergence of the flux.
+def dual_divergence_residual(flux: list[np.ndarray], h: float) -> float:
+    """Discrete-L1 norm of a scheme-independent divergence of the dual
+    flux (`_dual_flux`).
 
     Measured with the plain 2-point central divergence: the 5-point stencil
     is the adjoint of the scheme itself, so its divergence vanishes at the
     discrete optimum by stationarity and would only report solver noise.
     """
-    h = dual.base.grid.h
-    flux = _dual_flux(psi, m, dual)
     div = central_diff2_values(flux[0], h, 0) + central_diff2_values(flux[1], h, 1)
     return integrate_values(np.abs(div), h)
 
 
-def _flux_deficit(psi: GridFunction, m: GridFunction, dual: DualSpec,
-                  P: np.ndarray) -> list[np.ndarray]:
+def _flux_deficit(flux: list[np.ndarray], P: np.ndarray) -> list[np.ndarray]:
     """The rotated flux deficit rot(flux) - P, one array per axis.
 
     From Pperp + (Du)perp = flux with perp(v) = (-v2, v1), this is the
     gradient field Du that the dual solution asks of u.
     """
-    flux = _dual_flux(psi, m, dual)
     return [flux[1] - P[0], -flux[0] - P[1]]
 
 
-def curl_proxy(psi: GridFunction, m: GridFunction, dual: DualSpec,
-               P: np.ndarray) -> float:
+def curl_proxy(flux: list[np.ndarray], P: np.ndarray, h: float) -> float:
     """L1 norm of the discrete curl of the reconstructed Du candidate.
 
     The candidate gradient field is the rotated flux deficit; it is an
@@ -164,8 +162,7 @@ def curl_proxy(psi: GridFunction, m: GridFunction, dual: DualSpec,
     `dual_divergence_residual` to about 15 digits.  It stays because the
     benchmark's tracer names it.
     """
-    h = dual.base.grid.h
-    du = _flux_deficit(psi, m, dual, P)
+    du = _flux_deficit(flux, P)
     curl = central_diff2_values(du[1], h, 0) - central_diff2_values(du[0], h, 1)
     return integrate_values(np.abs(curl), h)
 
@@ -400,17 +397,18 @@ def pipeline_alpha_lt_1(dual: DualSpec) -> TransformResult:
     from the dual's H-bar, which is (gamma'/gamma) times the HJB's to within
     discretisation error: u0 = v - (gamma'/gamma) Hbar_dual / beta.
 
-    The residuals are the dual flux's 2-point divergence
+    The dual flux is formed once; it serves the drift recovery, the start
+    and the first residual.  The residuals are its 2-point divergence
     ("dual_divergence_l1"), the HJB residual ("hjb_max_residual") and the
     gap between the dual's and the HJB's H-bar ("hbar_dual_consistency").
     """
-    base = dual.base
+    base, h = dual.base, dual.base.grid.h
     res = solve_dual(dual)
     psi, m = res.u, res.m
-    P = recover_P(psi, m, dual)
+    flux = _dual_flux(psi, m, dual)
+    P = recover_P(flux, h)
 
-    h = base.grid.h
-    du = _flux_deficit(psi, m, dual, P)
+    du = _flux_deficit(flux, P)
     div = sum(central_diff_values(d, h, k) for k, d in enumerate(du))
     v = normal_pinv_values(-div, h)      # D^T = -D for the antisymmetric stencil
     hbar_dual = dual.gamma_prime / base.gamma * res.Hbar
@@ -419,7 +417,7 @@ def pipeline_alpha_lt_1(dual: DualSpec) -> TransformResult:
     top = float(u_beta.values.max())
 
     residuals = {
-        "dual_divergence_l1": dual_divergence_residual(psi, m, dual),
+        "dual_divergence_l1": dual_divergence_residual(flux, h),
         "hjb_max_residual": hjb_residual(u_beta, m, P, base, _BETA),
         "hbar_dual_consistency": abs(hbar_dual - hbar),
     }

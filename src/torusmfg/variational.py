@@ -7,8 +7,15 @@ with D the 5-point central gradient and the admissible set
 
     A_h = { h^d sum u = 0,  h^d sum m = 1,  m >= 0 }.
 
-The congestion current is j = |P+Du|^(gamma-2) (P+Du) a(m), with kinetic
-stiffness a(m) = 1/((alpha-1) m^(alpha-1)); `DiscreteObjective.flux` and
+The kinetic density k = |P+Du|^gamma / gamma has one owner,
+`DiscreteObjective.kinetic_density`, the one place that divides by gamma.
+For fixed u, J_h is minimised exactly in m by `optimal_m`: each node solves
+m^a (g(m) + Hbar - V) = k with a = alpha, and Hbar fixes unit mass.  The
+m-block takes the node equation's data (a, k, V, coupling, cell), not a
+problem, so it serves any exponent a > 0 and right side k >= 0.
+
+The congestion current is j = |P+Du|^(gamma-2) (P+Du) s(m), with kinetic
+stiffness s(m) = 1/((alpha-1) m^(alpha-1)); `DiscreteObjective.flux` and
 `DiscreteObjective.stiffness` are their one implementation.  The u-partial
 of J_h is h^d D^T j, so stationarity in u is the discrete transport
 equation D^T j = 0, and the stream-function transform reads its drift off
@@ -98,8 +105,10 @@ class DiscreteObjective:
         return s
 
     def kinetic_density(self, u: np.ndarray) -> np.ndarray:
-        """|P + D u|^gamma nodewise."""
-        return self._norm_sq(self.drifted_grad(u)) ** (self.spec.gamma / 2.0)
+        """k = |P + D u|^gamma / gamma nodewise: the right side of the
+        m-block's node equation, and the one division by gamma in J_h."""
+        gamma = self.spec.gamma
+        return self._norm_sq(self.drifted_grad(u)) ** (gamma / 2.0) / gamma
 
     def _check_point(self, pt: FeasiblePoint):
         if pt.grid != self.spec.grid:
@@ -112,12 +121,12 @@ class DiscreteObjective:
         return self.value_arrays(pt.u.values, pt.m.values)
 
     def value_arrays(self, u: np.ndarray, m: np.ndarray,
-                     kin: np.ndarray | None = None) -> float:
-        """J_h at (u, m); kin = |P + Du|^gamma saves its stencil if known."""
+                     k: np.ndarray | None = None) -> float:
+        """J_h at (u, m); k = `kinetic_density(u)` saves its stencil if known."""
         sp = self.spec
-        if kin is None:
-            kin = self.kinetic_density(u)
-        dens = kin * self.stiffness(m) / sp.gamma - sp.V.values * m + sp.coupling.G(m)
+        if k is None:
+            k = self.kinetic_density(u)
+        dens = k * self.stiffness(m) - sp.V.values * m + sp.coupling.G(m)
         return integrate_values(dens, sp.grid.h)
 
     def stiffness(self, m: np.ndarray) -> np.ndarray:
@@ -152,9 +161,9 @@ class DiscreteObjective:
         """m-partial only; avoids the adjoint-divergence work of the u-partial."""
         sp = self.spec
         hd = sp.grid.h**sp.dim
-        kin = self.kinetic_density(u)
+        k = self.kinetic_density(u)
         mf = np.maximum(m, M_FLOOR)
-        dkin_dm = np.where(m > M_FLOOR, -kin / (sp.gamma * mf**sp.alpha), 0.0)
+        dkin_dm = np.where(m > M_FLOOR, -k / mf**sp.alpha, 0.0)
         return hd * (dkin_dm - sp.V.values + sp.coupling.g(np.maximum(m, 0.0)))
 
 
@@ -166,49 +175,46 @@ class DiscreteObjective:
 _JOINT_STEPS = 40
 
 
-def cold_hbar(spec: ProblemSpec, kin: np.ndarray) -> float:
-    """The Hbar at which m = 1 solves every node when V and kin are
-    constant: the first guess of an m-block started at m = 1."""
-    return float(np.mean(spec.V.values)) - float(spec.coupling.g(1.0)) \
-        + float(np.mean(kin)) / spec.gamma
+def cold_hbar(k: np.ndarray, V: np.ndarray, coupling) -> float:
+    """The Hbar at which m = 1 solves every node when V and k are constant:
+    the first guess of an m-block started at m = 1."""
+    return float(np.mean(V)) - float(coupling.g(1.0)) + float(np.mean(k))
 
 
-def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
-              m0: np.ndarray) -> tuple[float, np.ndarray]:
-    """(Hbar, m): the minimiser of J_h(u, .) over unit-mass m >= 0.
+def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
+              hbar0: float, m0: np.ndarray) -> tuple[float, np.ndarray]:
+    """(Hbar, m): the nonnegative m of mass cell sum m = 1 that solves the
+    node equation m^a (g(m) + Hbar - V) = k at every node.
 
-    kin = |P + Du|^gamma.  J_h separates by node in m, and the multiplier
-    Hbar of the mass constraint makes each node stationary:
-    g(m) - V - kin/(gamma m^alpha) = -Hbar.  Where kin > 0 the node solves
-    this multiplied by m^alpha, psi(m) = m^alpha (g(m) + Hbar - V) - kin/gamma
-    = 0, whose one root is positive; `_node` evaluates psi, psi' and
-    m^alpha for this iteration and for `nested_m`.  Where kin = 0 it takes
-    m = (G*)'(V - Hbar), vacuum allowed, with dm/dHbar = -1/g'(m) where
-    m > 0 and 0 elsewhere.  The oracles solve these equations at u = 0
-    with `nested_m`.
+    The minimiser of J_h(u, .) is the case a = alpha, k = |P + Du|^gamma /
+    gamma (`DiscreteObjective.kinetic_density`): J_h separates by node in
+    m, and the multiplier Hbar of the mass constraint makes each node
+    stationary, g(m) - V - k/m^alpha = -Hbar.  Where k > 0 the node solves
+    psi(m) = m^a (g(m) + Hbar - V) - k = 0, whose one root is positive;
+    `_node` evaluates psi, psi' and m^a for this iteration and for
+    `nested_m`.  Where k = 0 it takes m = (G*)'(V - Hbar), vacuum allowed,
+    with dm/dHbar = -1/g'(m) where m > 0 and 0 elsewhere.  The oracles
+    solve these equations at u = 0 with `nested_m`.
 
-    One Newton iteration moves every kin > 0 node and Hbar together, from
+    One Newton iteration moves every k > 0 node and Hbar together, from
     (hbar0, m0).  Linearised, a node steps by
-    dm = -(psi + m^alpha dHbar) / psi'(m), and the mass constraint is the
+    dm = -(psi + m^a dHbar) / psi'(m), and the mass constraint is the
     border row of this diagonal system: its Schur complement gives
-    dHbar = -e / slope, with the mass excess e = h^d sum(m - psi/psi') - 1
-    and slope h^d sum(-m^alpha/psi') over those nodes, the kin = 0 nodes
-    adding their m to e and their dm/dHbar to the slope.  A node step that
-    would leave m > 0 moves m to a quarter of itself.  The iteration stops
-    once every node's step is at most NODE_STEP_RTOL m and |dHbar| at
-    most hbar_tol(Hbar), the stop rules of `monotone_root` and
-    `mass_root`, and returns after taking that last step.
+    dHbar = -e / slope, with the mass excess e = cell sum(m - psi/psi') - 1
+    and slope cell sum(-m^a/psi') over those nodes, the k = 0 nodes adding
+    their m to e and their dm/dHbar to the slope.  A node step that would
+    leave m > 0 moves m to a quarter of itself.  The iteration stops once
+    every node's step is at most NODE_STEP_RTOL m and |dHbar| at most
+    hbar_tol(Hbar), the stop rules of `monotone_root` and `mass_root`, and
+    returns after taking that last step.
 
     Where psi' <= 0 at some node, the slope is not negative, a step is not
     finite, or _JOINT_STEPS steps pass without a stop, the nested solve
     `nested_m` takes over from the current (Hbar, m).
     """
-    a, V = spec.alpha, spec.V.values
-    coupling = spec.coupling
-    cell = spec.grid.h**spec.dim
-    pos = kin > 0.0
+    pos = k > 0.0
     vac = ~pos
-    c, Vp, Vv = kin[pos] / spec.gamma, V[pos], V[vac]
+    c, Vp, Vv = k[pos], V[pos], V[vac]
     m = np.array(m0, dtype=float)
     hbar, x, mv = float(hbar0), m[pos], m[vac]
     # overflow and 0 * inf show as non-finite steps, which hand over
@@ -237,7 +243,7 @@ def optimal_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
                     m[vac] = coupling.conjugate_deriv(Vv - hbar, mv)
                 return hbar, m
     m[pos], m[vac] = x, mv
-    return nested_m(spec, kin, hbar, m)
+    return nested_m(a, k, V, coupling, cell, hbar, m)
 
 
 def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
@@ -254,7 +260,7 @@ def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
 
 
 def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
-    """(m, dm/dHbar) of the kin = 0 nodes at V - Hbar = q."""
+    """(m, dm/dHbar) of the k = 0 nodes at V - Hbar = q."""
     if not q.size:
         return q, q
     m = coupling.conjugate_deriv(q, m0)
@@ -263,30 +269,29 @@ def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
     return m, dm
 
 
-def nested_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
-             m0: np.ndarray) -> tuple[float, np.ndarray]:
+def nested_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
+             hbar0: float, m0: np.ndarray) -> tuple[float, np.ndarray]:
     """`optimal_m` by nested solves: `mass_root` on Hbar from hbar0 around
     nodewise roots.  It is the oracles' m-block at u = 0 and the safeguard
     of `optimal_m`'s joint Newton iteration.
 
-    The kin > 0 nodes run `monotone_root` on psi, with psi and psi' from
+    The k > 0 nodes run `monotone_root` on psi, with psi and psi' from
     `_node`, each solve warm-started at the previous one's m, the first at
-    m0; dm/dHbar = -m^alpha / psi'(m) there, from one more `_node` call at
-    the root.  At alpha = 1 with the one-term coupling (c, 2), psi is the
-    quadratic kappa m^2 + b m - k with kappa = 2c, b = Hbar - V and
-    k = kin/gamma.  With s = sqrt(b^2 + 4 kappa k) its root is
-    m = 2k / (b + s) where b >= 0 and m = (s - b) / (2 kappa) where b < 0,
-    neither of which cancels, and dm/dHbar = -m / s.  The kin = 0 nodes
-    take `_vacuum_density`, warm-started the same way.  Where kin is
-    positive at every node or at none, the density works on whole arrays,
-    with no masked copies.
+    m0; dm/dHbar = -m^a / psi'(m) there, from one more `_node` call at the
+    root.  At a = 1 with the one-term coupling (c, 2), psi is the quadratic
+    kappa m^2 + b m - k with kappa = 2c and b = Hbar - V.  With
+    s = sqrt(b^2 + 4 kappa k) its root is m = 2k / (b + s) where b >= 0
+    and m = (s - b) / (2 kappa) where b < 0, neither of which cancels, and
+    dm/dHbar = -m / s.  The k = 0 nodes take `_vacuum_density`,
+    warm-started the same way.  Where k is positive at every node or at
+    none, the density works on whole arrays, with no masked copies.
     """
-    V, m0 = spec.V.values, np.asarray(m0, dtype=float)
-    pos = kin > 0.0
+    m0 = np.asarray(m0, dtype=float)
+    pos = k > 0.0
     if pos.all() or not pos.any():
-        density = _node_density(spec, kin / spec.gamma, V, m0)
+        density = _node_density(a, k, V, coupling, m0)
     else:
-        parts = [(idx, _node_density(spec, kin[idx] / spec.gamma, V[idx], m0[idx]))
+        parts = [(idx, _node_density(a, k[idx], V[idx], coupling, m0[idx]))
                  for idx in (pos, ~pos)]
 
         def density(hbar):
@@ -295,15 +300,15 @@ def nested_m(spec: ProblemSpec, kin: np.ndarray, hbar0: float,
                 m[idx], dm[idx] = part(hbar)
             return m, dm
 
-    return mass_root(density, spec.grid.h**spec.dim, hbar0)
+    return mass_root(density, cell, hbar0)
 
 
-def _node_density(spec: ProblemSpec, k: np.ndarray, V: np.ndarray, m0: np.ndarray):
-    """density(Hbar) -> (m, dm/dHbar) of nodes with kin = gamma k, either
-    positive at every one of them or 0 at every one.  Positive kin takes
-    the alpha = 1 quadratic closed form where it applies, else the roots of
-    `_node`'s psi; kin = 0 takes `_vacuum_density`."""
-    a, coupling, terms = spec.alpha, spec.coupling, spec.coupling.terms
+def _node_density(a: float, k: np.ndarray, V: np.ndarray, coupling, m0: np.ndarray):
+    """density(Hbar) -> (m, dm/dHbar) of nodes with k either positive at
+    every one of them or 0 at every one.  Positive k takes the a = 1
+    quadratic closed form where it applies, else the roots of `_node`'s
+    psi; k = 0 takes `_vacuum_density`."""
+    terms = coupling.terms
     m_last = m0
     if not k.any():
         def vacuum(hbar):
@@ -363,13 +368,13 @@ def project_feasible(u: GridFunction, m: GridFunction) -> FeasiblePoint:
 # effective-Hamiltonian estimate and a priori diagnostics
 
 def estimate_Hbar(pt: FeasiblePoint, obj: DiscreteObjective,
-                  kin: np.ndarray | None = None) -> tuple[float, float]:
-    """(mean, std) of |P+Du|^gamma/(gamma m^alpha) + V - g(m) over
-    {m > MASS_CUTOFF}.
+                  k: np.ndarray | None = None) -> tuple[float, float]:
+    """(mean, std) of k/m^alpha + V - g(m) over {m > MASS_CUTOFF}, with
+    k = |P+Du|^gamma/gamma.
 
     At a minimizer the nodewise quantity is the constant making the HJB
     equation hold; the standard deviation is a stationarity residual.
-    kin = |P + Du|^gamma saves its stencil if known.
+    k = `obj.kinetic_density(u)` saves its stencil if known.
     """
     obj._check_point(pt)
     sp = obj.spec
@@ -379,10 +384,9 @@ def estimate_Hbar(pt: FeasiblePoint, obj: DiscreteObjective,
         raise DegenerateSolutionError(
             f"no nodes with m > {MASS_CUTOFF}; cannot estimate the effective Hamiltonian"
         )
-    if kin is None:
-        kin = obj.kinetic_density(pt.u.values)
-    q = kin[mask] / (sp.gamma * m[mask] ** sp.alpha) + sp.V.values[mask] \
-        - sp.coupling.g(m[mask])
+    if k is None:
+        k = obj.kinetic_density(pt.u.values)
+    q = k[mask] / m[mask] ** sp.alpha + sp.V.values[mask] - sp.coupling.g(m[mask])
     return float(q.mean()), float(q.std())
 
 
@@ -403,7 +407,7 @@ def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective) -> dict:
     h = sp.grid.h
     m = pt.m.values
     mf = np.maximum(m, M_FLOOR)
-    kin = obj.kinetic_density(pt.u.values)
+    kin = sp.gamma * obj.kinetic_density(pt.u.values)  # |P+Du|^gamma
     # |(P+Du)/m^ab|^g (m^ab + m^(ab+1)) = |P+Du|^g (m^-alpha + m^(1-alpha)),
     # using ab = alpha/(gamma-1)
     congestion = kin * (mf ** (-sp.alpha) + mf ** (1.0 - sp.alpha))

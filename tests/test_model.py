@@ -382,10 +382,3 @@ class TestProblemSpec:
         g = TorusGrid(2, 8)
         with pytest.raises(ValueError):
             ProblemSpec(2, 8, 1.5, 2.0, (0.0,), g.zeros(), QUAD)
-
-    def test_resampling(self):
-        pot = PotentialFamily("cosine-shift", {"amplitude": 1.0, "shift": 0.0})
-        g = TorusGrid(1, 16)
-        spec = ProblemSpec(1, 16, 1.5, 2.0, (0.0,), pot.sample(g), QUAD)
-        finer = spec.with_grid_size(64, pot)
-        assert finer.n == 64 and finer.V.grid.n == 64

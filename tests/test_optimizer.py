@@ -170,8 +170,9 @@ class TestDescentMechanics:
         assert not res.converged
         assert res.gradmap > 1e-3
         assert np.array_equal(res.u.values, np.zeros(32))
-        kin = obj.kinetic_density(np.zeros(32))
-        hbar, m = optimal_m(spec, kin, res.Hbar, res.m.values)
+        k = obj.kinetic_density(np.zeros(32))
+        hbar, m = optimal_m(spec.alpha, k, spec.V.values, spec.coupling, spec.grid.h,
+                            res.Hbar, res.m.values)
         assert np.max(np.abs(res.m.values - m)) <= 1e-14
         assert res.Hbar == pytest.approx(hbar, abs=1e-14)
 

@@ -215,9 +215,9 @@ class TestOneNestedBlockCall:
         nested, joint = [], []
         nested_m, optimal_m_ = oracle.nested_m, variational.optimal_m
 
-        def counted_nested(spec, kin, *args):
-            nested.append(kin)
-            return nested_m(spec, kin, *args)
+        def counted_nested(a, k, *args):
+            nested.append(k)
+            return nested_m(a, k, *args)
 
         def counted_joint(*args):
             joint.append(1)
@@ -234,9 +234,9 @@ class TestOneNestedBlockCall:
                              coupling=coupling)
             solve(spec)
             assert len(nested) == 1
-            # kin = |P|^gamma at every node
+            # k = |P|^gamma / gamma at every node
             assert nested[0].shape == spec.grid.shape
-            assert np.allclose(nested[0], spec.P_norm**2, rtol=1e-14, atol=0.0)
+            assert np.allclose(nested[0], spec.P_norm**2 / 2.0, rtol=1e-14, atol=0.0)
         assert joint == []
 
 
@@ -271,7 +271,7 @@ class TestResultAssembly:
                     patch.setattr(mod, "central_diff_values", counting)
             res = solve(spec)
         assert calls == []
-        # the same evaluations with kin = |P + Du|^gamma from the stencils
+        # the same evaluations with k = |P + Du|^gamma / gamma from the stencils
         obj = DiscreteObjective(spec)
         point = FeasiblePoint(spec.grid.zeros(), res.m)
         assert np.array_equal(res.u.values, point.u.values)
@@ -425,11 +425,12 @@ class TestOptimalMatchesOracles:
         for solve, alpha, P in ((solve_P0, 1.5, (0.0,) * dim),
                                 (solve_critical, 1.0, (0.8, -0.5)[:dim])):
             spec = ProblemSpec(dim, n, alpha, 2.0, P, V, coupling)
-            kin = np.full(grid.shape, spec.P_norm**2)
+            k = np.full(grid.shape, spec.P_norm**2 / 2.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 # the oracles' first guess
-                hbar, m = optimal_m(spec, kin, cold_hbar(spec, kin), np.ones(grid.shape))
+                hbar, m = optimal_m(alpha, k, V.values, coupling, grid.h**dim,
+                                    cold_hbar(k, V.values, coupling), np.ones(grid.shape))
             res = solve(spec)
             assert hbar == pytest.approx(res.Hbar, abs=1e-13)
             assert np.max(np.abs(m - res.m.values)) <= 1e-13

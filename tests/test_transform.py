@@ -19,6 +19,7 @@ from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
 from torusmfg.transform import (
     DualSpec,
     HJBConvergenceError,
+    _dual_flux,
     _hjb_jacobian,
     _hjb_scheme,
     _nd_stencil,
@@ -64,6 +65,16 @@ class TestExponents:
             transform_exponents(0.5, 1.0)
 
 
+class TestDualSpec:
+    def test_rejects_a_base_drift(self):
+        # the pipeline recovers P from the dual flux, so a base P would be
+        # dropped without a word: (3, -2) gave bitwise the answer of (0, 0)
+        g = TorusGrid(2, 16)
+        base = ProblemSpec(2, 16, 0.5, 2.0, (3.0, -2.0), sine_cosine().sample(g), QUAD)
+        with pytest.raises(ValueError, match="base drift"):
+            DualSpec(base, (1.0, 0.0))
+
+
 class TestConstantRoundTrip:
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("Q", [(1.0, 0.0), (0.0, -1.0), (0.6, -1.3)])
@@ -76,7 +87,7 @@ class TestConstantRoundTrip:
         assert np.max(np.abs(psi.values)) <= 1e-12
         assert np.max(np.abs(m.values - 1.0)) <= 1e-12
         pperp = np.hypot(*Q) ** (dual.gamma_prime - 2.0) * np.array(Q)
-        P = recover_P(psi, m, dual)
+        P = recover_P(_dual_flux(psi, m, dual), dual.base.grid.h)
         assert P == pytest.approx([pperp[1], -pperp[0]], abs=1e-12)
 
 
@@ -92,12 +103,26 @@ class TestPipeline:
         # the flux, so the pipeline reports only the latter
         dual = DualSpec(base_spec(16, sine_cosine()), (1.0, 0.0))
         res = pipeline_alpha_lt_1(dual)
-        div = dual_divergence_residual(res.psi, res.m, dual)
+        flux, h = _dual_flux(res.psi, res.m, dual), dual.base.grid.h
+        div = dual_divergence_residual(flux, h)
         assert res.residuals["dual_divergence_l1"] == div
-        assert curl_proxy(res.psi, res.m, dual, res.P_recovered) == pytest.approx(
+        assert curl_proxy(flux, res.P_recovered, h) == pytest.approx(
             div, rel=1e-13, abs=0.0)
         assert set(res.residuals) == {
             "dual_divergence_l1", "hjb_max_residual", "hbar_dual_consistency"}
+
+    def test_dual_flux_is_formed_once(self, monkeypatch):
+        # the drift recovery, the start and the divergence residual share it
+        calls = []
+        original = transform._dual_flux
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(transform, "_dual_flux", counted)
+        pipeline_alpha_lt_1(DualSpec(base_spec(16, sine_cosine()), (1.0, 0.0)))
+        assert calls == [1]
 
     def test_reversed_Q_mirrors_psi_and_P(self):
         # psi -> -psi with m unchanged solves the dual problem for -Q, so the
