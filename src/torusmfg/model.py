@@ -60,6 +60,22 @@ class CouplingG:
             out = out + c * t * (t - 1.0) * zz ** (t - 2.0)
         return out
 
+    def _g_pair(self, z: np.ndarray, z_floor: float):
+        """(g(z), g'(z)) of a float array z, bit for bit `g(z)` and
+        `g_prime(z, z_floor)`.  A one-term coupling c z^theta makes one sign
+        check and takes the closed forms c theta z^(theta-1) and
+        c theta (theta-1) z^(theta-2), with no sum over terms; at theta = 2
+        it takes no power, and g' is the float 2c.  A sum of terms calls
+        `g` and `g_prime`."""
+        if len(self.terms) > 1:
+            return self.g(z), self.g_prime(z, z_floor)
+        _check_nonneg(z)
+        (c, t), = self.terms
+        if t == 2.0:
+            return c * t * z, c * t * (t - 1.0)
+        zz = np.maximum(z, z_floor) if t < 2.0 else z
+        return c * t * z ** (t - 1.0), c * t * (t - 1.0) * zz ** (t - 2.0)
+
     def scaled(self, factor: float) -> "CouplingG":
         return CouplingG(tuple((factor * c, t) for c, t in self.terms))
 

@@ -189,10 +189,11 @@ def minimize(
         raise ValueError("u non-finite at the initial point (invalid init)")
 
     a, V, coupling = sp.alpha, sp.V.values, sp.coupling
-    k = obj.kinetic_density(u)
+    w = obj.drifted_grad(u)
+    k = obj.kinetic_density(u, w)
     hbar, m = optimal_m(a, k, V, coupling, hd, cold_hbar(k, V, coupling), m)
     J = obj.value_arrays(u, m, k)
-    gu = obj.gradient_u_arrays(u, m)
+    gu = obj.gradient_u_arrays(u, m, w)
 
     def pinv(v):
         r = normal_pinv_values(v, h)
@@ -237,16 +238,17 @@ def minimize(
         t = min(opts.step0, 1.0)
         while t >= MIN_STEP:
             u_try = u - t * direction
-            k_try = obj.kinetic_density(u_try)
+            w_try = obj.drifted_grad(u_try)  # P + Du, shared by k and the current
+            k_try = obj.kinetic_density(u_try, w_try)
             hbar_try, m_try = optimal_m(a, k_try, V, coupling, hd, hbar, m)
             J_try = obj.value_arrays(u_try, m_try, k_try)
-            drop = J_try - J + hbar * hd * float(np.sum(m_try - m))
+            drop = J_try - J + hbar * hd * float((m_try - m).sum())
             if drop <= -ARMIJO_C * t * slope:
-                gu_try = obj.gradient_u_arrays(u_try, m_try)
+                gu_try = obj.gradient_u_arrays(u_try, m_try, w_try)
                 break
             if abs(drop) <= ROUNDING * max(abs(J), 1.0):
                 # J cannot resolve the decrease: take the slope test
-                gu_try = obj.gradient_u_arrays(u_try, m_try)
+                gu_try = obj.gradient_u_arrays(u_try, m_try, w_try)
                 if np.vdot(gu_try, direction) >= -(1.0 - 2.0 * ARMIJO_C) * slope:
                     break
             t *= BACKTRACK

@@ -104,11 +104,15 @@ class DiscreteObjective:
             s = s + wk**2
         return s
 
-    def kinetic_density(self, u: np.ndarray) -> np.ndarray:
+    def kinetic_density(self, u: np.ndarray,
+                        w: list[np.ndarray] | None = None) -> np.ndarray:
         """k = |P + D u|^gamma / gamma nodewise: the right side of the
-        m-block's node equation, and the one division by gamma in J_h."""
+        m-block's node equation, and the one division by gamma in J_h.
+        w = `drifted_grad(u)` saves its stencils if known."""
         gamma = self.spec.gamma
-        return self._norm_sq(self.drifted_grad(u)) ** (gamma / 2.0) / gamma
+        if w is None:
+            w = self.drifted_grad(u)
+        return self._norm_sq(w) ** (gamma / 2.0) / gamma
 
     def _check_point(self, pt: FeasiblePoint):
         if pt.grid != self.spec.grid:
@@ -135,11 +139,14 @@ class DiscreteObjective:
         mf = np.maximum(m, M_FLOOR)
         return 1.0 / ((sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))
 
-    def flux(self, u: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
+    def flux(self, u: np.ndarray, m: np.ndarray,
+             w: list[np.ndarray] | None = None) -> list[np.ndarray]:
         """The current j = |P+Du|^(gamma-2) (P+Du) / ((alpha-1) m^(alpha-1)),
-        one array per axis."""
+        one array per axis; w = `drifted_grad(u)` saves its stencils if
+        known."""
         gamma = self.spec.gamma
-        w = self.drifted_grad(u)
+        if w is None:
+            w = self.drifted_grad(u)
         scale = self.stiffness(m)
         if gamma != 2.0:
             nsq = self._norm_sq(w)
@@ -148,12 +155,13 @@ class DiscreteObjective:
                 scale = np.where(nsq > 0.0, nsq ** ((gamma - 2.0) / 2.0), 0.0) * scale
         return [scale * wk for wk in w]
 
-    def gradient_u_arrays(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    def gradient_u_arrays(self, u: np.ndarray, m: np.ndarray,
+                          w: list[np.ndarray] | None = None) -> np.ndarray:
         """u-partial h^d sum_k D_k^T j_k, with D_k^T = -D_k the adjoint of
-        the central stencil."""
+        the central stencil; w = `drifted_grad(u)` as in `flux`."""
         h, dim = self.spec.grid.h, self.spec.dim
         gu = np.zeros_like(u)
-        for k, jk in enumerate(self.flux(u, m)):
+        for k, jk in enumerate(self.flux(u, m, w)):
             gu -= central_diff_values(jk, h, k)
         return h**dim * gu
 
@@ -173,6 +181,10 @@ class DiscreteObjective:
 # step cap of the joint Newton iteration in optimal_m; the nested solve
 # takes over past it
 _JOINT_STEPS = 40
+# a limited joint step down in Hbar goes this share of the way to where
+# g(m) + Hbar - V, positive at the roots, first reaches 0 on a k > 0 node,
+# linearised
+_HBAR_SHARE = 0.99
 
 
 def cold_hbar(k: np.ndarray, V: np.ndarray, coupling) -> float:
@@ -191,10 +203,11 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
     m, and the multiplier Hbar of the mass constraint makes each node
     stationary, g(m) - V - k/m^alpha = -Hbar.  Where k > 0 the node solves
     psi(m) = m^a (g(m) + Hbar - V) - k = 0, whose one root is positive;
-    `_node` evaluates psi, psi' and m^a for this iteration and for
-    `nested_m`.  Where k = 0 it takes m = (G*)'(V - Hbar), vacuum allowed,
-    with dm/dHbar = -1/g'(m) where m > 0 and 0 elsewhere.  The oracles
-    solve these equations at u = 0 with `nested_m`.
+    `_node` evaluates psi, psi', m^a and s = g(m) + Hbar - V for this
+    iteration and for `nested_m`.  Where k = 0 it takes
+    m = (G*)'(V - Hbar), vacuum allowed, with dm/dHbar = -1/g'(m) where
+    m > 0 and 0 elsewhere.  The oracles solve these equations at u = 0
+    with `nested_m`.
 
     One Newton iteration moves every k > 0 node and Hbar together, from
     (hbar0, m0).  Linearised, a node steps by
@@ -202,61 +215,96 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
     border row of this diagonal system: its Schur complement gives
     dHbar = -e / slope, with the mass excess e = cell sum(m - psi/psi') - 1
     and slope cell sum(-m^a/psi') over those nodes, the k = 0 nodes adding
-    their m to e and their dm/dHbar to the slope.  A node step that would
-    leave m > 0 moves m to a quarter of itself.  The iteration stops once
-    every node's step is at most NODE_STEP_RTOL m and |dHbar| at most
-    hbar_tol(Hbar), the stop rules of `monotone_root` and `mass_root`, and
-    returns after taking that last step.
+    their m to e and their dm/dHbar to the slope.  s = k/m^a > 0 at the
+    roots, and psi' = m^(a-1) (a s + m g'(m)) > 0 wherever s > 0.  So
+    when s > 0 on every k > 0 node and dHbar < -min(s), the step is
+    checked against s after it, linearised as s + dHbar + g'(m) dm
+    = s0 + s1 dHbar; if that is not positive on some node, dHbar goes at
+    most _HBAR_SHARE of the way to the nearest zero -s0/s1 over the nodes
+    with s0, s1 > 0, and the node steps use the limited dHbar.  A node
+    step that would leave m > 0 moves m to a quarter of itself.  The
+    iteration stops once every node's step is at most NODE_STEP_RTOL m and
+    the Newton step in Hbar, before the limit, at most hbar_tol(Hbar), the
+    stop rules of `monotone_root` and `mass_root`, and returns after taking
+    that last step.
+
+    Where k > 0 at every node, as in every minimiser step whose P + Du
+    vanishes nowhere, the iteration runs on the whole arrays k, V and m:
+    no masked copies, no k = 0 part and no scatter into m at the end.
+    Mixed k runs on the k > 0 and k = 0 parts apart and puts them back.
 
     Where psi' <= 0 at some node, the slope is not negative, a step is not
     finite, or _JOINT_STEPS steps pass without a stop, the nested solve
     `nested_m` takes over from the current (Hbar, m).
     """
+    hbar = float(hbar0)
     pos = k > 0.0
-    vac = ~pos
-    c, Vp, Vv = k[pos], V[pos], V[vac]
-    m = np.array(m0, dtype=float)
-    hbar, x, mv = float(hbar0), m[pos], m[vac]
+    whole = pos.all()
+    if whole:
+        kp, Vp, x = k, V, np.asarray(m0, dtype=float)
+    else:
+        m = np.array(m0, dtype=float)
+        vac = ~pos
+        kp, Vp, Vv, x, mv = k[pos], V[pos], V[vac], m[pos], m[vac]
     # overflow and 0 * inf show as non-finite steps, which hand over
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_JOINT_STEPS):
-            mv, dmv = _vacuum_density(coupling, Vv - hbar, mv)
-            psi, dpsi, xa = _node(a, coupling, x, hbar, Vp, c)
-            if not np.all(dpsi > 0.0):
+            if not whole:
+                mv, dmv = _vacuum_density(coupling, Vv - hbar, mv)
+            psi, dpsi, xa, s = _node(a, coupling, x, hbar, Vp, kp)
+            if not (dpsi > 0.0).all():
                 break
             r, q = psi / dpsi, xa / dpsi
-            e = cell * (float(np.sum(x - r)) + float(np.sum(mv))) - 1.0
-            slope = cell * (float(np.sum(dmv)) - float(np.sum(q)))
+            e, slope = float((x - r).sum()), -float(q.sum())
+            if not whole:
+                e, slope = e + float(mv.sum()), float(dmv.sum()) + slope
+            e, slope = cell * e - 1.0, cell * slope
             if not slope < 0.0:
                 break
             dh = -e / slope
+            small = abs(dh) <= hbar_tol(hbar)
+            s_min = float(s.min()) if dh < 0.0 and s.size else 0.0
+            if 0.0 < s_min < -dh:
+                # s after the step, linear in dh: s + dh + g'(x) dx = s0 + s1 dh
+                dg = coupling._g_pair(x, 1e-300)[1]
+                s0, s1 = s - dg * r, 1.0 - dg * q
+                if (s0 + s1 * dh).min() <= 0.0:
+                    ok = (s0 > 0.0) & (s1 > 0.0)
+                    if ok.any():
+                        dh = max(dh, -_HBAR_SHARE * float((s0[ok] / s1[ok]).min()))
             dx = -(r + q * dh)
-            if not (math.isfinite(dh) and np.all(np.isfinite(dx))):
+            if not (math.isfinite(dh) and np.isfinite(dx).all()):
                 break
-            done = abs(dh) <= hbar_tol(hbar) \
-                and bool(np.all(np.abs(dx) <= NODE_STEP_RTOL * x))
-            x = np.where(x + dx > 0.0, x + dx, 0.25 * x)
+            done = small and (np.abs(dx) <= NODE_STEP_RTOL * x).all()
+            x_new = x + dx
+            x = np.where(x_new > 0.0, x_new, 0.25 * x)
             hbar += dh
             if done:
+                if whole:
+                    return hbar, x
                 m[pos] = x
                 if mv.size:
                     m[vac] = coupling.conjugate_deriv(Vv - hbar, mv)
                 return hbar, m
+    if whole:
+        return nested_m(a, k, V, coupling, cell, hbar, x)
     m[pos], m[vac] = x, mv
     return nested_m(a, k, V, coupling, cell, hbar, m)
 
 
 def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
-          k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi, psi', x^a) of the node equation at x: psi(x) = x^a (g(x) + Hbar
-    - V) - k, psi'(x) = a x^(a-1) (g(x) + Hbar - V) + x^a g'(x), with g'
-    floored at x = 1e-300.  x^a is x x^(a-1), so one power serves both; g
-    and g' are evaluated once each.  It is the one place that writes psi
-    and psi'."""
+          k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, psi', x^a, s) of the node equation at x, with
+    s = g(x) + Hbar - V: psi(x) = x^a s - k and
+    psi'(x) = a x^(a-1) s + x^a g'(x), g' floored at x = 1e-300.  x^a is
+    x x^(a-1), so one power serves both; g and g' come from one coupling
+    pass, `CouplingG._g_pair`.  It is the one place that writes psi and
+    psi'."""
     xa1 = x ** (a - 1.0)
     xa = x * xa1
-    s = coupling.g(x) + hbar - V
-    return xa * s - k, a * xa1 * s + xa * coupling.g_prime(x, z_floor=1e-300), xa
+    g, dg = coupling._g_pair(x, 1e-300)
+    s = g + hbar - V
+    return xa * s - k, a * xa1 * s + xa * dg, xa, s
 
 
 def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
@@ -335,7 +383,7 @@ def _node_density(a: float, k: np.ndarray, V: np.ndarray, coupling, m0: np.ndarr
         nonlocal m_last
         m_last = monotone_root(lambda x: _node(a, coupling, x, hbar, V, k)[:2],
                                0.0, m_last)
-        _, dpsi, xa = _node(a, coupling, m_last, hbar, V, k)
+        _, dpsi, xa, _ = _node(a, coupling, m_last, hbar, V, k)
         return m_last, -xa / dpsi
 
     return roots

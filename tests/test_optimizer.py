@@ -181,9 +181,10 @@ class TestDescentMechanics:
         assert abs(res.Hbar - HBAR_COSINE_P1) <= 2e-6
 
     def test_stencil_calls_per_iteration(self, monkeypatch):
-        # one stencil per axis for P + Du at each line-search trial, and two
-        # for the u-gradient at the accepted trial; the m-block does none.
-        # This smooth case accepts its first trial in most iterations
+        # one stencil per axis for P + Du at each line-search trial, shared
+        # by k and the current, and one more per axis for the adjoint in the
+        # u-gradient at the accepted trial; the m-block does none.  This
+        # smooth case accepts its first trial in most iterations
         original = grid_module.central_diff_values
         calls = 0
 
@@ -200,8 +201,8 @@ class TestDescentMechanics:
         res = minimize(DiscreteObjective(spec), "uniform",
                        SolveOptions(step0=32.0, max_iters=100000))
         assert res.iters >= 5
-        setup = 3 * spec.dim  # P + Du and the u-gradient at the start point
-        assert calls <= (3 * spec.dim + 1) * res.iters + setup
+        setup = 2 * spec.dim  # P + Du and the u-gradient at the start point
+        assert calls <= (2 * spec.dim + 1) * res.iters + setup
 
     def test_seeded_runs_bitwise_reproducible(self):
         spec = make_spec(n=24, V_fn=lambda x: np.cos(2 * np.pi * x))
@@ -215,42 +216,66 @@ class TestDescentMechanics:
 
 
 class TestMBlockWork:
-    def test_joint_newton_steps_per_m_block(self, monkeypatch):
-        # a var1d-like solve: each joint Newton step of the m-block makes one
-        # g' call, so g' calls inside optimal_m count its steps.  The nested
-        # solve made about 14 g' calls per block here (3 Newton steps on
-        # H-bar, each a full nodewise solve and a psi' at its root)
-        blocks, inside, g_prime_calls, handovers = [], [False], [], []
-        optimal, g_prime = optimizer_module.optimal_m, CouplingG.g_prime
+    @staticmethod
+    def count_work(monkeypatch):
+        """Wrap `optimal_m`, `_node` and `nested_m`: m-blocks, `_node`
+        calls inside them (one per joint Newton step) and hand-overs."""
+        calls = {"blocks": 0, "nodes": 0, "handovers": 0}
+        inside = [False]
+        optimal, node = optimizer_module.optimal_m, variational._node
         nested = variational.nested_m
 
         def counted_optimal_m(*args):
-            blocks.append(1)
+            calls["blocks"] += 1
             inside[0] = True
             try:
                 return optimal(*args)
             finally:
                 inside[0] = False
 
-        def counted_g_prime(self, *args, **kwargs):
-            if inside[0]:
-                g_prime_calls.append(1)
-            return g_prime(self, *args, **kwargs)
+        def counted_node(*args):
+            calls["nodes"] += inside[0]
+            return node(*args)
 
         def counted_nested(*args):
-            handovers.append(1)
+            calls["handovers"] += 1
             return nested(*args)
 
         monkeypatch.setattr(optimizer_module, "optimal_m", counted_optimal_m)
-        monkeypatch.setattr(CouplingG, "g_prime", counted_g_prime)
+        monkeypatch.setattr(variational, "_node", counted_node)
         monkeypatch.setattr(variational, "nested_m", counted_nested)
+        return calls
+
+    def test_joint_newton_steps_per_m_block(self, monkeypatch):
+        # a var1d-like solve: each joint Newton step of the m-block makes one
+        # `_node` call.  The nested solve made about 14 psi' evaluations
+        # per block here (3 Newton steps on H-bar, each a full nodewise
+        # solve and a psi' at its root)
+        calls = self.count_work(monkeypatch)
         spec = make_spec(n=96, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * (x - 0.3)))
         res = minimize(DiscreteObjective(spec), "uniform", SolveOptions(step0=96.0))
         assert res.stop_reason == "stationary"
-        assert handovers == []
-        assert len(g_prime_calls) <= 5 * len(blocks)
-        assert len(g_prime_calls) <= 50
+        assert calls["handovers"] == 0
+        assert 0 < calls["nodes"] <= 5 * calls["blocks"]
+        assert calls["nodes"] <= 50
         assert abs(res.Hbar - HBAR_COSINE_P1) <= 2e-6
+
+    # the benchmark's seed-1 var1d problems: cosine V of amplitude 1 with
+    # these phases, P = 1, alpha 1.5, gamma 2, quadratic G, step0 = n
+    @pytest.mark.parametrize("n, shift", [(64, 0.33187239186810047),
+                                          (96, 0.6118959736456587),
+                                          (128, 0.5076326598924166)])
+    def test_var1d_work_is_pinned(self, monkeypatch, n, shift):
+        # the work of these solves, counted: a faster m-block must make its
+        # steps cheaper, not fewer or more
+        calls = self.count_work(monkeypatch)
+        spec = make_spec(n=n, P=(1.0,),
+                         V_fn=lambda x: np.cos(2 * np.pi * (x - shift)))
+        res = minimize(DiscreteObjective(spec), "uniform",
+                       SolveOptions(step0=float(n), max_iters=100000))
+        assert res.stop_reason == "stationary"
+        assert res.iters == 8
+        assert calls == {"blocks": 9, "nodes": 36, "handovers": 0}
 
 
 class TestIterationCounts:

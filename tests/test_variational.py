@@ -435,8 +435,13 @@ class TestOptimalM:
         a=st.one_of(st.sampled_from([1.0, 1.001, 1.5, 1.9, "gamma"]),
                     st.floats(0.1, 0.99), st.floats(1.01, 3.0)),
         gamma=st.sampled_from([2.0, 3.0]),
-        terms=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(1.2, 4.0)),
-                       min_size=1, max_size=2),
+        # theta = 2 exactly and the quadratic (0.5, 2) are the coupling of
+        # every benchmark problem, and the closed forms of `_g_pair`
+        terms=st.one_of(
+            st.just([(0.5, 2.0)]),
+            st.lists(st.tuples(st.floats(0.1, 2.0),
+                               st.one_of(st.just(2.0), st.floats(1.2, 4.0))),
+                     min_size=1, max_size=2)),
         amplitude=st.floats(0.1, 20.0),
         zeros=st.booleans(),
         scale=st.floats(0.5, 2.0),
@@ -479,6 +484,20 @@ class TestOptimalM:
         self.assert_agree(optimal_m(*data, hbar + 0.5, 1.5 * m), (hbar, m))
         assert calls == [1]
 
+    @pytest.mark.parametrize("shift", [0.5, 1.0, 2.0, 4.0])
+    def test_hbar_step_limit_keeps_the_block_joint(self, monkeypatch, shift):
+        # a = 2 on steep V, started above the root with twice its m: the
+        # full Newton step down in H-bar would leave g(m) + H-bar - V < 0
+        # and psi' < 0 on some nodes; the limited step keeps the block
+        # joint, with no hand-over
+        spec, k = m_block_case(1, 2.0, ((0.5, 2.0),), 10.0, 5, False)
+        data = node_data(2.0, spec, k)
+        hbar, m = nested_m(*data, *cold_start(spec, k))
+        calls = count_safeguard(monkeypatch)
+        got = optimal_m(*data, hbar + shift, 2.0 * m)
+        assert calls == []
+        self.assert_agree(got, (hbar, m))
+
     def test_zero_slope_hands_over(self, monkeypatch):
         # k = 0 everywhere and hbar0 above max V: every node is vacuum, so
         # the mass has slope 0 in H-bar and no Newton step exists
@@ -501,6 +520,43 @@ class TestOptimalM:
         got = optimal_m(*data, hbar0, m0)
         assert calls == [1]
         self.assert_agree(got, want)
+
+
+class TestGPair:
+    """`CouplingG._g_pair`, the one coupling pass of `_node`, against `g`
+    and `g_prime`."""
+
+    @pytest.mark.parametrize("terms", [((0.7, 1.5),), ((0.5, 2.0),), ((1.3, 3.0),),
+                                       ((0.5, 2.0), (1.0, 3.0)),
+                                       ((0.4, 1.2), (0.9, 2.5))])
+    @pytest.mark.parametrize("z_floor", [1e-300, 1e-3])
+    def test_equals_g_and_g_prime(self, terms, z_floor):
+        coupling = CouplingG(terms)
+        z = np.concatenate([[0.0, 1e-310, 1e-300, 1e-4, 1e-3],
+                            np.random.default_rng(3).uniform(0.0, 5.0, 40)])
+        g, gp = coupling._g_pair(z, z_floor)
+        assert np.array_equal(g, coupling.g(z))
+        assert np.array_equal(np.broadcast_to(gp, z.shape),
+                              coupling.g_prime(z, z_floor=z_floor))
+
+    def test_floor_applies_below_theta_2(self):
+        # g' of c z^1.5 blows up at 0; the floor bounds it, as in g_prime
+        coupling = CouplingG(((1.0, 1.5),))
+        _, gp = coupling._g_pair(np.array([0.0, 1e-8]), 1e-4)
+        assert np.array_equal(gp, np.full(2, 0.75 * 1e-4 ** -0.5))
+
+    def test_negative_argument_raises(self):
+        with pytest.raises(ValueError, match="negative"):
+            QUAD._g_pair(np.array([1.0, -1e-12]), 1e-300)
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_negative_m0_raises_through_optimal_m(self, zeros):
+        # whole arrays (k > 0 everywhere) and the masked k > 0 part
+        spec, k = m_block_case(1, 2.0, ((0.5, 2.0),), 1.0, 4, zeros)
+        hbar0, m0 = cold_start(spec, k)
+        m0[np.flatnonzero(k > 0.0)[0]] = -0.5
+        with pytest.raises(ValueError, match="negative"):
+            optimal_m(*node_data(1.5, spec, k), hbar0, m0)
 
 
 def bisection_m_block(a, k, V, coupling, cell):
