@@ -45,36 +45,33 @@ class CouplingG:
         return sum(c * z**t for c, t in self.terms)
 
     def g(self, z):
-        """g = G', strictly increasing on z > 0 with g(0+) = 0."""
+        """g = G', strictly increasing on z > 0 with g(0+) = 0.  A one-term
+        coupling takes the closed form c theta z^(theta - 1), with no power
+        at theta = 2."""
         z = np.asarray(z, dtype=float)
         _check_nonneg(z)
+        if len(self.terms) == 1:
+            (c, t), = self.terms
+            return c * t * (z if t == 2.0 else z ** (t - 1.0))
         return sum(c * t * z ** (t - 1.0) for c, t in self.terms)
 
     def g_prime(self, z, z_floor: float = 0.0):
-        """g' = G''; z floored before negative powers (theta < 2 terms)."""
+        """g' = G''; z floored before negative powers (theta < 2 terms).  A
+        one-term coupling takes the closed form
+        c theta (theta - 1) z^(theta - 2), the constant 2c at theta = 2."""
         z = np.asarray(z, dtype=float)
         _check_nonneg(z)
+        if len(self.terms) == 1:
+            (c, t), = self.terms
+            if t == 2.0:
+                return np.full(z.shape, c * t * (t - 1.0))
+            zz = np.maximum(z, z_floor) if t < 2.0 else z
+            return c * t * (t - 1.0) * zz ** (t - 2.0)
         out = np.zeros_like(z)
         for c, t in self.terms:
             zz = np.maximum(z, z_floor) if t < 2.0 else z
             out = out + c * t * (t - 1.0) * zz ** (t - 2.0)
         return out
-
-    def _g_pair(self, z: np.ndarray, z_floor: float):
-        """(g(z), g'(z)) of a float array z, bit for bit `g(z)` and
-        `g_prime(z, z_floor)`.  A one-term coupling c z^theta makes one sign
-        check and takes the closed forms c theta z^(theta-1) and
-        c theta (theta-1) z^(theta-2), with no sum over terms; at theta = 2
-        it takes no power, and g' is the float 2c.  A sum of terms calls
-        `g` and `g_prime`."""
-        if len(self.terms) > 1:
-            return self.g(z), self.g_prime(z, z_floor)
-        _check_nonneg(z)
-        (c, t), = self.terms
-        if t == 2.0:
-            return c * t * z, c * t * (t - 1.0)
-        zz = np.maximum(z, z_floor) if t < 2.0 else z
-        return c * t * z ** (t - 1.0), c * t * (t - 1.0) * zz ** (t - 2.0)
 
     def scaled(self, factor: float) -> "CouplingG":
         return CouplingG(tuple((factor * c, t) for c, t in self.terms))

@@ -203,8 +203,8 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
     m, and the multiplier Hbar of the mass constraint makes each node
     stationary, g(m) - V - k/m^alpha = -Hbar.  Where k > 0 the node solves
     psi(m) = m^a (g(m) + Hbar - V) - k = 0, whose one root is positive;
-    `_node` evaluates psi, psi', m^a and s = g(m) + Hbar - V for this
-    iteration and for `nested_m`.  Where k = 0 it takes
+    `_node` evaluates psi, psi', m^a, s = g(m) + Hbar - V and g'(m) for
+    this iteration and for `nested_m`.  Where k = 0 it takes
     m = (G*)'(V - Hbar), vacuum allowed, with dm/dHbar = -1/g'(m) where
     m > 0 and 0 elsewhere.  The oracles solve these equations at u = 0
     with `nested_m`.
@@ -251,7 +251,7 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
         for _ in range(_JOINT_STEPS):
             if not whole:
                 mv, dmv = _vacuum_density(coupling, Vv - hbar, mv)
-            psi, dpsi, xa, s = _node(a, coupling, x, hbar, Vp, kp)
+            psi, dpsi, xa, s, dg = _node(a, coupling, x, hbar, Vp, kp)
             if not (dpsi > 0.0).all():
                 break
             r, q = psi / dpsi, xa / dpsi
@@ -266,7 +266,6 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
             s_min = float(s.min()) if dh < 0.0 and s.size else 0.0
             if 0.0 < s_min < -dh:
                 # s after the step, linear in dh: s + dh + g'(x) dx = s0 + s1 dh
-                dg = coupling._g_pair(x, 1e-300)[1]
                 s0, s1 = s - dg * r, 1.0 - dg * q
                 if (s0 + s1 * dh).min() <= 0.0:
                     ok = (s0 > 0.0) & (s1 > 0.0)
@@ -293,18 +292,17 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
 
 
 def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
-          k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(psi, psi', x^a, s) of the node equation at x, with
+          k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(psi, psi', x^a, s, g') of the node equation at x, with
     s = g(x) + Hbar - V: psi(x) = x^a s - k and
     psi'(x) = a x^(a-1) s + x^a g'(x), g' floored at x = 1e-300.  x^a is
-    x x^(a-1), so one power serves both; g and g' come from one coupling
-    pass, `CouplingG._g_pair`.  It is the one place that writes psi and
-    psi'."""
+    x x^(a-1), so one power serves both; g and g' are evaluated once each.
+    It is the one place that writes psi and psi'."""
     xa1 = x ** (a - 1.0)
     xa = x * xa1
-    g, dg = coupling._g_pair(x, 1e-300)
-    s = g + hbar - V
-    return xa * s - k, a * xa1 * s + xa * dg, xa, s
+    s = coupling.g(x) + hbar - V
+    dg = coupling.g_prime(x, z_floor=1e-300)
+    return xa * s - k, a * xa1 * s + xa * dg, xa, s, dg
 
 
 def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
@@ -383,7 +381,7 @@ def _node_density(a: float, k: np.ndarray, V: np.ndarray, coupling, m0: np.ndarr
         nonlocal m_last
         m_last = monotone_root(lambda x: _node(a, coupling, x, hbar, V, k)[:2],
                                0.0, m_last)
-        _, dpsi, xa, _ = _node(a, coupling, m_last, hbar, V, k)
+        _, dpsi, xa = _node(a, coupling, m_last, hbar, V, k)[:3]
         return m_last, -xa / dpsi
 
     return roots

@@ -436,7 +436,7 @@ class TestOptimalM:
                     st.floats(0.1, 0.99), st.floats(1.01, 3.0)),
         gamma=st.sampled_from([2.0, 3.0]),
         # theta = 2 exactly and the quadratic (0.5, 2) are the coupling of
-        # every benchmark problem, and the closed forms of `_g_pair`
+        # every benchmark problem, and the closed forms of `g`/`g_prime`
         terms=st.one_of(
             st.just([(0.5, 2.0)]),
             st.lists(st.tuples(st.floats(0.1, 2.0),
@@ -522,32 +522,47 @@ class TestOptimalM:
         self.assert_agree(got, want)
 
 
-class TestGPair:
-    """`CouplingG._g_pair`, the one coupling pass of `_node`, against `g`
-    and `g_prime`."""
+class TestCouplingClosedForms:
+    """`CouplingG.g` and `g_prime`, which `_node` calls once each: a
+    one-term coupling takes closed forms, equal bit for bit to the sum over
+    terms."""
+
+    @staticmethod
+    def term_sums(terms, z, z_floor):
+        g = sum(c * t * z ** (t - 1.0) for c, t in terms)
+        gp = np.zeros_like(z)
+        for c, t in terms:
+            zz = np.maximum(z, z_floor) if t < 2.0 else z
+            gp = gp + c * t * (t - 1.0) * zz ** (t - 2.0)
+        return g, gp
 
     @pytest.mark.parametrize("terms", [((0.7, 1.5),), ((0.5, 2.0),), ((1.3, 3.0),),
                                        ((0.5, 2.0), (1.0, 3.0)),
                                        ((0.4, 1.2), (0.9, 2.5))])
     @pytest.mark.parametrize("z_floor", [1e-300, 1e-3])
-    def test_equals_g_and_g_prime(self, terms, z_floor):
+    def test_equal_the_sum_over_terms(self, terms, z_floor):
         coupling = CouplingG(terms)
         z = np.concatenate([[0.0, 1e-310, 1e-300, 1e-4, 1e-3],
                             np.random.default_rng(3).uniform(0.0, 5.0, 40)])
-        g, gp = coupling._g_pair(z, z_floor)
-        assert np.array_equal(g, coupling.g(z))
-        assert np.array_equal(np.broadcast_to(gp, z.shape),
-                              coupling.g_prime(z, z_floor=z_floor))
+        g, gp = self.term_sums(terms, z, z_floor)
+        assert np.array_equal(coupling.g(z), g)
+        got = coupling.g_prime(z, z_floor=z_floor)
+        assert got.shape == z.shape and np.array_equal(got, gp)
+        assert coupling.g(1.5) == self.term_sums(terms, np.float64(1.5), 0.0)[0]
 
     def test_floor_applies_below_theta_2(self):
-        # g' of c z^1.5 blows up at 0; the floor bounds it, as in g_prime
+        # g' of c z^1.5 blows up at 0; the floor bounds it
         coupling = CouplingG(((1.0, 1.5),))
-        _, gp = coupling._g_pair(np.array([0.0, 1e-8]), 1e-4)
+        gp = coupling.g_prime(np.array([0.0, 1e-8]), z_floor=1e-4)
         assert np.array_equal(gp, np.full(2, 0.75 * 1e-4 ** -0.5))
 
-    def test_negative_argument_raises(self):
-        with pytest.raises(ValueError, match="negative"):
-            QUAD._g_pair(np.array([1.0, -1e-12]), 1e-300)
+    @pytest.mark.parametrize("terms", [((0.5, 2.0),), ((1.3, 3.0),),
+                                       ((0.5, 2.0), (1.0, 3.0))])
+    def test_negative_argument_raises(self, terms):
+        z = np.array([1.0, -1e-12])
+        for f in (CouplingG(terms).g, CouplingG(terms).g_prime):
+            with pytest.raises(ValueError, match="negative"):
+                f(z)
 
     @pytest.mark.parametrize("zeros", [False, True])
     def test_negative_m0_raises_through_optimal_m(self, zeros):
