@@ -33,11 +33,12 @@ class CouplingG:
         )
         if not self.terms:
             raise ValueError("coupling needs at least one power term")
+        # NaN fails every comparison, so it stops here too
         for c, t in self.terms:
-            if c <= 0:
-                raise ValueError(f"coefficient must be positive, got {c}")
-            if t <= 1:
-                raise ValueError(f"exponent must exceed 1, got {t}")
+            if not 0 < c < math.inf:
+                raise ValueError(f"coefficient must be positive and finite, got {c}")
+            if not 1 < t < math.inf:
+                raise ValueError(f"exponent must exceed 1 and be finite, got {t}")
 
     def G(self, z):
         z = np.asarray(z, dtype=float)
@@ -351,12 +352,15 @@ class ProblemSpec:
 
     def __post_init__(self):
         self.P = tuple(float(p) for p in np.atleast_1d(self.P))
-        if self.gamma <= 1:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # NaN fails every comparison, so it stops here too
+        if not 1 < self.gamma < math.inf:
+            raise ValueError(f"gamma must exceed 1 and be finite, got {self.gamma}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if len(self.P) != self.dim:
             raise ValueError(f"drift needs {self.dim} components, got {len(self.P)}")
+        if not all(map(math.isfinite, self.P)):
+            raise ValueError(f"drift must be finite, got {self.P}")
         if self.V.grid.dim != self.dim or self.V.grid.n != self.n:
             raise ValueError("potential sampled on a different grid than (dim, n)")
 

@@ -5,6 +5,8 @@ unit mass, so `variational.optimal_m` at exponent alpha and right side
 k = |P + Du|^gamma / gamma gives the exact m*(u) and Hbar.  The
 solver minimises the reduced functional J(u) = J_h(u, m*(u)) over mean-zero
 u; by the envelope theorem its gradient is the u-partial of J_h at m*(u).
+Each trial point forms w = P + Du once: k, J_h and the u-gradient are
+all read off it.
 
 The direction is the L-BFGS two-loop recursion (Nocedal & Wright, Numerical
 Optimization, ch. 7) over the last LBFGS_MEMORY steps.  Its initial inverse
@@ -20,7 +22,9 @@ is on the Lagrangian J_h + Hbar (h^d sum m - 1): m* has unit mass only to
 rounding, and the multiplier term cancels the first-order effect of that
 error.  Where the decrease lies within rounding of J, a trial passes on the
 approximate Wolfe slope test of Hager & Zhang (SIAM J. Optim. 16, 2005)
-instead.  The solve is stationary once |M grad J| <= tol_gradmap.
+instead.  The trial's gradient is formed in one place, for a trial that
+passes Armijo or takes the slope test.  The solve is stationary once
+|M grad J| <= tol_gradmap.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ class SolveOptions:
 
     def __post_init__(self):
         for name in ("tol_gradmap", "step0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            # NaN fails every comparison, so it stops here too
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         # the cap fires on iters == max_iters, which a negative or
         # non-integral value never meets
         if not float(self.max_iters).is_integer():
@@ -190,10 +195,10 @@ def minimize(
 
     a, V, coupling = sp.alpha, sp.V.values, sp.coupling
     w = obj.drifted_grad(u)
-    k = obj.kinetic_density(u, w)
+    k = obj.kinetic_density(w)
     hbar, m = optimal_m(a, k, V, coupling, hd, cold_hbar(k, V, coupling), m)
-    J = obj.value_arrays(u, m, k)
-    gu = obj.gradient_u_arrays(u, m, w)
+    J = obj.value_arrays(k, m)
+    gu = obj.gradient_u_arrays(w, m)
 
     def pinv(v):
         r = normal_pinv_values(v, h)
@@ -239,17 +244,16 @@ def minimize(
         while t >= MIN_STEP:
             u_try = u - t * direction
             w_try = obj.drifted_grad(u_try)  # P + Du, shared by k and the current
-            k_try = obj.kinetic_density(u_try, w_try)
+            k_try = obj.kinetic_density(w_try)
             hbar_try, m_try = optimal_m(a, k_try, V, coupling, hd, hbar, m)
-            J_try = obj.value_arrays(u_try, m_try, k_try)
+            J_try = obj.value_arrays(k_try, m_try)
             drop = J_try - J + hbar * hd * float((m_try - m).sum())
-            if drop <= -ARMIJO_C * t * slope:
-                gu_try = obj.gradient_u_arrays(u_try, m_try, w_try)
-                break
-            if abs(drop) <= ROUNDING * max(abs(J), 1.0):
-                # J cannot resolve the decrease: take the slope test
-                gu_try = obj.gradient_u_arrays(u_try, m_try, w_try)
-                if np.vdot(gu_try, direction) >= -(1.0 - 2.0 * ARMIJO_C) * slope:
+            armijo = drop <= -ARMIJO_C * t * slope
+            # where J cannot resolve the decrease, the slope test decides
+            if armijo or abs(drop) <= ROUNDING * max(abs(J), 1.0):
+                gu_try = obj.gradient_u_arrays(w_try, m_try)
+                if armijo or (np.vdot(gu_try, direction)
+                              >= -(1.0 - 2.0 * ARMIJO_C) * slope):
                     break
             t *= BACKTRACK
         else:

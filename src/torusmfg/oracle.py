@@ -49,7 +49,7 @@ def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
                        cold_hbar(k, V, coupling), np.ones(shape))
     obj = DiscreteObjective(spec)
     u = np.zeros(shape)
-    objective = obj.value_arrays(u, m, k) if spec.alpha > 1.0 else float("nan")
+    objective = obj.value_arrays(k, m) if spec.alpha > 1.0 else float("nan")
     return solve_result(obj, u, m, k, hbar, objective, 0, "stationary", 0.0)
 
 

@@ -68,8 +68,8 @@ def transform_exponents(alpha: float, gamma: float) -> tuple[float, float]:
     """(gamma', alpha~) for 0 < alpha < 1, gamma > 1; lands in 1 < alpha~ < gamma'."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"transform requires 0 < alpha < 1, got {alpha}")
-    if gamma <= 1.0:
-        raise ValueError(f"transform requires gamma > 1, got {gamma}")
+    if not 1.0 < gamma < np.inf:
+        raise ValueError(f"transform requires finite gamma > 1, got {gamma}")
     gamma_prime = gamma / (gamma - 1.0)
     alpha_tilde = alpha - (alpha - 1.0) * gamma_prime
     assert 1.0 < alpha_tilde < gamma_prime
@@ -96,6 +96,8 @@ class DualSpec:
         self.Q = tuple(float(q) for q in self.Q)
         if len(self.Q) != 2:
             raise ValueError("Q must have two components")
+        if not np.isfinite(self.Q).all():
+            raise ValueError(f"Q must be finite, got {self.Q}")
         self.gamma_prime, self.alpha_tilde = transform_exponents(
             self.base.alpha, self.base.gamma
         )
@@ -121,7 +123,8 @@ def solve_dual(dual: DualSpec) -> SolveResult:
 
 def _dual_flux(psi: GridFunction, m: GridFunction, dual: DualSpec) -> list[np.ndarray]:
     """(alpha~ - 1) times the current j of the dual problem, one array per axis."""
-    j = DiscreteObjective(dual.problem).flux(psi.values, m.values)
+    obj = DiscreteObjective(dual.problem)
+    j = obj.flux(obj.drifted_grad(psi.values), m.values)
     return [(dual.alpha_tilde - 1.0) * jk for jk in j]
 
 

@@ -7,12 +7,16 @@ with D the 5-point central gradient and the admissible set
 
     A_h = { h^d sum u = 0,  h^d sum m = 1,  m >= 0 }.
 
-The kinetic density k = |P+Du|^gamma / gamma has one owner,
-`DiscreteObjective.kinetic_density`, the one place that divides by gamma.
-For fixed u, J_h is minimised exactly in m by `optimal_m`: each node solves
-m^a (g(m) + Hbar - V) = k with a = alpha, and Hbar fixes unit mass.  The
-m-block takes the node equation's data (a, k, V, coupling, cell), not a
-problem, so it serves any exponent a > 0 and right side k >= 0.
+u enters J_h only through w = P + Du (`DiscreteObjective.drifted_grad`):
+the array methods of `DiscreteObjective` take w, or the kinetic density
+k = |w|^gamma / gamma of `DiscreteObjective.kinetic_density`, the one place
+that divides by gamma.  For fixed u, J_h is minimised exactly in m by
+`optimal_m`: each node solves m^a (g(m) + Hbar - V) = k with a = alpha, and
+Hbar fixes unit mass.  The m-block takes the node equation's data
+(a, k, V, coupling, cell), not a problem, so it serves any exponent a > 0
+and right side k >= 0.  Its joint Newton iteration runs on blocks with
+k > 0 at every node; a block with k = 0 at some node is the nested solve
+`nested_m`'s.
 
 The congestion current is j = |P+Du|^(gamma-2) (P+Du) s(m), with kinetic
 stiffness s(m) = 1/((alpha-1) m^(alpha-1)); `DiscreteObjective.flux` and
@@ -79,7 +83,10 @@ class FeasiblePoint:
 
 @dataclass
 class DiscreteObjective:
-    """J_h for a given problem, m floored at M_FLOOR in negative powers."""
+    """J_h for a given problem, m floored at M_FLOOR in negative powers.
+
+    u enters J_h only through w = P + Du (`drifted_grad`): the array
+    methods take w, or k = `kinetic_density(w)`, never u."""
 
     spec: ProblemSpec
     _p: np.ndarray = field(init=False, repr=False)
@@ -104,14 +111,11 @@ class DiscreteObjective:
             s = s + wk**2
         return s
 
-    def kinetic_density(self, u: np.ndarray,
-                        w: list[np.ndarray] | None = None) -> np.ndarray:
-        """k = |P + D u|^gamma / gamma nodewise: the right side of the
-        m-block's node equation, and the one division by gamma in J_h.
-        w = `drifted_grad(u)` saves its stencils if known."""
+    def kinetic_density(self, w: list[np.ndarray]) -> np.ndarray:
+        """k = |w|^gamma / gamma nodewise at w = P + Du (`drifted_grad`):
+        the right side of the m-block's node equation, and the one division
+        by gamma in J_h."""
         gamma = self.spec.gamma
-        if w is None:
-            w = self.drifted_grad(u)
         return self._norm_sq(w) ** (gamma / 2.0) / gamma
 
     def _check_point(self, pt: FeasiblePoint):
@@ -122,14 +126,12 @@ class DiscreteObjective:
 
     def value(self, pt: FeasiblePoint) -> float:
         self._check_point(pt)
-        return self.value_arrays(pt.u.values, pt.m.values)
+        k = self.kinetic_density(self.drifted_grad(pt.u.values))
+        return self.value_arrays(k, pt.m.values)
 
-    def value_arrays(self, u: np.ndarray, m: np.ndarray,
-                     k: np.ndarray | None = None) -> float:
-        """J_h at (u, m); k = `kinetic_density(u)` saves its stencil if known."""
+    def value_arrays(self, k: np.ndarray, m: np.ndarray) -> float:
+        """J_h at (u, m), from k = `kinetic_density` at u."""
         sp = self.spec
-        if k is None:
-            k = self.kinetic_density(u)
         dens = k * self.stiffness(m) - sp.V.values * m + sp.coupling.G(m)
         return integrate_values(dens, sp.grid.h)
 
@@ -139,14 +141,10 @@ class DiscreteObjective:
         mf = np.maximum(m, M_FLOOR)
         return 1.0 / ((sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))
 
-    def flux(self, u: np.ndarray, m: np.ndarray,
-             w: list[np.ndarray] | None = None) -> list[np.ndarray]:
-        """The current j = |P+Du|^(gamma-2) (P+Du) / ((alpha-1) m^(alpha-1)),
-        one array per axis; w = `drifted_grad(u)` saves its stencils if
-        known."""
+    def flux(self, w: list[np.ndarray], m: np.ndarray) -> list[np.ndarray]:
+        """The current j = |w|^(gamma-2) w / ((alpha-1) m^(alpha-1)) at
+        w = P + Du (`drifted_grad`), one array per axis."""
         gamma = self.spec.gamma
-        if w is None:
-            w = self.drifted_grad(u)
         scale = self.stiffness(m)
         if gamma != 2.0:
             nsq = self._norm_sq(w)
@@ -155,21 +153,19 @@ class DiscreteObjective:
                 scale = np.where(nsq > 0.0, nsq ** ((gamma - 2.0) / 2.0), 0.0) * scale
         return [scale * wk for wk in w]
 
-    def gradient_u_arrays(self, u: np.ndarray, m: np.ndarray,
-                          w: list[np.ndarray] | None = None) -> np.ndarray:
-        """u-partial h^d sum_k D_k^T j_k, with D_k^T = -D_k the adjoint of
-        the central stencil; w = `drifted_grad(u)` as in `flux`."""
+    def gradient_u_arrays(self, w: list[np.ndarray], m: np.ndarray) -> np.ndarray:
+        """u-partial h^d sum_k D_k^T j_k at w = P + Du, with D_k^T = -D_k the
+        adjoint of the central stencil."""
         h, dim = self.spec.grid.h, self.spec.dim
-        gu = np.zeros_like(u)
-        for k, jk in enumerate(self.flux(u, m, w)):
+        gu = np.zeros_like(w[0])
+        for k, jk in enumerate(self.flux(w, m)):
             gu -= central_diff_values(jk, h, k)
         return h**dim * gu
 
-    def gradient_m_arrays(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """m-partial only; avoids the adjoint-divergence work of the u-partial."""
+    def gradient_m_arrays(self, k: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """m-partial at k = `kinetic_density` at u; no stencil work."""
         sp = self.spec
         hd = sp.grid.h**sp.dim
-        k = self.kinetic_density(u)
         mf = np.maximum(m, M_FLOOR)
         dkin_dm = np.where(m > M_FLOOR, -k / mf**sp.alpha, 0.0)
         return hd * (dkin_dm - sp.V.values + sp.coupling.g(np.maximum(m, 0.0)))
@@ -201,69 +197,52 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
     The minimiser of J_h(u, .) is the case a = alpha, k = |P + Du|^gamma /
     gamma (`DiscreteObjective.kinetic_density`): J_h separates by node in
     m, and the multiplier Hbar of the mass constraint makes each node
-    stationary, g(m) - V - k/m^alpha = -Hbar.  Where k > 0 the node solves
-    psi(m) = m^a (g(m) + Hbar - V) - k = 0, whose one root is positive;
-    `_node` evaluates psi, psi', m^a, s = g(m) + Hbar - V and g'(m) for
-    this iteration and for `nested_m`.  Where k = 0 it takes
-    m = (G*)'(V - Hbar), vacuum allowed, with dm/dHbar = -1/g'(m) where
-    m > 0 and 0 elsewhere.  The oracles solve these equations at u = 0
-    with `nested_m`.
+    stationary, g(m) - V - k/m^alpha = -Hbar.  Where k > 0 at every node,
+    as in every minimiser step whose P + Du vanishes nowhere, each node
+    solves psi(m) = m^a (g(m) + Hbar - V) - k = 0, whose one root is
+    positive; `_node` evaluates psi, psi', m^a, s = g(m) + Hbar - V and
+    g'(m) for this iteration and for `nested_m`.  A block with k = 0 at
+    some node, such as the first block of a P = 0 solve from u = 0, is
+    `nested_m`'s from (hbar0, m0), with no joint step; the oracles solve
+    their u = 0 blocks with `nested_m` too.
 
-    One Newton iteration moves every k > 0 node and Hbar together, from
+    One Newton iteration moves every node and Hbar together, from
     (hbar0, m0).  Linearised, a node steps by
     dm = -(psi + m^a dHbar) / psi'(m), and the mass constraint is the
     border row of this diagonal system: its Schur complement gives
     dHbar = -e / slope, with the mass excess e = cell sum(m - psi/psi') - 1
-    and slope cell sum(-m^a/psi') over those nodes, the k = 0 nodes adding
-    their m to e and their dm/dHbar to the slope.  s = k/m^a > 0 at the
-    roots, and psi' = m^(a-1) (a s + m g'(m)) > 0 wherever s > 0.  So
-    when s > 0 on every k > 0 node and dHbar < -min(s), the step is
-    checked against s after it, linearised as s + dHbar + g'(m) dm
-    = s0 + s1 dHbar; if that is not positive on some node, dHbar goes at
-    most _HBAR_SHARE of the way to the nearest zero -s0/s1 over the nodes
-    with s0, s1 > 0, and the node steps use the limited dHbar.  A node
-    step that would leave m > 0 moves m to a quarter of itself.  The
-    iteration stops once every node's step is at most NODE_STEP_RTOL m and
-    the Newton step in Hbar, before the limit, at most hbar_tol(Hbar), the
-    stop rules of `monotone_root` and `mass_root`, and returns after taking
-    that last step.
-
-    Where k > 0 at every node, as in every minimiser step whose P + Du
-    vanishes nowhere, the iteration runs on the whole arrays k, V and m:
-    no masked copies, no k = 0 part and no scatter into m at the end.
-    Mixed k runs on the k > 0 and k = 0 parts apart and puts them back.
+    and slope cell sum(-m^a/psi').  s = k/m^a > 0 at the roots, and
+    psi' = m^(a-1) (a s + m g'(m)) > 0 wherever s > 0.  So when s > 0 on
+    every node and dHbar < -min(s), the step is checked against s after
+    it, linearised as s + dHbar + g'(m) dm = s0 + s1 dHbar; if that is not
+    positive on some node, dHbar goes at most _HBAR_SHARE of the way to the
+    nearest zero -s0/s1 over the nodes with s0, s1 > 0, and the node steps
+    use the limited dHbar.  A node step that would leave m > 0 moves m to a
+    quarter of itself.  The iteration stops once every node's step is at
+    most NODE_STEP_RTOL m and the Newton step in Hbar, before the limit, at
+    most hbar_tol(Hbar), the stop rules of `monotone_root` and `mass_root`,
+    and returns after taking that last step.
 
     Where psi' <= 0 at some node, the slope is not negative, a step is not
     finite, or _JOINT_STEPS steps pass without a stop, the nested solve
     `nested_m` takes over from the current (Hbar, m).
     """
-    hbar = float(hbar0)
-    pos = k > 0.0
-    whole = pos.all()
-    if whole:
-        kp, Vp, x = k, V, np.asarray(m0, dtype=float)
-    else:
-        m = np.array(m0, dtype=float)
-        vac = ~pos
-        kp, Vp, Vv, x, mv = k[pos], V[pos], V[vac], m[pos], m[vac]
+    if not (k > 0.0).all():
+        return nested_m(a, k, V, coupling, cell, hbar0, m0)
+    hbar, x = float(hbar0), np.asarray(m0, dtype=float)
     # overflow and 0 * inf show as non-finite steps, which hand over
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_JOINT_STEPS):
-            if not whole:
-                mv, dmv = _vacuum_density(coupling, Vv - hbar, mv)
-            psi, dpsi, xa, s, dg = _node(a, coupling, x, hbar, Vp, kp)
+            psi, dpsi, xa, s, dg = _node(a, coupling, x, hbar, V, k)
             if not (dpsi > 0.0).all():
                 break
             r, q = psi / dpsi, xa / dpsi
-            e, slope = float((x - r).sum()), -float(q.sum())
-            if not whole:
-                e, slope = e + float(mv.sum()), float(dmv.sum()) + slope
-            e, slope = cell * e - 1.0, cell * slope
+            e, slope = cell * float((x - r).sum()) - 1.0, cell * -float(q.sum())
             if not slope < 0.0:
                 break
             dh = -e / slope
             small = abs(dh) <= hbar_tol(hbar)
-            s_min = float(s.min()) if dh < 0.0 and s.size else 0.0
+            s_min = float(s.min()) if dh < 0.0 else 0.0
             if 0.0 < s_min < -dh:
                 # s after the step, linear in dh: s + dh + g'(x) dx = s0 + s1 dh
                 s0, s1 = s - dg * r, 1.0 - dg * q
@@ -279,16 +258,8 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
             x = np.where(x_new > 0.0, x_new, 0.25 * x)
             hbar += dh
             if done:
-                if whole:
-                    return hbar, x
-                m[pos] = x
-                if mv.size:
-                    m[vac] = coupling.conjugate_deriv(Vv - hbar, mv)
-                return hbar, m
-    if whole:
-        return nested_m(a, k, V, coupling, cell, hbar, x)
-    m[pos], m[vac] = x, mv
-    return nested_m(a, k, V, coupling, cell, hbar, m)
+                return hbar, x
+    return nested_m(a, k, V, coupling, cell, hbar, x)
 
 
 def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
@@ -307,8 +278,6 @@ def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
 
 def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
     """(m, dm/dHbar) of the k = 0 nodes at V - Hbar = q."""
-    if not q.size:
-        return q, q
     m = coupling.conjugate_deriv(q, m0)
     dm = np.divide(-1.0, coupling.g_prime(m, z_floor=1e-300),
                    out=np.zeros_like(m), where=m > 0.0)
@@ -420,7 +389,7 @@ def estimate_Hbar(pt: FeasiblePoint, obj: DiscreteObjective,
 
     At a minimizer the nodewise quantity is the constant making the HJB
     equation hold; the standard deviation is a stationarity residual.
-    k = `obj.kinetic_density(u)` saves its stencil if known.
+    k = `obj.kinetic_density` at u saves its stencils if known.
     """
     obj._check_point(pt)
     sp = obj.spec
@@ -431,7 +400,7 @@ def estimate_Hbar(pt: FeasiblePoint, obj: DiscreteObjective,
             f"no nodes with m > {MASS_CUTOFF}; cannot estimate the effective Hamiltonian"
         )
     if k is None:
-        k = obj.kinetic_density(pt.u.values)
+        k = obj.kinetic_density(obj.drifted_grad(pt.u.values))
     q = k[mask] / m[mask] ** sp.alpha + sp.V.values[mask] - sp.coupling.g(m[mask])
     return float(q.mean()), float(q.std())
 
@@ -453,7 +422,8 @@ def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective) -> dict:
     h = sp.grid.h
     m = pt.m.values
     mf = np.maximum(m, M_FLOOR)
-    kin = sp.gamma * obj.kinetic_density(pt.u.values)  # |P+Du|^gamma
+    w = obj.drifted_grad(pt.u.values)
+    kin = sp.gamma * obj.kinetic_density(w)  # |P+Du|^gamma
     # |(P+Du)/m^ab|^g (m^ab + m^(ab+1)) = |P+Du|^g (m^-alpha + m^(1-alpha)),
     # using ab = alpha/(gamma-1)
     congestion = kin * (mf ** (-sp.alpha) + mf ** (1.0 - sp.alpha))

@@ -35,6 +35,14 @@ class TestCoupling:
     def test_sum_rule(self):
         assert MIXED.g(1.0) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("terms", [((math.nan, 2.0),), ((math.inf, 2.0),),
+                                       ((0.5, math.nan),), ((0.5, math.inf),),
+                                       ((0.5, 2.0), (math.nan, 3.0))])
+    def test_rejects_non_finite_terms(self, terms):
+        # these used to fail only deep inside a solve
+        with pytest.raises(ValueError, match="finite"):
+            CouplingG(terms)
+
     def test_rejects_bad_terms(self):
         with pytest.raises(ValueError):
             CouplingG(((0.0, 2.0),))
@@ -377,6 +385,17 @@ class TestProblemSpec:
         V = g.zeros()
         with pytest.raises(ValueError):
             ProblemSpec(1, 32, 1.5, 2.0, (0.0,), V, QUAD)
+
+    @pytest.mark.parametrize("alpha, gamma, P", [
+        (math.nan, 2.0, (0.0,)), (math.inf, 2.0, (0.0,)),
+        (1.5, math.nan, (0.0,)), (1.5, math.inf, (0.0,)),
+        (1.5, 2.0, (math.nan,)), (1.5, 2.0, (-math.inf,)),
+    ])
+    def test_non_finite_exponent_or_drift_rejected(self, alpha, gamma, P):
+        # a NaN alpha let solve_P0 return "stationary" with a NaN objective
+        g = TorusGrid(1, 16)
+        with pytest.raises(ValueError, match="finite"):
+            ProblemSpec(1, 16, alpha, gamma, P, g.zeros(), QUAD)
 
     def test_drift_length_checked(self):
         g = TorusGrid(2, 8)

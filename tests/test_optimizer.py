@@ -130,6 +130,15 @@ class TestDescentMechanics:
         with pytest.raises(ValueError, match="max_iters"):
             SolveOptions(max_iters=max_iters)
 
+    @pytest.mark.parametrize("name", ["tol_gradmap", "step0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_or_step_raises(self, name, value):
+        # NaN passed a `<= 0` check: on 1D cosine V, P = 1, n = 32,
+        # tol_gradmap NaN or inf ended "stationary" after 0 iterations at
+        # gradmap 0.169, and step0 NaN ended "line_search" after 0
+        with pytest.raises(ValueError, match=name):
+            SolveOptions(**{name: value})
+
     def test_integral_float_max_iters_caps(self):
         spec = make_spec(n=32, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * x))
         res = minimize(DiscreteObjective(spec), "uniform",
@@ -170,7 +179,7 @@ class TestDescentMechanics:
         assert not res.converged
         assert res.gradmap > 1e-3
         assert np.array_equal(res.u.values, np.zeros(32))
-        k = obj.kinetic_density(np.zeros(32))
+        k = obj.kinetic_density(obj.drifted_grad(np.zeros(32)))
         hbar, m = optimal_m(spec.alpha, k, spec.V.values, spec.coupling, spec.grid.h,
                             res.Hbar, res.m.values)
         assert np.max(np.abs(res.m.values - m)) <= 1e-14

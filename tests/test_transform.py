@@ -64,6 +64,12 @@ class TestExponents:
         with pytest.raises(ValueError):
             transform_exponents(0.5, 1.0)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gamma(self, gamma):
+        # NaN passed `gamma <= 1` and failed the bare assert on alpha~
+        with pytest.raises(ValueError, match="gamma"):
+            transform_exponents(0.5, gamma)
+
 
 class TestDualSpec:
     def test_rejects_a_base_drift(self):
@@ -73,6 +79,11 @@ class TestDualSpec:
         base = ProblemSpec(2, 16, 0.5, 2.0, (3.0, -2.0), sine_cosine().sample(g), QUAD)
         with pytest.raises(ValueError, match="base drift"):
             DualSpec(base, (1.0, 0.0))
+
+    @pytest.mark.parametrize("Q", [(float("nan"), 0.0), (1.0, float("inf"))])
+    def test_rejects_a_non_finite_Q(self, Q):
+        with pytest.raises(ValueError, match="Q must be finite"):
+            DualSpec(base_spec(8), Q)
 
 
 class TestConstantRoundTrip:
