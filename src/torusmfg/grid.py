@@ -29,6 +29,7 @@ values are the same.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,8 @@ class TorusGrid:
     n: int
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.dim, self.n)):
+            raise ValueError(f"dim and n must be integers, got {(self.dim, self.n)}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 5:

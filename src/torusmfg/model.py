@@ -100,7 +100,6 @@ class CouplingG:
             out[pos] = monotone_root(
                 # g' > 0 at the root
                 lambda m: (self.g(m) - qp, self.g_prime(m, z_floor=1e-300)),
-                0.0,
                 np.ones_like(qp) if m0 is None else np.asarray(m0, dtype=float)[pos],
             )
         return float(out) if out.ndim == 0 else out
@@ -134,13 +133,14 @@ class BracketError(RuntimeError):
     """Raised when a monotone root solve cannot bracket or reach its root."""
 
 
-def monotone_root(node, lo, m0):
-    """Nodewise root of phi on [lo, inf), vectorised, from the warm start m0.
+def monotone_root(node, m0):
+    """Nodewise root of phi on [0, inf), vectorised, from the warm start m0.
 
     node(m) returns (phi(m), dphi(m)), both shaped like m, with dphi the
     derivative of phi: one call evaluates both, so they can share work.
+    The node equations are posed on m >= 0, so the lower end is always 0.
     phi(m) < 0 below each node's root and > 0 above it.  Each node starts
-    at max(m0, lo) with the bracket [lo, inf) and moves one end of it to m
+    at max(m0, 0) with the bracket [0, inf) and moves one end of it to m
     by the sign of phi(m).  Until its upper end is known, the doubling point
     max(2m, 1) stands in for it, so a Newton step from far below a convex
     phi's root cannot overshoot to where phi overflows.  The node takes the
@@ -156,8 +156,8 @@ def monotone_root(node, lo, m0):
     any bracket of doubles to neighbouring floats, which happens only when
     phi or dphi is NaN.
     """
-    m = np.maximum(np.asarray(m0, dtype=float), lo)
-    lo = np.full_like(m, lo)
+    m = np.maximum(np.asarray(m0, dtype=float), 0.0)
+    lo = np.zeros_like(m)
     hi = np.full_like(m, np.inf)
     done = np.zeros(m.shape, dtype=bool)
     for _ in range(_MAX_STEPS):
@@ -185,8 +185,9 @@ def monotone_root(node, lo, m0):
     raise BracketError("nodewise Newton iteration did not converge")
 
 
-def mass_root(density, cell, hbar0):
-    """(Hbar, m) with cell * sum(m) = 1, where density(Hbar) = (m, dm).
+def mass_root(density, hbar0):
+    """(Hbar, m) with unit mass cell * sum(m) = 1, where density(Hbar) =
+    (m, dm) and cell = 1/N for the N nodes of m: h^d on the unit torus.
 
     dm is dm/dHbar nodewise, and the mass must decrease in Hbar.  A
     safeguarded Newton iteration on Hbar, with slope cell * sum(dm), starts
@@ -205,6 +206,7 @@ def mass_root(density, cell, hbar0):
     hbar, step = float(hbar0), 1.0
     for _ in range(_MAX_STEPS):
         m, dm = density(hbar)
+        cell = 1.0 / m.size
         e, slope = cell * float(m.sum()) - 1.0, cell * float(dm.sum())
         if e == 0.0:
             return hbar, m
@@ -363,6 +365,8 @@ class ProblemSpec:
             raise ValueError(f"drift must be finite, got {self.P}")
         if self.V.grid.dim != self.dim or self.V.grid.n != self.n:
             raise ValueError("potential sampled on a different grid than (dim, n)")
+        if not np.isfinite(self.V.values).all():
+            raise ValueError("potential samples must be finite")
 
     @property
     def grid(self) -> TorusGrid:

@@ -159,6 +159,8 @@ def random_feasible_point(grid, seed: int) -> FeasiblePoint:
 
 def _initial_point(grid, init) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(init, FeasiblePoint):
+        if init.grid != grid:
+            raise ValueError("init sampled on a different grid than the problem")
         u, m = init.u.values, init.m.values
     elif init == "uniform":
         u, m = np.zeros(grid.shape), np.ones(grid.shape)  # a fixed point of the projection
@@ -176,7 +178,8 @@ def minimize(
     """L-BFGS minimisation of J_h over A_h, with m exact for every u.
 
     init is "uniform" (u = 0, m = 1) or a FeasiblePoint, which is first
-    projected onto A_h; its m only warm-starts the first m-block.
+    projected onto A_h (ValueError if it lies on another grid); its m only
+    warm-starts the first m-block.
     `random_feasible_point(grid, seed)` gives a seeded random one.  An
     optional text stream trace_file receives one
     "iter,objective,gradmap,step" CSV row per iteration.  J_h is convex
@@ -196,7 +199,7 @@ def minimize(
     a, V, coupling = sp.alpha, sp.V.values, sp.coupling
     w = obj.drifted_grad(u)
     k = obj.kinetic_density(w)
-    hbar, m = optimal_m(a, k, V, coupling, hd, cold_hbar(k, V, coupling), m)
+    hbar, m = optimal_m(a, k, V, coupling, cold_hbar(k, V, coupling), m)
     J = obj.value_arrays(k, m)
     gu = obj.gradient_u_arrays(w, m)
 
@@ -245,7 +248,7 @@ def minimize(
             u_try = u - t * direction
             w_try = obj.drifted_grad(u_try)  # P + Du, shared by k and the current
             k_try = obj.kinetic_density(w_try)
-            hbar_try, m_try = optimal_m(a, k_try, V, coupling, hd, hbar, m)
+            hbar_try, m_try = optimal_m(a, k_try, V, coupling, hbar, m)
             J_try = obj.value_arrays(k_try, m_try)
             drop = J_try - J + hbar * hd * float((m_try - m).sum())
             armijo = drop <= -ARMIJO_C * t * slope

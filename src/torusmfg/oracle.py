@@ -38,16 +38,15 @@ def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
     """The SolveResult of (u, m) = (0, m), with (Hbar, m) from the nested
     m-block started at m = 1 and the cold Hbar guess.
 
-    At u = 0, P + Du is P at every node, so k is |P|^gamma / gamma, summed
-    and raised as `kinetic_density` does, without its stencils.  J_h is
-    undefined at alpha = 1, so the objective is NaN there.
+    At u = 0, P + Du is P at every node, so k is `kinetic_density` of the
+    constant field w = P, with no stencils.  J_h is undefined at
+    alpha = 1, so the objective is NaN there.
     """
-    shape, gamma = spec.grid.shape, spec.gamma
-    k = np.full(shape, sum(p * p for p in spec.P)) ** (gamma / 2.0) / gamma
+    shape, obj = spec.grid.shape, DiscreteObjective(spec)
+    k = obj.kinetic_density([np.full(shape, p) for p in spec.P])
     V, coupling = spec.V.values, spec.coupling
-    hbar, m = nested_m(spec.alpha, k, V, coupling, spec.grid.h**spec.dim,
-                       cold_hbar(k, V, coupling), np.ones(shape))
-    obj = DiscreteObjective(spec)
+    hbar, m = nested_m(spec.alpha, k, V, coupling, cold_hbar(k, V, coupling),
+                       np.ones(shape))
     u = np.zeros(shape)
     objective = obj.value_arrays(k, m) if spec.alpha > 1.0 else float("nan")
     return solve_result(obj, u, m, k, hbar, objective, 0, "stationary", 0.0)
@@ -75,8 +74,8 @@ def continuum_Hbar_P0(spec: ProblemSpec, potential) -> float:
         raise ValueError("closed-form path requires P = 0")
     fine = TorusGrid(spec.dim, N_FINE[spec.dim])
     k, V = np.zeros(fine.shape), potential.sample(fine).values
-    return nested_m(spec.alpha, k, V, spec.coupling, fine.h**fine.dim,
-                    cold_hbar(k, V, spec.coupling), np.ones(fine.shape))[0]
+    return nested_m(spec.alpha, k, V, spec.coupling, cold_hbar(k, V, spec.coupling),
+                    np.ones(fine.shape))[0]
 
 
 def solve_critical(spec: ProblemSpec) -> SolveResult:

@@ -216,7 +216,7 @@ def _nd_stencil(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _hjb_jacobian(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
-                  denom: np.ndarray, beta: float, stencil) -> sps.csr_matrix:
+                  denom: np.ndarray, beta: float) -> sps.csr_matrix:
     """Jacobian of the `_hjb_scheme` residual at u in nested-dissection order,
     with only its nonzeros stored.
 
@@ -224,10 +224,11 @@ def _hjb_jacobian(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
     neighbour and -c_b at the i-1 neighbour of axis k, where
     c = gamma slope^(gamma-1) / (h denom) for the upwind slopes a_k, b_k.
     An off-diagonal entry is stored only where its coefficient is positive.
-    `stencil` is `_nd_stencil(u.shape)`: the CSR arrays are gathered straight
-    into its order, with indptr from the count of stored entries per row.
+    The CSR arrays are gathered straight into the order of the cached
+    `_nd_stencil(u.shape)`, with indptr from the count of stored entries
+    per row.
     """
-    cols, gather, diag_slot = stencil
+    cols, gather, diag_slot = _nd_stencil(u.shape)
     a, b = upwind_slopes(u, p, h)
     size = u.size
     width = 2 * u.ndim + 1
@@ -245,21 +246,6 @@ def _hjb_jacobian(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
     indptr = np.zeros(size + 1, dtype=np.intc)
     np.cumsum(np.bincount(stored // width, minlength=size), out=indptr[1:])
     return sps.csr_matrix((vals[stored], cols[stored], indptr), shape=(size, size))
-
-
-def _residual_floor(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
-                    denom: np.ndarray) -> float:
-    """Rounding floor of the max `_hjb_scheme` residual at u.
-
-    u is known to about eps |u|_inf, so an upwind slope s is known to about
-    eps |u|_inf / h, and the residual moves by that times the slope
-    coefficient gamma s^(gamma-1) / denom.  The floor takes the largest
-    coefficient over the active slopes.
-    """
-    a, b = upwind_slopes(u, p, h)
-    s = functools.reduce(np.maximum, [*a, *b])
-    coef = float(np.max(gamma * s ** (gamma - 1.0) / denom))
-    return float(np.finfo(float).eps) * float(np.max(np.abs(u))) / h * coef
 
 
 def solve_hjb_discounted(
@@ -286,15 +272,22 @@ def solve_hjb_discounted(
     lower the residual is also undone.  The solve stops at _HJB_TOL only
     once the factor has been dropped, so chord steps keep polishing below
     it while they still contract.  Where |u| is large on a fine grid the
-    residual cannot get below _HJB_TOL, so the stop, and the error raised at
-    the _MAX_NEWTON cap, allow _HJB_TOL plus the rounding floor of
-    `_residual_floor`.  The solve starts at `u0`, or at u = 0 if it is
-    None.  Its first step is one plain `spsolve` whose factor is not kept:
-    the start's upwind pattern is not yet that of the solution (at u = 0 it
-    is the pattern of P alone, about half of whose active slopes flip in
-    that step), so a chord step on it would soon raise the residual.  A
-    step that is not finite raises `HJBConvergenceError` at once.  At most
-    one factor is alive, and none once the solve returns.
+    residual cannot get below _HJB_TOL, so the stop allows _HJB_TOL plus
+    the rounding floor eps |u|_inf c, where c is the largest off-diagonal
+    magnitude of the Jacobian at u, gamma s^(gamma-1) / (h denom) over the
+    active upwind slopes s: u is known to about eps |u|_inf, so a slope to
+    about eps |u|_inf / h, and the residual moves by that times the slope's
+    coefficient.  The floor is read off the Jacobian that the next fresh
+    step factors, so it costs no pass of its own; the stop is tested before
+    each fresh step, and once more at the _MAX_NEWTON cap, which raises
+    `HJBConvergenceError` if it fails.  The solve starts at `u0`, or at
+    u = 0 if it is None.  Its first step is one plain `spsolve` whose
+    factor is not kept: the start's upwind pattern is not yet that of the
+    solution (at u = 0 it is the pattern of P alone, about half of whose
+    active slopes flip in that step), so a chord step on it would soon
+    raise the residual.  A step that is not finite raises
+    `HJBConvergenceError` at once.  At most one factor is alive, and none
+    once the solve returns.
 
     At most one of the two upwind slopes of an axis is active at most
     nodes, so the Jacobian stores only its active entries: an explicit zero
@@ -311,30 +304,37 @@ def solve_hjb_discounted(
     solve with trans="T" is a solve with the Jacobian, as in `spsolve`
     with CSR input.
     """
-    if beta <= 0:
-        raise ValueError("discount rate beta must be positive")
+    # NaN fails every comparison, so it stops here too
+    if not 0 < beta < np.inf:
+        raise ValueError(f"discount rate beta must be finite and > 0, got {beta}")
     grid = m.grid
     p = np.asarray(P, dtype=float)
     residual, denom = _hjb_scheme(m, p, spec, beta)
-    stencil = _nd_stencil(grid.shape)
     perm, inv = nested_dissection_order(grid.shape)
 
     u = np.zeros(grid.shape) if u0 is None else np.array(u0, dtype=float)
     r = residual(u)
     norm = float(np.max(np.abs(r)))
     lu = None
-    for it in range(_MAX_NEWTON):
-        # the floor costs a pass of upwind slopes: only where _HJB_TOL is not
-        # met, here and below
-        if lu is None and (norm <= _HJB_TOL or norm <= _HJB_TOL + _residual_floor(
-                u, p, spec.gamma, grid.h, denom)):
-            break
-        chord = lu is not None
+    for it in range(_MAX_NEWTON + 1):
+        chord = lu is not None and it < _MAX_NEWTON
+        if not chord:
+            # the stop test, before a fresh step and at the cap
+            if norm <= _HJB_TOL:
+                break
+            jac = _hjb_jacobian(u, p, spec.gamma, grid.h, denom, beta)
+            # off-diagonal entries are negative and the diagonal positive
+            coef = max(-float(jac.data.min()), 0.0)
+            if norm <= _HJB_TOL + np.finfo(float).eps * float(np.max(np.abs(u))) * coef:
+                break
+            if it == _MAX_NEWTON:
+                raise HJBConvergenceError(
+                    f"discounted HJB did not reach tolerance: max residual {norm:.3e}"
+                )
         rhs = -r.ravel()[perm]
         if chord:
             step_nd = lu.solve(rhs, trans="T")
         else:
-            jac = _hjb_jacobian(u, p, spec.gamma, grid.h, denom, beta, stencil)
             if it == 0:
                 step_nd = spla.spsolve(jac, rhs, permc_spec="NATURAL")
             else:
@@ -354,11 +354,6 @@ def solve_hjb_discounted(
             if chord and norm_try >= norm:
                 continue
         u, r, norm = u_try, r_try, norm_try
-    if norm > _HJB_TOL and norm > _HJB_TOL + _residual_floor(
-            u, p, spec.gamma, grid.h, denom):
-        raise HJBConvergenceError(
-            f"discounted HJB did not reach tolerance: max residual {norm:.3e}"
-        )
     return GridFunction(grid, u)
 
 

@@ -12,11 +12,12 @@ the array methods of `DiscreteObjective` take w, or the kinetic density
 k = |w|^gamma / gamma of `DiscreteObjective.kinetic_density`, the one place
 that divides by gamma.  For fixed u, J_h is minimised exactly in m by
 `optimal_m`: each node solves m^a (g(m) + Hbar - V) = k with a = alpha, and
-Hbar fixes unit mass.  The m-block takes the node equation's data
-(a, k, V, coupling, cell), not a problem, so it serves any exponent a > 0
-and right side k >= 0.  Its joint Newton iteration runs on blocks with
-k > 0 at every node; a block with k = 0 at some node is the nested solve
-`nested_m`'s.
+Hbar fixes unit mass, (1/N) sum m = 1 over the N nodes of the unit torus.
+The m-block takes the node equation's data (a, k, V, coupling), not a
+problem, and reads N off the arrays, so it serves any exponent a > 0 and
+right side k >= 0 in any dimension.  Its joint Newton iteration runs on
+blocks with k > 0 at every node; a block with k = 0 at some node is the
+nested solve `nested_m`'s.
 
 The congestion current is j = |P+Du|^(gamma-2) (P+Du) s(m), with kinetic
 stiffness s(m) = 1/((alpha-1) m^(alpha-1)); `DiscreteObjective.flux` and
@@ -189,10 +190,12 @@ def cold_hbar(k: np.ndarray, V: np.ndarray, coupling) -> float:
     return float(np.mean(V)) - float(coupling.g(1.0)) + float(np.mean(k))
 
 
-def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
+def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
               hbar0: float, m0: np.ndarray) -> tuple[float, np.ndarray]:
-    """(Hbar, m): the nonnegative m of mass cell sum m = 1 that solves the
-    node equation m^a (g(m) + Hbar - V) = k at every node.
+    """(Hbar, m): the nonnegative m of unit mass that solves the node
+    equation m^a (g(m) + Hbar - V) = k at every node.  On the unit torus
+    unit mass is cell sum m = 1 with cell = h^d = 1/N for the N nodes, so
+    the cell is formed from the size of m0, not passed.
 
     The minimiser of J_h(u, .) is the case a = alpha, k = |P + Du|^gamma /
     gamma (`DiscreteObjective.kinetic_density`): J_h separates by node in
@@ -228,8 +231,9 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
     `nested_m` takes over from the current (Hbar, m).
     """
     if not (k > 0.0).all():
-        return nested_m(a, k, V, coupling, cell, hbar0, m0)
+        return nested_m(a, k, V, coupling, hbar0, m0)
     hbar, x = float(hbar0), np.asarray(m0, dtype=float)
+    cell = 1.0 / x.size
     # overflow and 0 * inf show as non-finite steps, which hand over
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_JOINT_STEPS):
@@ -259,7 +263,7 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
             hbar += dh
             if done:
                 return hbar, x
-    return nested_m(a, k, V, coupling, cell, hbar, x)
+    return nested_m(a, k, V, coupling, hbar, x)
 
 
 def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
@@ -284,11 +288,12 @@ def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
     return m, dm
 
 
-def nested_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
+def nested_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
              hbar0: float, m0: np.ndarray) -> tuple[float, np.ndarray]:
     """`optimal_m` by nested solves: `mass_root` on Hbar from hbar0 around
-    nodewise roots.  It is the oracles' m-block at u = 0 and the safeguard
-    of `optimal_m`'s joint Newton iteration.
+    nodewise roots, under the same unit mass (1/N) sum m = 1.  It is the
+    oracles' m-block at u = 0 and the safeguard of `optimal_m`'s joint
+    Newton iteration.
 
     The k > 0 nodes run `monotone_root` on psi, with psi and psi' from
     `_node`, each solve warm-started at the previous one's m, the first at
@@ -315,7 +320,7 @@ def nested_m(a: float, k: np.ndarray, V: np.ndarray, coupling, cell: float,
                 m[idx], dm[idx] = part(hbar)
             return m, dm
 
-    return mass_root(density, cell, hbar0)
+    return mass_root(density, hbar0)
 
 
 def _node_density(a: float, k: np.ndarray, V: np.ndarray, coupling, m0: np.ndarray):
@@ -349,7 +354,7 @@ def _node_density(a: float, k: np.ndarray, V: np.ndarray, coupling, m0: np.ndarr
     def roots(hbar):
         nonlocal m_last
         m_last = monotone_root(lambda x: _node(a, coupling, x, hbar, V, k)[:2],
-                               0.0, m_last)
+                               m_last)
         _, dpsi, xa = _node(a, coupling, m_last, hbar, V, k)[:3]
         return m_last, -xa / dpsi
 
@@ -383,13 +388,12 @@ def project_feasible(u: GridFunction, m: GridFunction) -> FeasiblePoint:
 # effective-Hamiltonian estimate and a priori diagnostics
 
 def estimate_Hbar(pt: FeasiblePoint, obj: DiscreteObjective,
-                  k: np.ndarray | None = None) -> tuple[float, float]:
+                  k: np.ndarray) -> tuple[float, float]:
     """(mean, std) of k/m^alpha + V - g(m) over {m > MASS_CUTOFF}, with
-    k = |P+Du|^gamma/gamma.
+    k = |P+Du|^gamma/gamma = `obj.kinetic_density` at the point's u.
 
     At a minimizer the nodewise quantity is the constant making the HJB
     equation hold; the standard deviation is a stationarity residual.
-    k = `obj.kinetic_density` at u saves its stencils if known.
     """
     obj._check_point(pt)
     sp = obj.spec
@@ -399,8 +403,6 @@ def estimate_Hbar(pt: FeasiblePoint, obj: DiscreteObjective,
         raise DegenerateSolutionError(
             f"no nodes with m > {MASS_CUTOFF}; cannot estimate the effective Hamiltonian"
         )
-    if k is None:
-        k = obj.kinetic_density(obj.drifted_grad(pt.u.values))
     q = k[mask] / m[mask] ** sp.alpha + sp.V.values[mask] - sp.coupling.g(m[mask])
     return float(q.mean()), float(q.std())
 
@@ -441,14 +443,16 @@ def apriori_diagnostics(pt: FeasiblePoint, obj: DiscreteObjective) -> dict:
 
 def diagnostics_record(pt: FeasiblePoint, obj: DiscreteObjective) -> dict:
     """One JSON-ready record per solve; J_h is undefined at alpha = 1, so
-    "Jh" is NaN there, as in the oracle's result."""
+    "Jh" is NaN there, as in the oracle's result.  k is formed once, for
+    the H-bar estimate and J_h."""
     eu, em = pt.feasibility_errors()
+    k = obj.kinetic_density(obj.drifted_grad(pt.u.values))
     try:
-        hbar, hstd = estimate_Hbar(pt, obj)
+        hbar, hstd = estimate_Hbar(pt, obj, k)
     except DegenerateSolutionError:
         hbar, hstd = float("nan"), float("nan")
     return {
-        "Jh": obj.value(pt) if obj.spec.alpha > 1.0 else float("nan"),
+        "Jh": obj.value_arrays(k, pt.m.values) if obj.spec.alpha > 1.0 else math.nan,
         "Hbar_mean": hbar,
         "Hbar_std": hstd,
         "mass_error": em,

@@ -59,6 +59,16 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             TorusGrid(3, 32)
 
+    @pytest.mark.parametrize("dim, n", [(1, 64.5), (2.0, 16)])
+    def test_rejects_non_integer_dim_and_n(self, dim, n):
+        # (1, 64.5) built a grid of shape (64.5,), and (2.0, 16) failed later
+        # with a TypeError
+        with pytest.raises(ValueError, match="integer"):
+            TorusGrid(dim, n)
+
+    def test_accepts_numpy_integers(self):
+        assert TorusGrid(np.int64(2), np.int64(16)) == TorusGrid(2, 16)
+
     def test_gridfunction_shape_checks(self):
         g = TorusGrid(2, 8)
         GridFunction(g, np.zeros(64))  # flat input reshaped

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusmfg import model
-from torusmfg.grid import TorusGrid
+from torusmfg.grid import GridFunction, TorusGrid
 from torusmfg.model import (
     BracketError,
     CouplingG,
@@ -50,6 +50,10 @@ class TestCoupling:
             CouplingG(((1.0, 1.0),))
         with pytest.raises(ValueError):
             CouplingG(())
+
+    def test_serialize_record(self):
+        assert MIXED.serialize() == [{"c": 0.5, "theta": 2.0}, {"c": 1.0, "theta": 3.0}]
+        assert CouplingG(((2, 3),)).serialize() == [{"c": 2.0, "theta": 3.0}]
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
@@ -132,7 +136,7 @@ class TestRootKernels:
     def test_monotone_root_doubles_past_the_start(self):
         # m^3 = q with roots up to 100, far above the start 1
         q = np.array([1e-9, 0.5, 8.0, 1e6])
-        m = monotone_root(lambda m: (m**3 - q, 3.0 * m**2), 0.0, np.ones_like(q))
+        m = monotone_root(lambda m: (m**3 - q, 3.0 * m**2), np.ones_like(q))
         assert np.allclose(m, np.cbrt(q), rtol=1e-14, atol=0.0)
 
     def test_monotone_root_matches_bisection_in_few_steps(self):
@@ -168,12 +172,12 @@ class TestRootKernels:
             return phi(m), dphi(m)
 
         calls = 0
-        m = monotone_root(node, 0.0, np.ones_like(q))
+        m = monotone_root(node, np.ones_like(q))
         assert np.allclose(m, ref, rtol=1e-15, atol=0.0)
         assert calls <= 16
 
         calls = 0
-        m = monotone_root(node, 0.0, np.cbrt(q))
+        m = monotone_root(node, np.cbrt(q))
         assert np.allclose(m, ref, rtol=1e-15, atol=0.0)
         assert calls <= 2
 
@@ -190,13 +194,13 @@ class TestRootKernels:
         # phi is NaN everywhere: no bracket end ever moves
         with pytest.raises(BracketError):
             monotone_root(lambda m: (np.full_like(m, np.nan), np.ones_like(m)),
-                          0.0, np.ones(3))
+                          np.ones(3))
 
     def test_monotone_root_stops_on_a_collapsed_bracket(self):
         # phi jumps at its root, so no Newton step there is small; the
         # bracket shrinks onto one float and the node must stop at it
         root = monotone_root(lambda m: (np.where(m >= 1.0, 1.0, -1.0), np.ones_like(m)),
-                             0.0, np.array([0.3, 5.0]))
+                             np.array([0.3, 5.0]))
         assert np.array_equal(root, [1.0, 1.0])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -214,7 +218,6 @@ class TestRootKernels:
             warnings.simplefilter("error")
             m = monotone_root(
                 lambda m: (coupling.g(m) - q, coupling.g_prime(m, z_floor=1e-300)),
-                0.0,
                 m0,
             )
         hi = np.ones_like(q)
@@ -230,7 +233,7 @@ class TestRootKernels:
         def density(hbar):
             return np.full(4, np.exp(-hbar)), np.full(4, -np.exp(-hbar))
 
-        hbar, m = mass_root(density, 0.25, hbar0)
+        hbar, m = mass_root(density, hbar0)
         assert hbar == pytest.approx(0.0, abs=1e-14)
         assert np.array_equal(m, density(hbar)[0])
 
@@ -242,7 +245,7 @@ class TestRootKernels:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hbar, _ = mass_root(density, 0.25, hbar0)
+            hbar, _ = mass_root(density, hbar0)
         assert hbar == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("hbar0", [-5.0, 5.0])
@@ -250,7 +253,15 @@ class TestRootKernels:
     def test_mass_root_raises_without_sign_change(self, mass, hbar0):
         # constant mass below and above 1: the search runs out of doublings
         with pytest.raises(BracketError):
-            mass_root(lambda hbar: (np.full(4, mass), np.zeros(4)), 0.25, hbar0)
+            mass_root(lambda hbar: (np.full(4, mass), np.zeros(4)), hbar0)
+
+    def test_mass_root_raises_at_the_step_cap(self, monkeypatch):
+        # Newton on the convex mass e^(-Hbar) from far below the root needs
+        # more than two steps
+        monkeypatch.setattr(model, "_MAX_STEPS", 2)
+        with pytest.raises(BracketError, match="did not converge"):
+            mass_root(lambda hbar: (np.full(4, np.exp(-hbar)),
+                                    np.full(4, -np.exp(-hbar))), -10.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -274,7 +285,7 @@ class TestRootKernels:
         cell = 1.0 / len(nodes)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hbar, m = mass_root(density, cell, hbar0)
+            hbar, m = mass_root(density, hbar0)
         assert np.array_equal(m, density(hbar)[0])
         assert abs(cell * m.sum() - 1.0) <= 1e-12
 
@@ -299,6 +310,10 @@ class TestBarf:
             barf((0.0,), 1.0, (0.0,), 1.0, 2.0)
         with pytest.raises(ValueError):
             barf((0.0,), 1.0, (0.0,), 2.5, 2.0)
+
+    def test_rejects_negative_mass(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            barf((0.1,), -1.0, (0.0,), 1.5, 2.0)
 
     def test_midpoint_convexity_sampled(self):
         rng = np.random.default_rng(11)
@@ -331,6 +346,12 @@ class TestRecession:
     def test_infinite_branch(self):
         assert barf_recession((1e-9,), 0.0, 2.0) == math.inf
 
+    def test_rejects_bad_gamma_and_negative_mass(self):
+        with pytest.raises(ValueError, match="gamma"):
+            barf_recession((0.1,), 1.0, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            barf_recession((0.1,), -1.0, 2.0)
+
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
@@ -351,8 +372,14 @@ class TestPotentials:
         assert np.allclose(V.values, 0.5 * np.cos(2 * np.pi * (x - 0.25)))
 
     def test_product_family_requires_2d(self):
-        with pytest.raises(ValueError):
-            PotentialFamily("sine-cosine-product").sample(TorusGrid(1, 16))
+        for family in ("sine-cosine-product", "exp-sin-cos"):
+            with pytest.raises(ValueError, match="two-dimensional"):
+                PotentialFamily(family).sample(TorusGrid(1, 16))
+
+    def test_gaussian_bump(self):
+        g = TorusGrid(1, 32)
+        V = PotentialFamily("gaussian-bump", {"amplitude": 2.0, "center": 0.3}).sample(g)
+        assert np.array_equal(V.values, 2.0 * np.exp(-((g.axis_coords() - 0.3) ** 2)))
 
     def test_exp_sin_cos_values(self):
         g = TorusGrid(2, 16)
@@ -373,6 +400,15 @@ class TestPotentials:
             PotentialFamily(
                 "custom-samples", {"values": [np.inf] + [0.0] * 7
             }).sample(g)
+
+    def test_serialize_records(self):
+        # the records a spec file would hold; custom samples leave out their
+        # values
+        pot = PotentialFamily("cosine-shift", {"amplitude": 2.0, "shift": 0.3})
+        assert pot.serialize() == {"family": "cosine-shift", "amplitude": 2.0,
+                                   "shift": 0.3}
+        custom = PotentialFamily("custom-samples", {"values": [1.0] * 8, "tag": 7})
+        assert custom.serialize() == {"family": "custom-samples", "tag": 7}
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -396,6 +432,17 @@ class TestProblemSpec:
         g = TorusGrid(1, 16)
         with pytest.raises(ValueError, match="finite"):
             ProblemSpec(1, 16, alpha, gamma, P, g.zeros(), QUAD)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_potential_rejected(self, bad):
+        # a hand-built V skips PotentialFamily.sample's check: with V[3] NaN
+        # the oracles and minimize raised BracketError, with inf solve_P0
+        # raised DegenerateSolutionError
+        g = TorusGrid(1, 16)
+        values = np.cos(2 * np.pi * g.axis_coords())
+        values[3] = bad
+        with pytest.raises(ValueError, match="potential samples must be finite"):
+            ProblemSpec(1, 16, 1.5, 2.0, (0.0,), GridFunction(g, values), QUAD)
 
     def test_drift_length_checked(self):
         g = TorusGrid(2, 8)

@@ -109,6 +109,13 @@ class TestDescentMechanics:
             with pytest.raises(ValueError, match="init"):
                 minimize(DiscreteObjective(spec), init)
 
+    def test_init_on_another_grid_raises(self):
+        # failed in the m-block: "operands could not be broadcast together"
+        spec = make_spec(n=32)
+        g = TorusGrid(1, 16)
+        with pytest.raises(ValueError, match="different grid"):
+            minimize(DiscreteObjective(spec), FeasiblePoint(g.zeros(), g.constant(1.0)))
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
     def test_exponents_outside_the_convex_range_raise(self, alpha):
         # J_h is convex only for 1 < alpha <= gamma; these used to end
@@ -180,7 +187,7 @@ class TestDescentMechanics:
         assert res.gradmap > 1e-3
         assert np.array_equal(res.u.values, np.zeros(32))
         k = obj.kinetic_density(obj.drifted_grad(np.zeros(32)))
-        hbar, m = optimal_m(spec.alpha, k, spec.V.values, spec.coupling, spec.grid.h,
+        hbar, m = optimal_m(spec.alpha, k, spec.V.values, spec.coupling,
                             res.Hbar, res.m.values)
         assert np.max(np.abs(res.m.values - m)) <= 1e-14
         assert res.Hbar == pytest.approx(hbar, abs=1e-14)

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from torusmfg.grid import GridFunction, TorusGrid, integrate_values
-from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
+from torusmfg.model import BracketError, CouplingG, PotentialFamily, ProblemSpec
 from torusmfg import grid as grid_module, model, oracle, variational
 from torusmfg.optimizer import SolveOptions, minimize
 from torusmfg.oracle import (
@@ -176,6 +176,42 @@ def _solve_counting_densities(monkeypatch, solve, spec):
     return res, calls
 
 
+class TestAnswerChecks:
+    """The oracles check the m-block's answer themselves: an answer off in
+    mass or in the node equation raises BracketError."""
+
+    @staticmethod
+    def patched(monkeypatch, shift=0.0, scale=1.0):
+        """Make `oracle.nested_m` answer at H-bar + shift with m times scale,
+        m the node roots at that H-bar."""
+        nested_m = oracle.nested_m
+
+        def off(a, k, V, coupling, hbar0, m0):
+            hbar, m = nested_m(a, k, V, coupling, hbar0, m0)
+            m = variational._node_density(a, k, V, coupling, m)(hbar + shift)[0]
+            return hbar + shift, scale * m
+
+        monkeypatch.setattr(oracle, "nested_m", off)
+
+    def test_P0_mass_off(self, monkeypatch):
+        self.patched(monkeypatch, scale=1.001)
+        with pytest.raises(BracketError, match="mass normalisation"):
+            solve_P0(make_spec(n=32, V_fn=lambda x: np.cos(2 * np.pi * x)))
+
+    def test_critical_residual_off(self, monkeypatch):
+        self.patched(monkeypatch, scale=1.001)
+        with pytest.raises(BracketError, match="nodewise algebraic residual"):
+            solve_critical(make_spec(n=32, alpha=1.0, P=(0.7,),
+                                     V_fn=lambda x: np.cos(2 * np.pi * x)))
+
+    def test_critical_mass_off(self, monkeypatch):
+        # the node roots at a shifted H-bar solve every node but miss the mass
+        self.patched(monkeypatch, shift=0.1)
+        with pytest.raises(BracketError, match="critical mass normalisation"):
+            solve_critical(make_spec(n=32, alpha=1.0, P=(0.7,),
+                                     V_fn=lambda x: np.cos(2 * np.pi * x)))
+
+
 class TestWarmStartedMassSolve:
     """The mass solves start from Hbar guesses exact for constant V."""
 
@@ -275,7 +311,8 @@ class TestResultAssembly:
         obj = DiscreteObjective(spec)
         point = FeasiblePoint(spec.grid.zeros(), res.m)
         assert np.array_equal(res.u.values, point.u.values)
-        assert res.Hbar_std == estimate_Hbar(point, obj)[1]
+        k = obj.kinetic_density(obj.drifted_grad(point.u.values))
+        assert res.Hbar_std == estimate_Hbar(point, obj, k)[1]
         if alpha > 1.0:
             assert res.objective == obj.value(point)
         else:
@@ -429,7 +466,7 @@ class TestOptimalMatchesOracles:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 # the oracles' first guess
-                hbar, m = optimal_m(alpha, k, V.values, coupling, grid.h**dim,
+                hbar, m = optimal_m(alpha, k, V.values, coupling,
                                     cold_hbar(k, V.values, coupling), np.ones(grid.shape))
             res = solve(spec)
             assert hbar == pytest.approx(res.Hbar, abs=1e-13)

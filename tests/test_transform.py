@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -22,7 +23,6 @@ from torusmfg.transform import (
     _dual_flux,
     _hjb_jacobian,
     _hjb_scheme,
-    _nd_stencil,
     curl_proxy,
     dual_divergence_residual,
     hjb_residual,
@@ -79,6 +79,16 @@ class TestDualSpec:
         base = ProblemSpec(2, 16, 0.5, 2.0, (3.0, -2.0), sine_cosine().sample(g), QUAD)
         with pytest.raises(ValueError, match="base drift"):
             DualSpec(base, (1.0, 0.0))
+
+    def test_rejects_a_1d_base(self):
+        g = TorusGrid(1, 16)
+        base = ProblemSpec(1, 16, 0.5, 2.0, (0.0,), g.zeros(), QUAD)
+        with pytest.raises(ValueError, match="two-dimensional"):
+            DualSpec(base, (1.0, 0.0))
+
+    def test_rejects_a_Q_with_three_components(self):
+        with pytest.raises(ValueError, match="two components"):
+            DualSpec(base_spec(8), (1.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("Q", [(float("nan"), 0.0), (1.0, float("inf"))])
     def test_rejects_a_non_finite_Q(self, Q):
@@ -194,7 +204,8 @@ def cold_hbar(res, base, beta=1e-3):
 
 
 class TestScheduleErrors:
-    @pytest.mark.parametrize("beta", [0.0, -1e-3])
+    # NaN and inf used to fail inside the first spsolve
+    @pytest.mark.parametrize("beta", [0.0, -1e-3, math.nan, math.inf])
     def test_hjb_rejects_nonpositive_beta(self, beta):
         base = base_spec(8, sine_cosine())
         m = GridFunction(base.grid, np.ones(base.grid.shape))
@@ -242,7 +253,7 @@ class TestHJBJacobian:
         residual, denom = _hjb_scheme(m, self.p, base, self.beta)
         u = u_scale * np.random.default_rng(3).standard_normal(grid.shape)
         args = (self.p, gamma, grid.h, denom, self.beta)
-        jac = _hjb_jacobian(u, *args, _nd_stencil(grid.shape))
+        jac = _hjb_jacobian(u, *args)
         return u, residual, args, jac
 
     @pytest.mark.parametrize("u_scale", [0.0, 0.01, 0.1])
@@ -374,6 +385,30 @@ class TestHJBNewton:
         assert res.Hbar == pytest.approx(-0.4300979012669483, abs=1e-12)
         assert res.residuals["hjb_max_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("dim, n, P", [(2, 32, (0.7, -0.4)), (1, 512, (0.5,))])
+    def test_rounding_floor_costs_no_upwind_pass(self, monkeypatch, dim, n, P):
+        # the floor is read off the Jacobian of the next fresh step, so the
+        # upwind slopes run once per Jacobian; the 1D case stops on the
+        # floor, after one Jacobian that is built for the test alone
+        work = count_factor_work(monkeypatch)
+        slopes, jacobians = [], []
+        upwind, jacobian = transform.upwind_slopes, transform._hjb_jacobian
+
+        def counted_slopes(*args):
+            slopes.append(1)
+            return upwind(*args)
+
+        def counted_jacobian(*args):
+            jacobians.append(1)
+            return jacobian(*args)
+
+        monkeypatch.setattr(transform, "upwind_slopes", counted_slopes)
+        monkeypatch.setattr(transform, "_hjb_jacobian", counted_jacobian)
+        spec, m = hjb_problem(dim, n, 3.0)
+        solve_hjb_discounted(m, P, spec, 1e-3)
+        factored = len(work["spsolve"]) + len(work["splu"])
+        assert len(slopes) == len(jacobians) == factored + (dim == 1)
+
     def test_non_finite_step_raises_at_once(self, monkeypatch):
         # spsolve returns NaN for an exactly singular matrix; the step
         # used to be halved 60 times before a "stalled" error
@@ -389,6 +424,14 @@ class TestHJBNewton:
         with pytest.raises(HJBConvergenceError, match="not finite"):
             solve_hjb_discounted(m, (1.0, 0.0), base, 0.1)
         assert calls == [1]
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a cold start at n = 256 takes dozens of steps; with a cap of two the
+        # residual is far above the tolerance and its rounding floor
+        monkeypatch.setattr(transform, "_MAX_NEWTON", 2)
+        spec, m = hjb_problem(1, 256, 3.0)
+        with pytest.raises(HJBConvergenceError, match="did not reach tolerance"):
+            solve_hjb_discounted(m, (0.5,), spec, 1e-3)
 
     def test_non_finite_factor_solve_raises_at_once(self, monkeypatch):
         # the first step is a plain spsolve; the second factors its Jacobian

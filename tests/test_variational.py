@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from torusmfg import variational
+from torusmfg import transform, variational
 from torusmfg.grid import GridFunction, TorusGrid
 from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
 from torusmfg.optimizer import SolveOptions, minimize
@@ -136,6 +136,11 @@ def value_at(obj, u, m):
     return obj.value_arrays(obj.kinetic_density(obj.drifted_grad(u)), m)
 
 
+def estimate_at(pt, obj):
+    """`estimate_Hbar` at pt, with k formed from the point's u."""
+    return estimate_Hbar(pt, obj, obj.kinetic_density(obj.drifted_grad(pt.u.values)))
+
+
 def grads(obj, u, m):
     """(u-partial, m-partial) of J_h at the arrays (u, m)."""
     w = obj.drifted_grad(u)
@@ -231,6 +236,10 @@ class TestProjection:
         pt = project_feasible(g.constant(5.0), g.constant(1.0))
         assert np.all(pt.u.values == 0.0)
 
+    def test_rejects_fields_on_two_grids(self):
+        with pytest.raises(ValueError, match="one grid"):
+            project_feasible(TorusGrid(1, 10).zeros(), TorusGrid(1, 12).constant(1.0))
+
     def test_idempotent_and_nonexpansive(self):
         g = TorusGrid(2, 8)
         rng = np.random.default_rng(52)
@@ -269,13 +278,13 @@ class TestEstimateHbar:
         pt = FeasiblePoint(
             spec.grid.zeros(), GridFunction(spec.grid, spec.V.values + 1.0)
         )
-        mean, std = estimate_Hbar(pt, obj)
+        mean, std = estimate_at(pt, obj)
         assert mean == pytest.approx(-1.0, abs=1e-6)
         assert std <= 1e-6
 
     def test_constant_fields_with_drift(self):
         spec = make_spec(dim=2, n=8, P=(1.0, 0.0))
-        mean, std = estimate_Hbar(uniform_point(spec.grid), DiscreteObjective(spec))
+        mean, std = estimate_at(uniform_point(spec.grid), DiscreteObjective(spec))
         assert mean == pytest.approx(-0.5, abs=1e-14)
         assert std == pytest.approx(0.0, abs=1e-14)
 
@@ -283,8 +292,8 @@ class TestEstimateHbar:
         spec = make_spec(n=16, V_fn=lambda x: np.sin(2 * np.pi * x))
         shifted = make_spec(n=16, V_fn=lambda x: np.sin(2 * np.pi * x) + 2.5)
         pt = random_feasible(spec.grid, 61)
-        m0, _ = estimate_Hbar(pt, DiscreteObjective(spec))
-        m1, _ = estimate_Hbar(pt, DiscreteObjective(shifted))
+        m0, _ = estimate_at(pt, DiscreteObjective(spec))
+        m1, _ = estimate_at(pt, DiscreteObjective(shifted))
         assert m1 == pytest.approx(m0 + 2.5, abs=1e-12)
 
     def test_empty_cutoff_set_raises(self):
@@ -292,7 +301,33 @@ class TestEstimateHbar:
         obj = DiscreteObjective(spec)
         pt = FeasiblePoint(spec.grid.zeros(), spec.grid.zeros())
         with pytest.raises(DegenerateSolutionError):
-            estimate_Hbar(pt, obj)
+            estimate_at(pt, obj)
+
+
+class TestKernelsDeriveTheirInputs:
+    """The m-block forms its cell 1/N from the arrays, the root kernel works
+    on m >= 0, the HJB Jacobian finds its stencil, and the H-bar estimate
+    takes the k its caller formed."""
+
+    @pytest.mark.parametrize("fn, names", [
+        (variational.optimal_m, ["a", "k", "V", "coupling", "hbar0", "m0"]),
+        (variational.nested_m, ["a", "k", "V", "coupling", "hbar0", "m0"]),
+        (variational.mass_root, ["density", "hbar0"]),
+        (variational.monotone_root, ["node", "m0"]),
+        (transform._hjb_jacobian, ["u", "p", "gamma", "h", "denom", "beta"]),
+        (estimate_Hbar, ["pt", "obj", "k"]),
+    ])
+    def test_signatures(self, fn, names):
+        params = inspect.signature(fn).parameters
+        assert list(params) == names
+        assert all(p.default is inspect.Parameter.empty for p in params.values())
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (1, 96), (1, 4096), (2, 32),
+                                        (2, 48), (2, 64), (2, 128)])
+    def test_cell_is_h_to_the_d_bitwise(self, dim, n):
+        # the benchmark's grid sizes, where 1/N replaced a passed h^d
+        grid = TorusGrid(dim, n)
+        assert 1.0 / np.ones(grid.shape).size == grid.h**dim
 
 
 class TestAprioriDiagnostics:
@@ -317,6 +352,15 @@ class TestAprioriDiagnostics:
             d = apriori_diagnostics(pt, obj)
             assert d["congestion_energy_weighted"] >= 0.0
             assert d["second_order_proxy"] >= 0.0
+
+    def test_record_without_mass_above_the_cutoff(self):
+        # m = 0 leaves no node for the H-bar estimate: NaN, not an error
+        spec = make_spec(n=16, P=(0.5,), V_fn=lambda x: np.cos(2 * np.pi * x))
+        pt = FeasiblePoint(spec.grid.zeros(), spec.grid.zeros())
+        rec = diagnostics_record(pt, DiscreteObjective(spec))
+        assert np.isnan(rec["Hbar_mean"]) and np.isnan(rec["Hbar_std"])
+        assert rec["mass_error"] == 1.0
+        assert np.isfinite(rec["Jh"])
 
     def test_record_schema(self):
         spec = make_spec(n=16, V_fn=lambda x: np.cos(2 * np.pi * x))
@@ -403,8 +447,8 @@ def m_block_case(dim, gamma, terms, amplitude, seed, zeros):
 
 
 def node_data(a, spec, k):
-    """The m-block's node-equation data (a, k, V, coupling, cell) on spec."""
-    return a, k, spec.V.values, spec.coupling, spec.grid.h**spec.dim
+    """The m-block's node-equation data (a, k, V, coupling) on spec."""
+    return a, k, spec.V.values, spec.coupling
 
 
 def cold_start(spec, k):
@@ -531,6 +575,34 @@ class TestOptimalM:
         assert calls == [1]
         self.assert_agree(got, want)
 
+    @pytest.mark.parametrize("fault", ["slope", "step"])
+    def test_bad_first_step_hands_over(self, monkeypatch, fault):
+        # the first `_node` call of the joint loop returns m^a = 0, so the
+        # mass slope is 0, or psi = inf at one node, as an overflow would, so
+        # the step is not finite: the block goes to `nested_m` from its start
+        spec, k = m_block_case(1, 2.0, ((0.5, 2.0),), 1.0, 4, False)
+        data = node_data(1.5, spec, k)
+        hbar0, m0 = cold_start(spec, k)
+        node, first = variational._node, [True]
+
+        def faulty(*args):
+            psi, dpsi, xa, s, dg = node(*args)
+            if first[0]:
+                first[0] = False
+                if fault == "slope":
+                    xa = np.zeros_like(xa)
+                else:
+                    psi = psi.copy()
+                    psi[3] = np.inf
+            return psi, dpsi, xa, s, dg
+
+        calls = count_safeguard(monkeypatch)
+        monkeypatch.setattr(variational, "_node", faulty)
+        hbar, m = optimal_m(*data, hbar0, m0)
+        assert calls == [1]
+        want = nested_m(*data, hbar0, m0)
+        assert hbar == want[0] and np.array_equal(m, want[1])
+
     @pytest.mark.parametrize("kin", ["mixed", "zero"])
     def test_a_zero_k_node_makes_the_block_nested_ms(self, monkeypatch, kin):
         # mixed k, and k = 0 everywhere with hbar0 above max V, where every
@@ -556,7 +628,7 @@ class TestOptimalM:
         got = optimal_m(*data, hbar0, m0)
         assert len(seen) == 1
         args, answer = seen[0]
-        assert args[:5] == data and args[5] == hbar0 and args[6] is m0
+        assert args[:4] == data and args[4] == hbar0 and args[5] is m0
         assert np.array_equal(m0, m0_before)
         assert got[0] == answer[0] and got[1] is answer[1]
         self.assert_agree(got, (hbar, m))
@@ -614,7 +686,8 @@ class TestCouplingClosedForms:
 
 
 def bisection_m_block(a, k, V, coupling, cell):
-    """(Hbar, m) by nodewise bisection inside brentq on the mass.
+    """(Hbar, m) by nodewise bisection inside brentq on the mass
+    cell sum m = 1, with the cell h^d passed in.
 
     Each node bisects phi(m) = g(m) + Hbar - V - k/m^a, which increases in
     m; at k = 0 a node with phi(0+) >= 0 bisects down to 0.
@@ -659,7 +732,7 @@ class TestNestedM:
                 "mixed": pos.any() and not pos.all()}[kin_pattern]
         data = node_data(a, spec, k)
         hbar, m = nested_m(*data, *cold_start(spec, k))
-        want_hbar, want_m = bisection_m_block(*data)
+        want_hbar, want_m = bisection_m_block(*data, spec.grid.h**spec.dim)
         assert hbar == pytest.approx(want_hbar, abs=1e-12)
         assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(want_m)
 
@@ -682,7 +755,7 @@ class TestNestedM:
         monkeypatch.undo()
         assert calls["g"] > 0
         assert calls["g"] == calls["g_prime"]
-        want_hbar, want_m = bisection_m_block(*data)
+        want_hbar, want_m = bisection_m_block(*data, spec.grid.h**spec.dim)
         assert hbar == pytest.approx(want_hbar, abs=1e-12)
         assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(want_m)
 
