@@ -14,8 +14,9 @@ The derivative operator is the 4th-order, 5-point central stencil
 which is antisymmetric on the periodic grid (exact discrete integration by
 parts).  Its normal operator sum_k D_k^T D_k is circulant, and its
 pseudo-inverse is applied by FFT (`normal_pinv_values`); the optimizer uses
-it as the u-block metric.  A first-order monotone upwind discretisation of
-|P + Du|^gamma is provided for Hamilton-Jacobi solves, with a
+it as the u-block metric.  The active one-sided slopes of the first-order
+upwind discretisation of |P + Du|^gamma (`upwind_slopes`) serve the
+Hamilton-Jacobi solves, whose scheme sums their gamma powers, with a
 nested-dissection order of the nodes (`nested_dissection_order`) for the
 sparse direct solves of their Newton steps.  Quadrature is the
 periodic trapezoid rule h^d * sum(values).
@@ -198,21 +199,6 @@ def upwind_slopes(u: np.ndarray, p: np.ndarray, h: float):
         a.append(np.maximum(-p[k] - fwd, 0.0))
         b.append(np.maximum(p[k] + bwd, 0.0))
     return a, b
-
-
-def upwind_grad_power_values(
-    u: np.ndarray, p: np.ndarray, gamma: float, h: float
-) -> np.ndarray:
-    """Monotone upwind discretisation of |P + Du|^gamma, per node:
-    the sum over axes of a_k^gamma + b_k^gamma (see `upwind_slopes`).
-
-    Non-increasing in every neighbour value, non-decreasing in u_i.
-    """
-    a, b = upwind_slopes(u, p, h)
-    out = np.zeros_like(u)
-    for ak, bk in zip(a, b):
-        out += ak**gamma + bk**gamma
-    return out
 
 
 @functools.lru_cache(maxsize=32)

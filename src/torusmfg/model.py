@@ -263,13 +263,15 @@ def barf_recession(p, m: float, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 # potentials
 
-POTENTIAL_FAMILIES = (
-    "cosine-shift",
-    "sine-cosine-product",
-    "gaussian-bump",
-    "exp-sin-cos",
-    "custom-samples",
-)
+# the parameter names of each family; custom-samples needs "values" and
+# accepts any other key
+POTENTIAL_FAMILIES = {
+    "cosine-shift": ("amplitude", "shift"),
+    "sine-cosine-product": ("amplitude", "shift_x", "shift_y"),
+    "gaussian-bump": ("amplitude", "center"),
+    "exp-sin-cos": ("amplitude", "shift_x", "shift_y"),
+    "custom-samples": None,
+}
 
 
 @dataclass(frozen=True)
@@ -281,6 +283,10 @@ class PotentialFamily:
     sine-cosine-product (d=2): A sin(2 pi (x + sx)) cos(2 pi (y + sy))
     exp-sin-cos (d=2):         A exp(-sin^2(2 pi (x + sx))) cos(2 pi (y + sy))
     custom-samples:            values supplied directly
+
+    ValueError at construction for an unknown family, for an analytic
+    family's parameter outside its own list (`POTENTIAL_FAMILIES`), and for
+    custom-samples without "values".
     """
 
     family: str
@@ -290,8 +296,13 @@ class PotentialFamily:
         if self.family not in POTENTIAL_FAMILIES:
             raise ValueError(
                 f"unknown potential family {self.family!r}; "
-                f"choose from {POTENTIAL_FAMILIES}"
+                f"choose from {tuple(POTENTIAL_FAMILIES)}"
             )
+        allowed = POTENTIAL_FAMILIES[self.family]
+        if allowed is None and "values" not in self.params:
+            raise ValueError("custom-samples needs the parameter 'values'")
+        if allowed is not None and not set(self.params) <= set(allowed):
+            raise ValueError(f"{self.family} takes only {allowed}: {list(self.params)}")
 
     def sample(self, grid: TorusGrid) -> GridFunction:
         p = self.params

@@ -11,8 +11,9 @@ k = |P|^gamma / gamma at every node, from m = 1 and the Hbar at which
 m = 1 solves every node for constant V, returned as the SolveResult of
 (u, m) = (0, m).  Its node roots are closed forms wherever the coupling
 allows: the k = 0 power of `CouplingG.conjugate_deriv` for a one-term
-coupling, and the quadratic for g(m) = kappa m at a = 1.  The oracles add
-the checks of the answer.
+coupling, and the quadratic for g(m) = kappa m at a = 1.  `_solve_at_u0`
+also checks its answer with the k and m it has just formed, so the oracles
+add only the checks of their input.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .model import BracketError, ProblemSpec
 from .variational import DiscreteObjective, cold_hbar, nested_m
 from .optimizer import SolveResult, solve_result
 
-# mass error allowed by solve_P0, and nodewise and mass residuals allowed by
-# solve_critical
+# mass error and nodewise residual (at the nodes with k > 0) allowed in an
+# answer of _solve_at_u0
 MASS_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 # nodes per axis of the fine grid of continuum_Hbar_P0, by dimension
@@ -36,17 +37,28 @@ N_FINE = {1: 200_000, 2: 2048}
 
 def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
     """The SolveResult of (u, m) = (0, m), with (Hbar, m) from the nested
-    m-block started at m = 1 and the cold Hbar guess.
+    m-block started at m = 1 and the cold Hbar guess, checked before it is
+    returned.
 
     At u = 0, P + Du is P at every node, so k is `kinetic_density` of the
     constant field w = P, with no stencils.  J_h is undefined at
-    alpha = 1, so the objective is NaN there.
+    alpha = 1, so the objective is NaN there.  The answer must meet
+    max |k/m^alpha + V - g(m) - Hbar| <= RESIDUAL_TOL where k > 0, and unit
+    mass to MASS_TOL; otherwise BracketError.  k is the same at every node,
+    so the nodewise check covers the whole grid at P != 0 and no node at
+    P = 0.
     """
     shape, obj = spec.grid.shape, DiscreteObjective(spec)
     k = obj.kinetic_density([np.full(shape, p) for p in spec.P])
     V, coupling = spec.V.values, spec.coupling
     hbar, m = nested_m(spec.alpha, k, V, coupling, cold_hbar(k, V, coupling),
                        np.ones(shape))
+    pos = k > 0.0
+    residual = k[pos] / m[pos] ** spec.alpha + V[pos] - coupling.g(m[pos]) - hbar
+    if np.max(np.abs(residual), initial=0.0) > RESIDUAL_TOL:
+        raise BracketError("nodewise algebraic residual above tolerance")
+    if abs(integrate_values(m, spec.grid.h) - 1.0) > MASS_TOL:
+        raise BracketError("mass normalisation did not converge to tolerance")
     u = np.zeros(shape)
     objective = obj.value_arrays(k, m) if spec.alpha > 1.0 else float("nan")
     return solve_result(obj, u, m, k, hbar, objective, 0, "stationary", 0.0)
@@ -56,11 +68,7 @@ def solve_P0(spec: ProblemSpec) -> SolveResult:
     """Explicit minimiser for P = 0: u = 0, m = (G*)'(V - Hbar)."""
     if spec.P_norm != 0.0:
         raise ValueError("closed-form path requires P = 0")
-    grid = spec.grid
-    res = _solve_at_u0(spec)
-    if abs(grid.h**grid.dim * res.m.values.sum() - 1.0) > MASS_TOL:
-        raise BracketError("mass normalisation did not converge to tolerance")
-    return res
+    return _solve_at_u0(spec)
 
 
 def continuum_Hbar_P0(spec: ProblemSpec, potential) -> float:
@@ -84,23 +92,14 @@ def solve_critical(spec: ProblemSpec) -> SolveResult:
     Each node solves g(m) + Hbar - V = |P|^gamma / (gamma m), multiplied by
     m: psi(m) = m (g(m) + Hbar - V) - k = 0 with k = |P|^gamma / gamma.
     psi is convex on m >= 0 with psi(0) < 0, so it has one positive root,
-    which `nested_m` finds; the nodewise and mass residuals are checked here.
+    which `nested_m` finds; `_solve_at_u0` checks the nodewise and mass
+    residuals.
     """
     if spec.alpha != 1.0:
         raise ValueError("critical path requires alpha = 1")
     if spec.P_norm == 0.0:
         raise ValueError("critical path requires P != 0 (nodewise solvability)")
-    grid = spec.grid
-    kinetic = spec.P_norm**spec.gamma / spec.gamma
-    res = _solve_at_u0(spec)
-    m = res.m.values
-
-    residual = kinetic / m - spec.coupling.g(m) - (res.Hbar - spec.V.values)
-    if np.max(np.abs(residual)) > RESIDUAL_TOL:
-        raise BracketError("nodewise algebraic residual above tolerance")
-    if abs(grid.h**grid.dim * m.sum() - 1.0) > RESIDUAL_TOL:
-        raise BracketError("critical mass normalisation above tolerance")
-    return res
+    return _solve_at_u0(spec)
 
 
 @dataclass

@@ -47,7 +47,6 @@ from .grid import (
     nested_dissection_order,
     normal_pinv_values,
     periodic_shift,
-    upwind_grad_power_values,
     upwind_slopes,
 )
 from .model import ProblemSpec
@@ -173,16 +172,34 @@ def curl_proxy(flux: list[np.ndarray], P: np.ndarray, h: float) -> float:
 # ---------------------------------------------------------------------------
 # discounted Hamilton-Jacobi solve with the monotone upwind scheme
 
-def _hjb_scheme(m: GridFunction, p: np.ndarray, spec: ProblemSpec, beta: float):
-    """(residual, denom): the map u -> beta u + S(u)/denom + V - g(m) of the
-    upwind scheme S, with denom = gamma m^alpha, m floored at MASS_CUTOFF."""
-    h = m.grid.h
-    denom = spec.gamma * np.maximum(m.values, MASS_CUTOFF) ** spec.alpha
+def _hjb_scheme(m: GridFunction, P, spec: ProblemSpec, beta: float):
+    """(residual, denom) of the upwind scheme for the drift P, with
+    denom = gamma m^alpha, m floored at MASS_CUTOFF.
+
+    residual(u) returns (beta u + S(u)/denom + V - g(m), slopes): slopes are
+    the upwind slopes (a, b) = `upwind_slopes(u, P, h)`, and S(u) is the sum
+    over axes of a_k^gamma + b_k^gamma, the monotone upwind discretisation
+    of |P + Du|^gamma.  S is non-increasing in every neighbour value and
+    non-decreasing in u_i; Howard's argument in `solve_hjb_discounted`
+    relies on it.  `_hjb_jacobian` builds the Jacobian at u from the same
+    slopes, so each iterate costs one upwind pass.
+
+    ValueError for an m on another grid than spec's, and for a drift P that
+    does not have spec.dim finite components.
+    """
+    if m.grid != spec.grid:
+        raise ValueError(f"m lies on {m.grid}, the problem on {spec.grid}")
+    p = np.asarray(P, dtype=float)
+    if p.shape != (spec.dim,) or not np.isfinite(p).all():
+        raise ValueError(f"drift P must have {spec.dim} finite components, got {P!r}")
+    h, gamma = spec.grid.h, spec.gamma
+    denom = gamma * np.maximum(m.values, MASS_CUTOFF) ** spec.alpha
     source = spec.V.values - spec.coupling.g(np.maximum(m.values, 0.0))
 
     def residual(u):
-        kinetic = upwind_grad_power_values(u, p, spec.gamma, h)
-        return beta * u + kinetic / denom + source
+        a, b = slopes = upwind_slopes(u, p, h)
+        kinetic = sum(ak**gamma + bk**gamma for ak, bk in zip(a, b))
+        return beta * u + kinetic / denom + source, slopes
 
     return residual, denom
 
@@ -215,27 +232,28 @@ def _nd_stencil(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return table
 
 
-def _hjb_jacobian(u: np.ndarray, p: np.ndarray, gamma: float, h: float,
-                  denom: np.ndarray, beta: float) -> sps.csr_matrix:
-    """Jacobian of the `_hjb_scheme` residual at u in nested-dissection order,
-    with only its nonzeros stored.
+def _hjb_jacobian(slopes, gamma: float, h: float, denom: np.ndarray,
+                  beta: float) -> sps.csr_matrix:
+    """Jacobian of the `_hjb_scheme` residual in nested-dissection order, at
+    the iterate whose residual returned `slopes`, with only its nonzeros
+    stored.  It makes no upwind pass of its own.
 
     Node i holds beta + sum_k (c_a + c_b) on the diagonal, -c_a at the i+1
     neighbour and -c_b at the i-1 neighbour of axis k, where
     c = gamma slope^(gamma-1) / (h denom) for the upwind slopes a_k, b_k.
     An off-diagonal entry is stored only where its coefficient is positive.
     The CSR arrays are gathered straight into the order of the cached
-    `_nd_stencil(u.shape)`, with indptr from the count of stored entries
+    `_nd_stencil(denom.shape)`, with indptr from the count of stored entries
     per row.
     """
-    cols, gather, diag_slot = _nd_stencil(u.shape)
-    a, b = upwind_slopes(u, p, h)
-    size = u.size
-    width = 2 * u.ndim + 1
+    cols, gather, diag_slot = _nd_stencil(denom.shape)
+    a, b = slopes
+    size = denom.size
+    width = 2 * denom.ndim + 1
     coef = np.empty((width, size))
     diag = coef[0]
     diag.fill(beta)
-    for k in range(u.ndim):
+    for k in range(denom.ndim):
         ca = (gamma * a[k] ** (gamma - 1.0) / (h * denom)).ravel()
         cb = (gamma * b[k] ** (gamma - 1.0) / (h * denom)).ravel()
         diag += ca + cb
@@ -257,19 +275,22 @@ def solve_hjb_discounted(
 ) -> GridFunction:
     """Solve beta u + |P+Du|^gamma/(gamma m^alpha) + V - g(m) = 0.
 
-    The upwind scheme is monotone and the residual is componentwise convex
-    in u, with Jacobian beta I + diag(1/(gamma m^alpha)) dS/du, a strictly
-    diagonally dominant M-matrix.  Full Newton steps therefore converge
-    from any start with no line search (Howard's algorithm): after the
-    first step every iterate is a supersolution, and the iterates fall
-    monotonically to the solution.  The max residual may grow on the way,
-    so it is not used to damp a step.
+    The upwind scheme is monotone (`_hjb_scheme`) and the residual is
+    componentwise convex in u, with Jacobian
+    beta I + diag(1/(gamma m^alpha)) dS/du, a strictly diagonally dominant
+    M-matrix.  Full Newton steps therefore converge from any start with no
+    line search (Howard's algorithm): after the first step every iterate is
+    a supersolution, and the iterates fall monotonically to the solution.
+    The max residual may grow on the way, so it is not used to damp a step.
 
     Each Jacobian is factored once by SuperLU and the factor is kept (a
     chord step reuses it) while each step cuts the max residual by at least
     the ratio _RHO.  A step that contracts less drops the factor, and the
     next step refactors at the current iterate; a chord step that does not
-    lower the residual is also undone.  The solve stops at _HJB_TOL only
+    lower the residual is also undone.  The current iterate keeps its
+    residual and upwind slopes side by side, and a fresh Jacobian is built
+    from those slopes (`_hjb_jacobian`), so an iterate costs one upwind
+    pass; an undone chord step keeps both.  The solve stops at _HJB_TOL only
     once the factor has been dropped, so chord steps keep polishing below
     it while they still contract.  Where |u| is large on a fine grid the
     residual cannot get below _HJB_TOL, so the stop allows _HJB_TOL plus
@@ -287,7 +308,8 @@ def solve_hjb_discounted(
     active slopes flip in that step), so a chord step on it would soon
     raise the residual.  A step that is not finite raises
     `HJBConvergenceError` at once.  At most one factor is alive, and none
-    once the solve returns.
+    once the solve returns.  ValueError for a u0 that is not finite or not
+    shaped like the grid, besides the input checks of `_hjb_scheme`.
 
     At most one of the two upwind slopes of an axis is active at most
     nodes, so the Jacobian stores only its active entries: an explicit zero
@@ -308,12 +330,13 @@ def solve_hjb_discounted(
     if not 0 < beta < np.inf:
         raise ValueError(f"discount rate beta must be finite and > 0, got {beta}")
     grid = m.grid
-    p = np.asarray(P, dtype=float)
-    residual, denom = _hjb_scheme(m, p, spec, beta)
+    residual, denom = _hjb_scheme(m, P, spec, beta)
     perm, inv = nested_dissection_order(grid.shape)
 
     u = np.zeros(grid.shape) if u0 is None else np.array(u0, dtype=float)
-    r = residual(u)
+    if u.shape != grid.shape or not np.isfinite(u).all():
+        raise ValueError(f"u0 must be finite and of shape {grid.shape}")
+    r, slopes = residual(u)
     norm = float(np.max(np.abs(r)))
     lu = None
     for it in range(_MAX_NEWTON + 1):
@@ -322,7 +345,7 @@ def solve_hjb_discounted(
             # the stop test, before a fresh step and at the cap
             if norm <= _HJB_TOL:
                 break
-            jac = _hjb_jacobian(u, p, spec.gamma, grid.h, denom, beta)
+            jac = _hjb_jacobian(slopes, spec.gamma, grid.h, denom, beta)
             # off-diagonal entries are negative and the diagonal positive
             coef = max(-float(jac.data.min()), 0.0)
             if norm <= _HJB_TOL + np.finfo(float).eps * float(np.max(np.abs(u))) * coef:
@@ -347,21 +370,21 @@ def solve_hjb_discounted(
                 f"Newton step is not finite at max residual {norm:.3e}"
             )
         u_try = u + delta
-        r_try = residual(u_try)
+        r_try, slopes_try = residual(u_try)
         norm_try = float(np.max(np.abs(r_try)))
         if norm_try > _RHO * norm:
             lu = None
             if chord and norm_try >= norm:
                 continue
-        u, r, norm = u_try, r_try, norm_try
+        u, r, slopes, norm = u_try, r_try, slopes_try, norm_try
     return GridFunction(grid, u)
 
 
 def hjb_residual(u: GridFunction, m: GridFunction, P, spec: ProblemSpec,
                  beta: float) -> float:
     """Max-norm residual of the scheme that `solve_hjb_discounted` solves."""
-    residual, _ = _hjb_scheme(m, np.asarray(P, dtype=float), spec, beta)
-    return float(np.max(np.abs(residual(u.values))))
+    residual, _ = _hjb_scheme(m, P, spec, beta)
+    return float(np.max(np.abs(residual(u.values)[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,10 @@ def _node_density(a: float, k: np.ndarray, V: np.ndarray, coupling, m0: np.ndarr
 # feasibility projection
 
 def project_simplex_values(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection of v onto {x >= 0, sum x = total} (sort method)."""
+    """Euclidean projection of v onto {x >= 0, sum x = total} (sort method);
+    ValueError for a v that is not finite."""
+    if not np.isfinite(v).all():
+        raise ValueError("cannot project a non-finite m onto the simplex")
     flat = v.ravel()
     u = np.sort(flat)[::-1]
     css = np.cumsum(u) - total

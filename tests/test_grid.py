@@ -15,7 +15,6 @@ from torusmfg.grid import (
     nested_dissection_order,
     normal_pinv_values,
     to_json_record,
-    upwind_grad_power_values,
     upwind_slopes,
 )
 
@@ -273,54 +272,6 @@ class TestGradientDivergence:
         v = [rng.normal(size=(9, 9)), rng.normal(size=(9, 9))]
         total = integrate_values(divergence(v, g.h), g.h)
         assert total == pytest.approx(0.0, abs=1e-14)
-
-
-class TestUpwind:
-    def test_constant_u_gives_drift_power(self):
-        g = TorusGrid(2, 8)
-        out = upwind_grad_power_values(np.full(g.shape, 2.0), np.array([1.5, -0.5]),
-                                       2.5, g.h)
-        expected = 1.5**2.5 + 0.5**2.5
-        assert np.allclose(out, expected, rtol=1e-14)
-
-    def test_constant_u_zero_drift(self):
-        g = grid1()
-        out = upwind_grad_power_values(np.ones(g.shape), np.array([0.0]), 2.0, g.h)
-        assert np.all(out == 0.0)
-
-    def test_nonnegative_on_random_input(self):
-        rng = np.random.default_rng(5)
-        g = TorusGrid(2, 12)
-        u = rng.normal(size=(12, 12))
-        out = upwind_grad_power_values(u, rng.normal(size=2), 1.7, g.h)
-        assert np.all(out >= 0.0)
-
-    def test_monotone_in_neighbors(self):
-        # raising one neighbor value never raises the scheme value elsewhere
-        rng = np.random.default_rng(6)
-        g = grid1(16)
-        u = rng.normal(size=16)
-        p = np.array([0.7])
-        base = upwind_grad_power_values(u, p, 2.0, g.h)
-        for i in (0, 5, 11):
-            bumped = u.copy()
-            bumped[i] += 0.3
-            out = upwind_grad_power_values(bumped, p, 2.0, g.h)
-            mask = np.ones(16, bool)
-            mask[i] = False
-            assert np.all(out[mask] <= base[mask] + 1e-14)
-
-    def test_first_order_on_smooth_u(self):
-        ns, errs = (64, 128, 256), []
-        for n in ns:
-            g = grid1(n)
-            u = sample(g, lambda x: np.sin(2 * np.pi * x) / (2 * np.pi))
-            out = upwind_grad_power_values(u.values, np.array([0.0]), 2.0, g.h)
-            exact = np.cos(2 * np.pi * g.axis_coords()) ** 2
-            errs.append(np.max(np.abs(out - exact)))
-        order = fitted_order(ns, errs)
-        assert 0.7 <= order <= 1.3
-        assert errs[1] <= 8.0 / 128
 
 
 class TestNestedDissection:

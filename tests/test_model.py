@@ -414,6 +414,31 @@ class TestPotentials:
         with pytest.raises(ValueError):
             PotentialFamily("spline")
 
+    @pytest.mark.parametrize("family, params, match", [
+        # a misspelled shift used to sample the unshifted cosine
+        ("cosine-shift", {"amplitude": 2.0, "shfit": 0.3}, "takes only"),
+        ("gaussian-bump", {"centre": 0.3}, "takes only"),
+        ("sine-cosine-product", {"shift": 0.3}, "takes only"),
+        ("exp-sin-cos", {"amplitude": 1.0, "shift_z": 0.1}, "takes only"),
+        # used to raise a bare KeyError when sampled
+        ("custom-samples", {}, "values"),
+        ("custom-samples", {"tag": 7}, "values"),
+    ])
+    def test_rejects_parameters_outside_the_family(self, family, params, match):
+        with pytest.raises(ValueError, match=match):
+            PotentialFamily(family, params)
+
+    def test_accepts_every_listed_parameter(self):
+        names = {"cosine-shift": ("amplitude", "shift"),
+                 "gaussian-bump": ("amplitude", "center"),
+                 "sine-cosine-product": ("amplitude", "shift_x", "shift_y"),
+                 "exp-sin-cos": ("amplitude", "shift_x", "shift_y")}
+        for family, keys in names.items():
+            dim = 1 if family in ("cosine-shift", "gaussian-bump") else 2
+            pot = PotentialFamily(family, dict.fromkeys(keys, 0.25))
+            V = pot.sample(TorusGrid(dim, 8))
+            assert np.isfinite(V.values).all()
+
 
 class TestProblemSpec:
     def test_grid_mismatch_rejected(self):

@@ -103,6 +103,18 @@ class TestDescentMechanics:
         with pytest.raises(ValueError, match="initial point"):
             minimize(DiscreteObjective(spec), bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_initial_m_raises(self, value):
+        # a NaN m failed inside the simplex projection with "index -1 is out
+        # of bounds"; minimize checked only u
+        spec = make_spec(n=16)
+        g = spec.grid
+        m = np.ones(16)
+        m[3] = value
+        bad = FeasiblePoint(g.zeros(), GridFunction(g, m))
+        with pytest.raises(ValueError, match="non-finite m"):
+            minimize(DiscreteObjective(spec), bad)
+
     def test_init_other_than_uniform_or_point_raises(self):
         spec = make_spec(n=16)
         for init in ("random", "random(3)", "zeros", None):

@@ -183,15 +183,18 @@ class TestAnswerChecks:
     @staticmethod
     def patched(monkeypatch, shift=0.0, scale=1.0):
         """Make `oracle.nested_m` answer at H-bar + shift with m times scale,
-        m the node roots at that H-bar."""
+        m the node roots at that H-bar; returns the list of its answers."""
         nested_m = oracle.nested_m
+        answers = []
 
         def off(a, k, V, coupling, hbar0, m0):
             hbar, m = nested_m(a, k, V, coupling, hbar0, m0)
             m = variational._node_density(a, k, V, coupling, m)(hbar + shift)[0]
-            return hbar + shift, scale * m
+            answers.append((hbar + shift, scale * m))
+            return answers[-1]
 
         monkeypatch.setattr(oracle, "nested_m", off)
+        return answers
 
     def test_P0_mass_off(self, monkeypatch):
         self.patched(monkeypatch, scale=1.001)
@@ -207,9 +210,19 @@ class TestAnswerChecks:
     def test_critical_mass_off(self, monkeypatch):
         # the node roots at a shifted H-bar solve every node but miss the mass
         self.patched(monkeypatch, shift=0.1)
-        with pytest.raises(BracketError, match="critical mass normalisation"):
+        with pytest.raises(BracketError, match="mass normalisation"):
             solve_critical(make_spec(n=32, alpha=1.0, P=(0.7,),
                                      V_fn=lambda x: np.cos(2 * np.pi * x)))
+
+    def test_critical_mass_off_by_1e_11(self, monkeypatch):
+        # the critical mass used to pass at up to 1e-10; it is now held to
+        # MASS_TOL = 1e-12, as the P = 0 mass always was
+        answers = self.patched(monkeypatch, shift=2e-11)
+        with pytest.raises(BracketError, match="mass normalisation"):
+            solve_critical(make_spec(n=32, alpha=1.0, P=(0.7,),
+                                     V_fn=lambda x: np.cos(2 * np.pi * x)))
+        [(_, m)] = answers
+        assert 1e-12 < abs(integrate_values(m, 1.0 / 32) - 1.0) < 1e-10
 
 
 class TestWarmStartedMassSolve:

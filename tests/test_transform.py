@@ -213,6 +213,87 @@ class TestScheduleErrors:
             solve_hjb_discounted(m, (0.0, 1.0), base, beta)
 
 
+class TestHJBInputErrors:
+    """Inputs that used to run with a wrong answer or fail deep in the solve:
+    a second drift component was ignored, a NaN drift ended in "Matrix is
+    exactly singular", a wrong grid in a broadcast error, and u0 = 0.0 in
+    "argmax of an empty sequence"."""
+
+    @pytest.mark.parametrize("change, match", [
+        ({"P": (0.5, 0.1)}, "drift P"),
+        ({"P": (math.nan,)}, "drift P"),
+        ({"m": GridFunction(TorusGrid(1, 32), np.ones(32))}, "m lies on"),
+        ({"u0": 0.0}, "u0"),
+        ({"u0": np.zeros(8)}, "u0"),
+        ({"u0": np.full(16, math.nan)}, "u0"),
+    ], ids=["extra-drift-component", "nan-drift", "m-on-another-grid", "scalar-u0",
+            "u0-of-another-shape", "nan-u0"])
+    def test_rejected(self, change, match):
+        spec, m = hjb_problem(1, 16, 2.0)
+        args = {"m": m, "P": (0.5,), "u0": None, **change}
+        with pytest.raises(ValueError, match=match):
+            solve_hjb_discounted(args["m"], args["P"], spec, 1e-2, u0=args["u0"])
+        if args["u0"] is None:
+            # the residual shares the scheme and its checks
+            with pytest.raises(ValueError, match=match):
+                hjb_residual(spec.grid.zeros(), args["m"], args["P"], spec, 1e-2)
+
+
+def scheme_power_sum(u, p, gamma):
+    """S(u), the upwind sum of a_k^gamma + b_k^gamma, from the `_hjb_scheme`
+    residual alone: m = 1 and V = g(1) = 1 leave denom = gamma and no
+    source, and beta = 0 drops beta u."""
+    grid = TorusGrid(u.ndim, u.shape[0])
+    spec = ProblemSpec(grid.dim, grid.n, 0.5, gamma, (0.0,) * grid.dim,
+                       grid.constant(1.0), QUAD)
+    residual, denom = _hjb_scheme(grid.constant(1.0), p, spec, 0.0)
+    return residual(u)[0] * denom
+
+
+class TestUpwindScheme:
+    """The upwind sum in the `_hjb_scheme` residual."""
+
+    def test_constant_u_gives_drift_power(self):
+        out = scheme_power_sum(np.full((8, 8), 2.0), np.array([1.5, -0.5]), 2.5)
+        expected = 1.5**2.5 + 0.5**2.5
+        assert np.allclose(out, expected, rtol=1e-14)
+
+    def test_constant_u_zero_drift(self):
+        out = scheme_power_sum(np.ones(64), np.array([0.0]), 2.0)
+        assert np.all(out == 0.0)
+
+    def test_nonnegative_on_random_input(self):
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(12, 12))
+        out = scheme_power_sum(u, rng.normal(size=2), 1.7)
+        assert np.all(out >= 0.0)
+
+    def test_monotone_in_neighbors(self):
+        # raising one neighbor value never raises the scheme value elsewhere
+        rng = np.random.default_rng(6)
+        u = rng.normal(size=16)
+        p = np.array([0.7])
+        base = scheme_power_sum(u, p, 2.0)
+        for i in (0, 5, 11):
+            bumped = u.copy()
+            bumped[i] += 0.3
+            out = scheme_power_sum(bumped, p, 2.0)
+            mask = np.ones(16, bool)
+            mask[i] = False
+            assert np.all(out[mask] <= base[mask] + 1e-14)
+
+    def test_first_order_on_smooth_u(self):
+        ns, errs = (64, 128, 256), []
+        for n in ns:
+            x = np.arange(n) / n
+            u = np.sin(2 * np.pi * x) / (2 * np.pi)
+            out = scheme_power_sum(u, np.array([0.0]), 2.0)
+            errs.append(np.max(np.abs(out - np.cos(2 * np.pi * x) ** 2)))
+        order = np.polyfit(np.log(1.0 / np.asarray(ns)), np.log(errs), 1)[0]
+        assert 0.7 <= order <= 1.3
+        assert errs[1] <= 8.0 / 128
+
+
 def full_jacobian(u, p, gamma, h, denom, beta):
     """The HJB Jacobian with both neighbour entries of every axis stored,
     zeros included: the matrix the active-entry build must reproduce."""
@@ -253,7 +334,7 @@ class TestHJBJacobian:
         residual, denom = _hjb_scheme(m, self.p, base, self.beta)
         u = u_scale * np.random.default_rng(3).standard_normal(grid.shape)
         args = (self.p, gamma, grid.h, denom, self.beta)
-        jac = _hjb_jacobian(u, *args)
+        jac = _hjb_jacobian(residual(u)[1], *args[1:])
         return u, residual, args, jac
 
     @pytest.mark.parametrize("u_scale", [0.0, 0.01, 0.1])
@@ -290,7 +371,8 @@ class TestHJBJacobian:
         assert min(np.min(np.abs(-self.p[k] - fwd[k])) for k in range(2)) > 1e-2
         v = np.random.default_rng(4).uniform(-1.0, 1.0, u.shape)
         eps = 1e-7
-        fd = ((residual(u + eps * v) - residual(u - eps * v)) / (2.0 * eps)).ravel()[perm]
+        fd = (residual(u + eps * v)[0] - residual(u - eps * v)[0]) / (2.0 * eps)
+        fd = fd.ravel()[perm]
         jv = jac @ v.ravel()[perm]
         assert np.allclose(jv, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
 
@@ -300,7 +382,7 @@ class TestHJBJacobian:
         # through perm, against SuperLU's default ordering on C order
         u, residual, args, jac = self.build(3.0, 0.1, n)
         perm, inv = nested_dissection_order(u.shape)
-        r = residual(u).ravel()
+        r = residual(u)[0].ravel()
         step = spla.spsolve(jac, -r[perm], permc_spec="NATURAL")[inv]
         ref = full_jacobian(u, *args)
         ref.eliminate_zeros()
@@ -359,11 +441,11 @@ def plain_newton(m, P, spec, beta, u0):
     p = np.asarray(P, dtype=float)
     residual, denom = _hjb_scheme(m, p, spec, beta)
     u = np.array(u0, dtype=float)
-    r = residual(u)
+    r = residual(u)[0]
     for _ in range(200):
         jac = full_jacobian(u, p, spec.gamma, m.grid.h, denom, beta)
         u_next = u + spla.spsolve(jac.tocsc(), -r.ravel()).reshape(u.shape)
-        r_next = residual(u_next)
+        r_next = residual(u_next)[0]
         if np.max(np.abs(r)) <= 1e-10 and np.max(np.abs(r_next)) >= np.max(np.abs(r)):
             return u
         u, r = u_next, r_next
@@ -386,28 +468,48 @@ class TestHJBNewton:
         assert res.residuals["hjb_max_residual"] <= 1e-10
 
     @pytest.mark.parametrize("dim, n, P", [(2, 32, (0.7, -0.4)), (1, 512, (0.5,))])
-    def test_rounding_floor_costs_no_upwind_pass(self, monkeypatch, dim, n, P):
-        # the floor is read off the Jacobian of the next fresh step, so the
-        # upwind slopes run once per Jacobian; the 1D case stops on the
-        # floor, after one Jacobian that is built for the test alone
+    def test_one_upwind_pass_per_residual(self, monkeypatch, dim, n, P):
+        # the Jacobian reads the slopes of its iterate's residual, so the
+        # upwind slopes run once per residual evaluation and never inside
+        # `_hjb_jacobian`; the rounding floor is read off the Jacobian of the
+        # next fresh step, so the 1D case, which stops on the floor, builds
+        # one Jacobian that no step factors
         work = count_factor_work(monkeypatch)
-        slopes, jacobians = [], []
-        upwind, jacobian = transform.upwind_slopes, transform._hjb_jacobian
+        passes, residuals, jacobians = [], [], []
+        in_jacobian = [False]
+        upwind, scheme, jacobian = (transform.upwind_slopes, transform._hjb_scheme,
+                                    transform._hjb_jacobian)
 
         def counted_slopes(*args):
-            slopes.append(1)
+            passes.append(in_jacobian[0])
             return upwind(*args)
+
+        def counted_scheme(*args):
+            residual, denom = scheme(*args)
+
+            def counted_residual(u):
+                residuals.append(1)
+                return residual(u)
+
+            return counted_residual, denom
 
         def counted_jacobian(*args):
             jacobians.append(1)
-            return jacobian(*args)
+            in_jacobian[0] = True
+            try:
+                return jacobian(*args)
+            finally:
+                in_jacobian[0] = False
 
         monkeypatch.setattr(transform, "upwind_slopes", counted_slopes)
+        monkeypatch.setattr(transform, "_hjb_scheme", counted_scheme)
         monkeypatch.setattr(transform, "_hjb_jacobian", counted_jacobian)
         spec, m = hjb_problem(dim, n, 3.0)
         solve_hjb_discounted(m, P, spec, 1e-3)
         factored = len(work["spsolve"]) + len(work["splu"])
-        assert len(slopes) == len(jacobians) == factored + (dim == 1)
+        assert not any(passes)
+        assert len(passes) == len(residuals) > len(jacobians)
+        assert len(jacobians) == factored + (dim == 1)
 
     def test_non_finite_step_raises_at_once(self, monkeypatch):
         # spsolve returns NaN for an exactly singular matrix; the step

@@ -236,6 +236,15 @@ class TestProjection:
         pt = project_feasible(g.constant(5.0), g.constant(1.0))
         assert np.all(pt.u.values == 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_m(self, value):
+        # a NaN m failed with "index -1 is out of bounds"
+        g = TorusGrid(1, 10)
+        m = np.ones(10)
+        m[3] = value
+        with pytest.raises(ValueError, match="non-finite m"):
+            project_feasible(g.zeros(), GridFunction(g, m))
+
     def test_rejects_fields_on_two_grids(self):
         with pytest.raises(ValueError, match="one grid"):
             project_feasible(TorusGrid(1, 10).zeros(), TorusGrid(1, 12).constant(1.0))
@@ -314,7 +323,7 @@ class TestKernelsDeriveTheirInputs:
         (variational.nested_m, ["a", "k", "V", "coupling", "hbar0", "m0"]),
         (variational.mass_root, ["density", "hbar0"]),
         (variational.monotone_root, ["node", "m0"]),
-        (transform._hjb_jacobian, ["u", "p", "gamma", "h", "denom", "beta"]),
+        (transform._hjb_jacobian, ["slopes", "gamma", "h", "denom", "beta"]),
         (estimate_Hbar, ["pt", "obj", "k"]),
     ])
     def test_signatures(self, fn, names):
