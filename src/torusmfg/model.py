@@ -286,7 +286,8 @@ class PotentialFamily:
 
     ValueError at construction for an unknown family, for an analytic
     family's parameter outside its own list (`POTENTIAL_FAMILIES`), and for
-    custom-samples without "values".
+    custom-samples without "values"; ValueError from `sample` for an
+    analytic family on a grid of the other dimension.
     """
 
     family: str
@@ -307,6 +308,8 @@ class PotentialFamily:
     def sample(self, grid: TorusGrid) -> GridFunction:
         p = self.params
         A = float(p.get("amplitude", 1.0))
+        if self.family in ("cosine-shift", "gaussian-bump") and grid.dim != 1:
+            raise ValueError(f"{self.family} is one-dimensional")
         if self.family == "cosine-shift":
             shift = float(p.get("shift", 0.0))
             vals = A * np.cos(2 * np.pi * (grid.coords()[0] - shift))

@@ -16,6 +16,11 @@ the kinetic stiffness a = 1/((alpha-1) m^(alpha-1)) of
 `DiscreteObjective.stiffness`.  For gamma = 2 and constant m, M is the
 inverse u-Hessian, so iteration counts stay flat under grid refinement.
 Once a step is stored, M is scaled by s.y / (y.M y) of the newest one.
+An iteration makes one FFT pair, pinv(L) of the accepted trial's gradient:
+pinv(L) is linear, so each pair keeps py = pinv(L) y, the difference of
+two such gradients' images, and the recursion applies pinv(L) to its
+reduced gradient as a sum of stored vectors (`_two_loop`).  Each trial
+forms its stiffness once, and J_h, the u-gradient and M all read it.
 
 The line search halves the trial step from min(step0, 1).  Its Armijo test
 is on the Lagrangian J_h + Hbar (h^d sum m - 1): m* has unit mass only to
@@ -169,6 +174,27 @@ def _initial_point(grid, init) -> tuple[np.ndarray, np.ndarray]:
     return u - u.mean(), project_simplex_values(m, float(grid.num_nodes))
 
 
+def _two_loop(pairs, gu: np.ndarray, pg: np.ndarray,
+              newest_scale: float) -> np.ndarray:
+    """The L-BFGS direction H gu over pairs (s, y, py, 1/s.y), oldest
+    first, with py = pinv(L) y and pg = pinv(L) gu.
+
+    The initial inverse Hessian is newest_scale pinv(L).  The first loop
+    reduces gu to q = gu - sum c_i y_i, and pinv(L) is linear, so
+    pinv(L) q = pg - sum c_i py_i needs no FFT.
+    """
+    q, pq = gu.copy(), pg.copy()
+    coeffs = []
+    for s, y, py, rho in reversed(pairs):  # newest pair first
+        coeffs.append(rho * float(np.vdot(s, q)))
+        q -= coeffs[-1] * y
+        pq -= coeffs[-1] * py
+    direction = newest_scale * pq
+    for (s, y, _, rho), c in zip(pairs, reversed(coeffs)):
+        direction += (c - rho * float(np.vdot(y, direction))) * s
+    return direction
+
+
 def minimize(
     obj: DiscreteObjective,
     init="uniform",
@@ -184,6 +210,10 @@ def minimize(
     optional text stream trace_file receives one
     "iter,objective,gradmap,step" CSV row per iteration.  J_h is convex
     only for 1 < alpha <= gamma; other exponents raise ValueError.
+
+    A trial forms its stiffness a = `obj.stiffness(m)` once, and an
+    accepted trial makes one FFT pair, which gives both M grad J and the
+    new pair's pinv(L) y; each pair holds three arrays of the grid's shape.
     """
     opts = opts or SolveOptions()
     sp = obj.spec
@@ -196,25 +226,28 @@ def minimize(
     if not np.all(np.isfinite(u)):
         raise ValueError("u non-finite at the initial point (invalid init)")
 
-    a, V, coupling = sp.alpha, sp.V.values, sp.coupling
+    alpha, V, coupling = sp.alpha, sp.V.values, sp.coupling
     w = obj.drifted_grad(u)
     k = obj.kinetic_density(w)
-    hbar, m = optimal_m(a, k, V, coupling, cold_hbar(k, V, coupling), m)
-    J = obj.value_arrays(k, m)
-    gu = obj.gradient_u_arrays(w, m)
+    hbar, m = optimal_m(alpha, k, V, coupling, cold_hbar(k, V, coupling), m)
+    a = obj.stiffness(m)
+    J = obj.value_arrays(k, m, a)
+    gu = obj.gradient_u_arrays(w, a)
 
     def pinv(v):
         r = normal_pinv_values(v, h)
         return r - r.mean()
 
-    def metric_step(pg, m):
+    def metric_step(pg, a):
         """M grad from pg = pinv(L) grad: pg / (h^d mean stiffness)."""
-        return pg / (hd * float(np.mean(obj.stiffness(m))))
+        return pg / (hd * float(np.mean(a)))
 
-    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
+    # (s, y, pinv(L) y, 1 / s.y) of the last LBFGS_MEMORY steps
+    pairs: deque[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = \
+        deque(maxlen=LBFGS_MEMORY)
     newest_scale = 1.0  # s.y / (y.pinv(L) y) of the newest pair
     pg = pinv(gu)
-    mg = metric_step(pg, m)
+    mg = metric_step(pg, a)
     gradmap = float(np.linalg.norm(mg))
     iters = 0
     stop_reason = "stationary"
@@ -228,15 +261,7 @@ def minimize(
             break
         slope = 0.0
         if pairs:
-            # two-loop recursion, newest pair first
-            q = gu.copy()
-            coeffs = []
-            for s, y, rho in reversed(pairs):
-                coeffs.append(rho * float(np.vdot(s, q)))
-                q -= coeffs[-1] * y
-            direction = newest_scale * pinv(q)
-            for (s, y, rho), c in zip(pairs, reversed(coeffs)):
-                direction += (c - rho * float(np.vdot(y, direction))) * s
+            direction = _two_loop(pairs, gu, pg, newest_scale)
             slope = float(np.vdot(gu, direction))  # decrease rate along -direction
         if slope <= 0.0:
             pairs.clear()
@@ -248,13 +273,14 @@ def minimize(
             u_try = u - t * direction
             w_try = obj.drifted_grad(u_try)  # P + Du, shared by k and the current
             k_try = obj.kinetic_density(w_try)
-            hbar_try, m_try = optimal_m(a, k_try, V, coupling, hbar, m)
-            J_try = obj.value_arrays(k_try, m_try)
+            hbar_try, m_try = optimal_m(alpha, k_try, V, coupling, hbar, m)
+            a_try = obj.stiffness(m_try)  # read by J, the current and M
+            J_try = obj.value_arrays(k_try, m_try, a_try)
             drop = J_try - J + hbar * hd * float((m_try - m).sum())
             armijo = drop <= -ARMIJO_C * t * slope
             # where J cannot resolve the decrease, the slope test decides
             if armijo or abs(drop) <= ROUNDING * max(abs(J), 1.0):
-                gu_try = obj.gradient_u_arrays(w_try, m_try)
+                gu_try = obj.gradient_u_arrays(w_try, a_try)
                 if armijo or (np.vdot(gu_try, direction)
                               >= -(1.0 - 2.0 * ARMIJO_C) * slope):
                     break
@@ -267,12 +293,13 @@ def minimize(
         pg_try = pinv(gu_try)
         sy = float(np.vdot(s, y))
         if sy > 0.0:
-            pairs.append((s, y, 1.0 / sy))
-            newest_scale = sy / float(np.vdot(y, pg_try - pg))  # pinv(L) is linear
-        u, m, k, hbar, J = u_try, m_try, k_try, hbar_try, J_try
+            py = pg_try - pg  # pinv(L) y, as pinv(L) is linear
+            pairs.append((s, y, py, 1.0 / sy))
+            newest_scale = sy / float(np.vdot(y, py))
+        u, m, a, k, hbar, J = u_try, m_try, a_try, k_try, hbar_try, J_try
         gu, pg = gu_try, pg_try
         iters += 1
-        mg = metric_step(pg, m)
+        mg = metric_step(pg, a)
         gradmap = float(np.linalg.norm(mg))
         if trace_file is not None:
             trace_file.write(f"{iters},{J:.17g},{gradmap:.17g},{t:.17g}\n")

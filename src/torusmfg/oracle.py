@@ -60,7 +60,9 @@ def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
     if abs(integrate_values(m, spec.grid.h) - 1.0) > MASS_TOL:
         raise BracketError("mass normalisation did not converge to tolerance")
     u = np.zeros(shape)
-    objective = obj.value_arrays(k, m) if spec.alpha > 1.0 else float("nan")
+    objective = float("nan")
+    if spec.alpha > 1.0:
+        objective = obj.value_arrays(k, m, obj.stiffness(m))
     return solve_result(obj, u, m, k, hbar, objective, 0, "stationary", 0.0)
 
 

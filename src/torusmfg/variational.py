@@ -19,8 +19,8 @@ right side k >= 0 in any dimension.  Its joint Newton iteration runs on
 blocks with k > 0 at every node; a block with k = 0 at some node is the
 nested solve `nested_m`'s.
 
-The congestion current is j = |P+Du|^(gamma-2) (P+Du) s(m), with kinetic
-stiffness s(m) = 1/((alpha-1) m^(alpha-1)); `DiscreteObjective.flux` and
+The congestion current is j = |P+Du|^(gamma-2) (P+Du) a(m), with kinetic
+stiffness a(m) = 1/((alpha-1) m^(alpha-1)); `DiscreteObjective.flux` and
 `DiscreteObjective.stiffness` are their one implementation.  The u-partial
 of J_h is h^d D^T j, so stationarity in u is the discrete transport
 equation D^T j = 0, and the stream-function transform reads its drift off
@@ -87,7 +87,11 @@ class DiscreteObjective:
     """J_h for a given problem, m floored at M_FLOOR in negative powers.
 
     u enters J_h only through w = P + Du (`drifted_grad`): the array
-    methods take w, or k = `kinetic_density(w)`, never u."""
+    methods take w, or k = `kinetic_density(w)`, never u.  Where m enters
+    through the kinetic stiffness a = `stiffness(m)` alone, in the current
+    (`flux`) and the u-gradient, they take a, not m; `value_arrays` takes
+    both, as V m and G(m) need m.  A caller forms a once per m and passes
+    it to each."""
 
     spec: ProblemSpec
     _p: np.ndarray = field(init=False, repr=False)
@@ -128,12 +132,14 @@ class DiscreteObjective:
     def value(self, pt: FeasiblePoint) -> float:
         self._check_point(pt)
         k = self.kinetic_density(self.drifted_grad(pt.u.values))
-        return self.value_arrays(k, pt.m.values)
+        m = pt.m.values
+        return self.value_arrays(k, m, self.stiffness(m))
 
-    def value_arrays(self, k: np.ndarray, m: np.ndarray) -> float:
-        """J_h at (u, m), from k = `kinetic_density` at u."""
+    def value_arrays(self, k: np.ndarray, m: np.ndarray, a: np.ndarray) -> float:
+        """J_h at (u, m), from k = `kinetic_density` at u and
+        a = `stiffness(m)`."""
         sp = self.spec
-        dens = k * self.stiffness(m) - sp.V.values * m + sp.coupling.G(m)
+        dens = k * a - sp.V.values * m + sp.coupling.G(m)
         return integrate_values(dens, sp.grid.h)
 
     def stiffness(self, m: np.ndarray) -> np.ndarray:
@@ -142,24 +148,24 @@ class DiscreteObjective:
         mf = np.maximum(m, M_FLOOR)
         return 1.0 / ((sp.alpha - 1.0) * mf ** (sp.alpha - 1.0))
 
-    def flux(self, w: list[np.ndarray], m: np.ndarray) -> list[np.ndarray]:
-        """The current j = |w|^(gamma-2) w / ((alpha-1) m^(alpha-1)) at
-        w = P + Du (`drifted_grad`), one array per axis."""
+    def flux(self, w: list[np.ndarray], a: np.ndarray) -> list[np.ndarray]:
+        """The current j = |w|^(gamma-2) w a at w = P + Du (`drifted_grad`),
+        one array per axis, from a = `stiffness(m)`; m enters j only
+        through a."""
         gamma = self.spec.gamma
-        scale = self.stiffness(m)
         if gamma != 2.0:
             nsq = self._norm_sq(w)
             # the magnitude-power limit at |P+Du| = 0 is 0 for gamma > 1
             with np.errstate(divide="ignore"):
-                scale = np.where(nsq > 0.0, nsq ** ((gamma - 2.0) / 2.0), 0.0) * scale
-        return [scale * wk for wk in w]
+                a = np.where(nsq > 0.0, nsq ** ((gamma - 2.0) / 2.0), 0.0) * a
+        return [a * wk for wk in w]
 
-    def gradient_u_arrays(self, w: list[np.ndarray], m: np.ndarray) -> np.ndarray:
-        """u-partial h^d sum_k D_k^T j_k at w = P + Du, with D_k^T = -D_k the
-        adjoint of the central stencil."""
+    def gradient_u_arrays(self, w: list[np.ndarray], a: np.ndarray) -> np.ndarray:
+        """u-partial h^d sum_k D_k^T j_k at w = P + Du and a = `stiffness(m)`
+        (`flux`), with D_k^T = -D_k the adjoint of the central stencil."""
         h, dim = self.spec.grid.h, self.spec.dim
         gu = np.zeros_like(w[0])
-        for k, jk in enumerate(self.flux(w, m)):
+        for k, jk in enumerate(self.flux(w, a)):
             gu -= central_diff_values(jk, h, k)
         return h**dim * gu
 
@@ -238,7 +244,7 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_JOINT_STEPS):
             psi, dpsi, xa, s, dg = _node(a, coupling, x, hbar, V, k)
-            if not (dpsi > 0.0).all():
+            if not dpsi.min() > 0.0:  # NaN fails it too
                 break
             r, q = psi / dpsi, xa / dpsi
             e, slope = cell * float((x - r).sum()) - 1.0, cell * -float(q.sum())
@@ -454,8 +460,10 @@ def diagnostics_record(pt: FeasiblePoint, obj: DiscreteObjective) -> dict:
         hbar, hstd = estimate_Hbar(pt, obj, k)
     except DegenerateSolutionError:
         hbar, hstd = float("nan"), float("nan")
+    m = pt.m.values
+    jh = obj.value_arrays(k, m, obj.stiffness(m)) if obj.spec.alpha > 1.0 else math.nan
     return {
-        "Jh": obj.value_arrays(k, pt.m.values) if obj.spec.alpha > 1.0 else math.nan,
+        "Jh": jh,
         "Hbar_mean": hbar,
         "Hbar_std": hstd,
         "mass_error": em,

@@ -376,6 +376,12 @@ class TestPotentials:
             with pytest.raises(ValueError, match="two-dimensional"):
                 PotentialFamily(family).sample(TorusGrid(1, 16))
 
+    def test_line_families_require_1d(self):
+        # they used to sample a 2D grid along x alone, constant in y
+        for family in ("cosine-shift", "gaussian-bump"):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                PotentialFamily(family).sample(TorusGrid(2, 8))
+
     def test_gaussian_bump(self):
         g = TorusGrid(1, 32)
         V = PotentialFamily("gaussian-bump", {"amplitude": 2.0, "center": 0.3}).sample(g)

@@ -1,5 +1,4 @@
 import io
-import sys
 
 import numpy as np
 import pytest
@@ -208,29 +207,18 @@ class TestDescentMechanics:
         res, _ = cosine_drift_64
         assert abs(res.Hbar - HBAR_COSINE_P1) <= 2e-6
 
-    def test_stencil_calls_per_iteration(self, monkeypatch):
+    def test_stencil_calls_per_iteration(self, count_calls):
         # one stencil per axis for P + Du at each line-search trial, shared
         # by k and the current, and one more per axis for the adjoint in the
         # u-gradient at the accepted trial; the m-block does none.  This
         # smooth case accepts its first trial in most iterations
-        original = grid_module.central_diff_values
-        calls = 0
-
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("torusmfg") and \
-                    getattr(mod, "central_diff_values", None) is original:
-                monkeypatch.setattr(mod, "central_diff_values", counted)
+        stencil = count_calls(grid_module.central_diff_values)
         spec = make_spec(n=32, P=(1.0,), V_fn=lambda x: np.cos(2 * np.pi * x))
         res = minimize(DiscreteObjective(spec), "uniform",
                        SolveOptions(step0=32.0, max_iters=100000))
         assert res.iters >= 5
         setup = 2 * spec.dim  # P + Du and the u-gradient at the start point
-        assert calls <= (2 * spec.dim + 1) * res.iters + setup
+        assert stencil.calls <= (2 * spec.dim + 1) * res.iters + setup
 
     def test_seeded_runs_bitwise_reproducible(self):
         spec = make_spec(n=24, V_fn=lambda x: np.cos(2 * np.pi * x))
@@ -293,10 +281,14 @@ class TestMBlockWork:
     @pytest.mark.parametrize("n, shift", [(64, 0.33187239186810047),
                                           (96, 0.6118959736456587),
                                           (128, 0.5076326598924166)])
-    def test_var1d_work_is_pinned(self, monkeypatch, n, shift):
+    def test_var1d_work_is_pinned(self, monkeypatch, count_calls, n, shift):
         # the work of these solves, counted: a faster m-block must make its
-        # steps cheaper, not fewer or more
+        # steps cheaper, not fewer or more.  Every trial is accepted here:
+        # each forms one stiffness and makes one FFT pair, as the start
+        # point does
         calls = self.count_work(monkeypatch)
+        pinv = count_calls(optimizer_module.normal_pinv_values)
+        stiffness = count_calls(DiscreteObjective.stiffness)
         spec = make_spec(n=n, P=(1.0,),
                          V_fn=lambda x: np.cos(2 * np.pi * (x - shift)))
         res = minimize(DiscreteObjective(spec), "uniform",
@@ -304,6 +296,50 @@ class TestMBlockWork:
         assert res.stop_reason == "stationary"
         assert res.iters == 8
         assert calls == {"blocks": 9, "nodes": 36, "handovers": 0}
+        assert pinv.calls == 9
+        assert stiffness.calls == 9
+
+
+class TestTwoLoop:
+    """The recursion applies pinv(L) to its reduced gradient q through the
+    stored pinv(L) y of each pair, with no FFT of its own."""
+
+    @staticmethod
+    def reference(pairs, gu, newest_scale, pinv):
+        """The two-loop recursion with an FFT of q."""
+        q = gu.copy()
+        coeffs = []
+        for s, y, _, rho in reversed(pairs):
+            coeffs.append(rho * float(np.vdot(s, q)))
+            q -= coeffs[-1] * y
+        direction = newest_scale * pinv(q)
+        for (s, y, _, rho), c in zip(pairs, reversed(coeffs)):
+            direction += (c - rho * float(np.vdot(y, direction))) * s
+        return direction
+
+    @pytest.mark.parametrize("shape", [(64,), (32, 32)])
+    @pytest.mark.parametrize("npairs", [1, 2, 7, 20])
+    def test_matches_the_recursion_with_an_fft(self, shape, npairs):
+        h = 1.0 / shape[0]
+
+        def pinv(v):
+            r = grid_module.normal_pinv_values(v, h)
+            return r - r.mean()
+
+        rng = np.random.default_rng(npairs + len(shape))
+        pairs = []
+        for _ in range(npairs):
+            s = rng.normal(size=shape)
+            y = s + 0.5 * rng.normal(size=shape)
+            sy = float(np.vdot(s, y))
+            assert sy > 0.0
+            pairs.append((s, y, pinv(y), 1.0 / sy))
+        gu = rng.normal(size=shape)
+        newest_scale = float(rng.uniform(0.1, 10.0))
+        direction = optimizer_module._two_loop(pairs, gu, pinv(gu), newest_scale)
+        expected = self.reference(pairs, gu, newest_scale, pinv)
+        assert np.linalg.norm(direction - expected) <= \
+            1e-12 * np.linalg.norm(expected)
 
 
 class TestIterationCounts:

@@ -1,4 +1,3 @@
-import sys
 import warnings
 
 import numpy as np
@@ -302,24 +301,13 @@ class TestResultAssembly:
         (solve_critical, 2, 1.0, 2.0, (0.6, 0.0)),
     ])
     def test_no_stencil_call_and_fields_equal_the_stencil_path(
-            self, monkeypatch, solve, dim, alpha, gamma, P):
+            self, count_calls, solve, dim, alpha, gamma, P):
         V_fn = (lambda x: 2.0 * np.cos(2 * np.pi * x)) if dim == 1 else \
             (lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
         spec = make_spec(n=16, dim=dim, alpha=alpha, gamma=gamma, P=P, V_fn=V_fn)
-        calls = []
-        stencil = grid_module.central_diff_values
-
-        def counting(v, h, axis):
-            calls.append(axis)
-            return stencil(v, h, axis)
-
-        with monkeypatch.context() as patch:
-            for name, mod in list(sys.modules.items()):
-                if name.startswith("torusmfg") and \
-                        getattr(mod, "central_diff_values", None) is stencil:
-                    patch.setattr(mod, "central_diff_values", counting)
-            res = solve(spec)
-        assert calls == []
+        stencil = count_calls(grid_module.central_diff_values)
+        res = solve(spec)
+        assert stencil.calls == 0
         # the same evaluations with k = |P + Du|^gamma / gamma from the stencils
         obj = DiscreteObjective(spec)
         point = FeasiblePoint(spec.grid.zeros(), res.m)
@@ -424,19 +412,8 @@ class TestClosedFormMatchesNewton:
     ])
     @pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64)])
     @pytest.mark.parametrize("amplitude", [0.5, 12.0])
-    def test_hbar_and_m(self, monkeypatch, one, split, solvers, dim, n, amplitude):
-        calls = 0
-
-        def counting(root):
-            def counted(*args):
-                nonlocal calls
-                calls += 1
-                return root(*args)
-            return counted
-
-        monkeypatch.setattr(model, "monotone_root", counting(model.monotone_root))
-        monkeypatch.setattr(variational, "monotone_root",
-                            counting(variational.monotone_root))
+    def test_hbar_and_m(self, count_calls, one, split, solvers, dim, n, amplitude):
+        roots = count_calls(model.monotone_root)
         grid = TorusGrid(dim, n)
         if dim == 1:
             pot = PotentialFamily("cosine-shift", {"amplitude": amplitude, "shift": 0.3})
@@ -447,13 +424,13 @@ class TestClosedFormMatchesNewton:
         cases = {"P0": (solve_P0, 1.5, (0.0,) * dim),
                  "critical": (solve_critical, 1.0, (0.8, -0.5)[:dim])}
         for solve, alpha, P in (cases[k] for k in solvers):
-            calls = 0
+            roots.calls = 0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 closed = solve(ProblemSpec(dim, n, alpha, 2.0, P, V, CouplingG(one)))
-                assert calls == 0
+                assert roots.calls == 0
                 newton = solve(ProblemSpec(dim, n, alpha, 2.0, P, V, CouplingG(split)))
-                assert calls > 0
+                assert roots.calls > 0
             assert closed.Hbar == pytest.approx(newton.Hbar, abs=1e-12)
             assert np.max(np.abs(closed.m.values - newton.m.values)) <= 1e-12
 

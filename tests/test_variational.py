@@ -133,7 +133,8 @@ class TestAssembleJh:
 
 def value_at(obj, u, m):
     """J_h at the arrays (u, m), through w = P + Du."""
-    return obj.value_arrays(obj.kinetic_density(obj.drifted_grad(u)), m)
+    return obj.value_arrays(obj.kinetic_density(obj.drifted_grad(u)), m,
+                            obj.stiffness(m))
 
 
 def estimate_at(pt, obj):
@@ -144,7 +145,8 @@ def estimate_at(pt, obj):
 def grads(obj, u, m):
     """(u-partial, m-partial) of J_h at the arrays (u, m)."""
     w = obj.drifted_grad(u)
-    return obj.gradient_u_arrays(w, m), obj.gradient_m_arrays(obj.kinetic_density(w), m)
+    return (obj.gradient_u_arrays(w, obj.stiffness(m)),
+            obj.gradient_m_arrays(obj.kinetic_density(w), m))
 
 
 class TestArrayMethodsTakeTrialData:
