@@ -109,19 +109,18 @@ class SolveResult:
         return FeasiblePoint(self.u, self.m)
 
 
-def solve_result(obj: DiscreteObjective, u: np.ndarray, m: np.ndarray,
-                 k: np.ndarray, hbar: float, objective: float, iters: int,
-                 stop_reason: str, gradmap: float) -> SolveResult:
-    """The SolveResult at (u, m); k = |P + Du|^gamma / gamma, the node
-    equation's right side at u (`DiscreteObjective.kinetic_density`),
-    gives Hbar_std."""
-    grid = obj.spec.grid
-    point = FeasiblePoint(GridFunction(grid, u), GridFunction(grid, m))
+def solve_result(point: FeasiblePoint, hbar: float, hbar_std: float,
+                 objective: float, iters: int, stop_reason: str,
+                 gradmap: float) -> SolveResult:
+    """The SolveResult at point = (u, m); hbar_std is the caller's std of
+    the nodewise Hamiltonian over {m > MASS_CUTOFF}: `estimate_Hbar` at the
+    minimiser's point, and the answer check's own nodewise quantity at an
+    oracle's."""
     return SolveResult(
         u=point.u,
         m=point.m,
         Hbar=hbar,
-        Hbar_std=estimate_Hbar(point, obj, k=k)[1],
+        Hbar_std=hbar_std,
         objective=objective,
         iters=iters,
         stop_reason=stop_reason,
@@ -304,4 +303,6 @@ def minimize(
         if trace_file is not None:
             trace_file.write(f"{iters},{J:.17g},{gradmap:.17g},{t:.17g}\n")
 
-    return solve_result(obj, u, m, k, hbar, J, iters, stop_reason, gradmap)
+    point = FeasiblePoint(GridFunction(sp.grid, u), GridFunction(sp.grid, m))
+    return solve_result(point, hbar, estimate_Hbar(point, obj, k)[1], J, iters,
+                        stop_reason, gradmap)

@@ -13,7 +13,8 @@ m = 1 solves every node for constant V, returned as the SolveResult of
 allows: the k = 0 power of `CouplingG.conjugate_deriv` for a one-term
 coupling, and the quadratic for g(m) = kappa m at a = 1.  `_solve_at_u0`
 also checks its answer with the k and m it has just formed, so the oracles
-add only the checks of their input.
+add only the checks of their input; the nodewise Hamiltonian of that check
+also gives the result's Hbar_std.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ import numpy as np
 
 from .grid import GridFunction, TorusGrid, integrate_values
 from .model import BracketError, ProblemSpec
-from .variational import DiscreteObjective, cold_hbar, nested_m
+from .variational import (
+    MASS_CUTOFF,
+    DiscreteObjective,
+    FeasiblePoint,
+    cold_hbar,
+    nested_m,
+)
 from .optimizer import SolveResult, solve_result
 
 # mass error and nodewise residual (at the nodes with k > 0) allowed in an
@@ -42,11 +49,14 @@ def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
 
     At u = 0, P + Du is P at every node, so k is `kinetic_density` of the
     constant field w = P, with no stencils.  J_h is undefined at
-    alpha = 1, so the objective is NaN there.  The answer must meet
-    max |k/m^alpha + V - g(m) - Hbar| <= RESIDUAL_TOL where k > 0, and unit
-    mass to MASS_TOL; otherwise BracketError.  k is the same at every node,
-    so the nodewise check covers the whole grid at P != 0 and no node at
-    P = 0.
+    alpha = 1, so the objective is NaN there.  k is the same at every node,
+    so it is positive at every node (P != 0) or at none (P = 0), and the
+    nodewise Hamiltonian q = k/m^alpha + V - g(m) is formed once on whole
+    arrays, as q = V - g(m) where k = 0.  The answer must meet
+    max |q - Hbar| <= RESIDUAL_TOL where k > 0, and unit mass to MASS_TOL;
+    otherwise BracketError.  Hbar_std is the std of q over
+    {m > MASS_CUTOFF}, in the expression order of `estimate_Hbar`, so it
+    equals that estimate bit for bit.
     """
     shape, obj = spec.grid.shape, DiscreteObjective(spec)
     k = obj.kinetic_density([np.full(shape, p) for p in spec.P])
@@ -54,16 +64,18 @@ def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
     hbar, m = nested_m(spec.alpha, k, V, coupling, cold_hbar(k, V, coupling),
                        np.ones(shape))
     pos = k > 0.0
-    residual = k[pos] / m[pos] ** spec.alpha + V[pos] - coupling.g(m[pos]) - hbar
-    if np.max(np.abs(residual), initial=0.0) > RESIDUAL_TOL:
+    q = (k / m**spec.alpha + V if pos.all() else V) - coupling.g(m)
+    if np.max(np.abs(q[pos] - hbar), initial=0.0) > RESIDUAL_TOL:
         raise BracketError("nodewise algebraic residual above tolerance")
     if abs(integrate_values(m, spec.grid.h) - 1.0) > MASS_TOL:
         raise BracketError("mass normalisation did not converge to tolerance")
-    u = np.zeros(shape)
+    # unit mass leaves m >= 1 > MASS_CUTOFF at some node
+    hbar_std = float(q[m > MASS_CUTOFF].std())
     objective = float("nan")
     if spec.alpha > 1.0:
         objective = obj.value_arrays(k, m, obj.stiffness(m))
-    return solve_result(obj, u, m, k, hbar, objective, 0, "stationary", 0.0)
+    point = FeasiblePoint(spec.grid.zeros(), GridFunction(spec.grid, m))
+    return solve_result(point, hbar, hbar_std, objective, 0, "stationary", 0.0)
 
 
 def solve_P0(spec: ProblemSpec) -> SolveResult:

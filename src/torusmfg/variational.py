@@ -14,10 +14,10 @@ that divides by gamma.  For fixed u, J_h is minimised exactly in m by
 `optimal_m`: each node solves m^a (g(m) + Hbar - V) = k with a = alpha, and
 Hbar fixes unit mass, (1/N) sum m = 1 over the N nodes of the unit torus.
 The m-block takes the node equation's data (a, k, V, coupling), not a
-problem, and reads N off the arrays, so it serves any exponent a > 0 and
+problem, and reads N off the arrays, so it serves any exponent a >= 0 and
 right side k >= 0 in any dimension.  Its joint Newton iteration runs on
-blocks with k > 0 at every node; a block with k = 0 at some node is the
-nested solve `nested_m`'s.
+blocks with a > 0 and k > 0 at every node; a block at a = 0 or with k = 0
+at some node is the nested solve `nested_m`'s.
 
 The congestion current is j = |P+Du|^(gamma-2) (P+Du) a(m), with kinetic
 stiffness a(m) = 1/((alpha-1) m^(alpha-1)); `DiscreteObjective.flux` and
@@ -211,9 +211,10 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
     solves psi(m) = m^a (g(m) + Hbar - V) - k = 0, whose one root is
     positive; `_node` evaluates psi, psi', m^a, s = g(m) + Hbar - V and
     g'(m) for this iteration and for `nested_m`.  A block with k = 0 at
-    some node, such as the first block of a P = 0 solve from u = 0, is
-    `nested_m`'s from (hbar0, m0), with no joint step; the oracles solve
-    their u = 0 blocks with `nested_m` too.
+    some node, such as the first block of a P = 0 solve from u = 0, and a
+    block at a = 0, whose nodes solve the k = 0 equation at the potential
+    V + k, are `nested_m`'s from (hbar0, m0), with no joint step; the
+    oracles solve their u = 0 blocks with `nested_m` too.
 
     One Newton iteration moves every node and Hbar together, from
     (hbar0, m0).  Linearised, a node steps by
@@ -236,7 +237,7 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
     finite, or _JOINT_STEPS steps pass without a stop, the nested solve
     `nested_m` takes over from the current (Hbar, m).
     """
-    if not (k > 0.0).all():
+    if a == 0.0 or not (k > 0.0).all():
         return nested_m(a, k, V, coupling, hbar0, m0)
     hbar, x = float(hbar0), np.asarray(m0, dtype=float)
     cell = 1.0 / x.size
@@ -287,10 +288,14 @@ def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
 
 
 def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
-    """(m, dm/dHbar) of the k = 0 nodes at V - Hbar = q."""
+    """(m, dm/dHbar) of the k = 0 nodes at V - Hbar = q: m = (G*)'(q), and
+    dm/dHbar = -1/g'(m) where m > 0, 0 where m = 0.  The quotient is formed
+    on every node and np.where picks it, which is cheaper than a masked
+    divide; at m = 0, g'(0) = 0 for couplings of exponents above 2 alone,
+    and the 1/0 there is discarded."""
     m = coupling.conjugate_deriv(q, m0)
-    dm = np.divide(-1.0, coupling.g_prime(m, z_floor=1e-300),
-                   out=np.zeros_like(m), where=m > 0.0)
+    with np.errstate(divide="ignore"):
+        dm = np.where(m > 0.0, -1.0 / coupling.g_prime(m, z_floor=1e-300), 0.0)
     return m, dm
 
 
@@ -309,12 +314,14 @@ def nested_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
     s = sqrt(b^2 + 4 kappa k) its root is m = 2k / (b + s) where b >= 0
     and m = (s - b) / (2 kappa) where b < 0, neither of which cancels, and
     dm/dHbar = -m / s.  The k = 0 nodes take `_vacuum_density`,
-    warm-started the same way.  Where k is positive at every node or at
-    none, the density works on whole arrays, with no masked copies.
+    warm-started the same way.  At a = 0 the node equation is
+    g(m) + Hbar - (V + k) = 0, so every node takes `_vacuum_density` at the
+    potential V + k.  Where k is positive at every node or at none, or
+    a = 0, the density works on whole arrays, with no masked copies.
     """
     m0 = np.asarray(m0, dtype=float)
     pos = k > 0.0
-    if pos.all() or not pos.any():
+    if a == 0.0 or pos.all() or not pos.any():
         density = _node_density(a, k, V, coupling, m0)
     else:
         parts = [(idx, _node_density(a, k[idx], V[idx], coupling, m0[idx]))
@@ -329,30 +336,50 @@ def nested_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
     return mass_root(density, hbar0)
 
 
+# s = sqrt(b b + r r) in the a = 1 quadratic neither overflows nor
+# underflows below a normal double while |b| and r lie below _SQ_HI and r
+# above 1/_SQ_HI; np.hypot, several times slower, takes over outside
+_SQ_HI = 2.0**500
+
+
 def _node_density(a: float, k: np.ndarray, V: np.ndarray, coupling, m0: np.ndarray):
     """density(Hbar) -> (m, dm/dHbar) of nodes with k either positive at
-    every one of them or 0 at every one.  Positive k takes the a = 1
-    quadratic closed form where it applies, else the roots of `_node`'s
-    psi; k = 0 takes `_vacuum_density`."""
+    every one of them or 0 at every one.  a = 0, and k = 0 at any a, take
+    `_vacuum_density`, at the potential V + k and V.  Positive k takes the
+    a = 1 quadratic closed form where it applies, else the roots of
+    `_node`'s psi.
+
+    The quadratic forms s = sqrt(b^2 + r^2) with r = 2 sqrt(kappa k), r^2
+    formed once here, wherever |Hbar| + max |V| < _SQ_HI and
+    1/_SQ_HI < r < _SQ_HI, one scalar test per call; elsewhere
+    s = hypot(b, r).  It picks its two quotients with np.where."""
     terms = coupling.terms
     m_last = m0
-    if not k.any():
+    if a == 0.0 or not k.any():
+        q0 = V + k if a == 0.0 else V
+
         def vacuum(hbar):
             nonlocal m_last
-            m_last, dm = _vacuum_density(coupling, V - hbar, m_last)
+            m_last, dm = _vacuum_density(coupling, q0 - hbar, m_last)
             return m_last, dm
 
         return vacuum
     if a == 1.0 and len(terms) == 1 and terms[0][1] == 2.0:
         kappa = 2.0 * terms[0][0]
-        r = 2.0 * np.sqrt(kappa * k)  # s = hypot(b, r) cannot overflow
+        r = 2.0 * np.sqrt(kappa * k)
         two_k, two_kappa = 2.0 * k, 2.0 * kappa
+        v_max = float(np.abs(V).max())
+        r_in_range = 1.0 / _SQ_HI < float(r.min()) and float(r.max()) < _SQ_HI
+        r2 = r * r if r_in_range else None
 
         def quadratic(hbar):
             b = hbar - V
-            s = np.hypot(b, r)
+            if r_in_range and abs(hbar) + v_max < _SQ_HI:
+                s = np.sqrt(b * b + r2)
+            else:
+                s = np.hypot(b, r)
             big = s + np.abs(b)  # b + s where b >= 0, s - b where b < 0
-            m = np.divide(two_k, big, out=big / two_kappa, where=b >= 0.0)
+            m = np.where(b >= 0.0, two_k / big, big / two_kappa)
             return m, -m / s
 
         return quadratic

@@ -290,7 +290,8 @@ class TestOneNestedBlockCall:
 
 class TestResultAssembly:
     """The oracle point has u = 0 and the result holds no integral of Dm, so
-    an oracle solve makes no stencil call at all."""
+    an oracle solve makes no stencil call at all; its answer check's
+    nodewise Hamiltonian gives Hbar_std, with no `estimate_Hbar` call."""
 
     @pytest.mark.parametrize("solve, dim, alpha, gamma, P", [
         (solve_P0, 1, 1.5, 2.0, (0.0,)),
@@ -306,8 +307,9 @@ class TestResultAssembly:
             (lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
         spec = make_spec(n=16, dim=dim, alpha=alpha, gamma=gamma, P=P, V_fn=V_fn)
         stencil = count_calls(grid_module.central_diff_values)
+        estimate = count_calls(estimate_Hbar)
         res = solve(spec)
-        assert stencil.calls == 0
+        assert stencil.calls == 0 and estimate.calls == 0
         # the same evaluations with k = |P + Du|^gamma / gamma from the stencils
         obj = DiscreteObjective(spec)
         point = FeasiblePoint(spec.grid.zeros(), res.m)

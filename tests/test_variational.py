@@ -727,11 +727,14 @@ def bisection_m_block(a, k, V, coupling, cell):
 class TestNestedM:
     """The nested block on whole arrays (k > 0 at every node or at none)
     and on masked ones (mixed k), against bisection, at the exponents
-    alpha = 1 and 1.5 of the oracles and the minimiser, and at a = 0.5 and
-    2.5, exponents that no ProblemSpec of those paths has."""
+    alpha = 1 and 1.5 of the oracles and the minimiser, and at a = 0, 0.5
+    and 2.5, exponents that no ProblemSpec of those paths has.  At a = 0
+    every node solves the k = 0 equation at the potential V + k, on whole
+    arrays for any k; it agreed with bisection to 8.9e-15 in H-bar and
+    1.1e-15 in m over these cases."""
 
     @pytest.mark.parametrize("terms", [((0.5, 2.0),), ((0.5, 2.0), (1.0, 3.0))])
-    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.5])
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1.5, 2.5])
     @pytest.mark.parametrize("kin_pattern", ["positive", "zero", "mixed"])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_bisection(self, dim, kin_pattern, a, terms):
@@ -744,8 +747,25 @@ class TestNestedM:
         data = node_data(a, spec, k)
         hbar, m = nested_m(*data, *cold_start(spec, k))
         want_hbar, want_m = bisection_m_block(*data, spec.grid.h**spec.dim)
-        assert hbar == pytest.approx(want_hbar, abs=1e-12)
-        assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(want_m)
+        tol = 1e-13 if a == 0.0 else 1e-12
+        assert hbar == pytest.approx(want_hbar, abs=tol)
+        assert np.max(np.abs(m - want_m)) <= tol * np.max(want_m)
+
+    def test_exponent_0_block_is_one_nested_call_and_no_node_call(
+            self, monkeypatch, count_calls):
+        # k > 0 at every node would start the joint iteration at a > 0; at
+        # a = 0 `optimal_m` hands the block to `nested_m` at once, whose
+        # nodes take the vacuum density, with no psi
+        spec, k = m_block_case(1, 2.0, ((0.5, 2.0),), 10.0, 3, False)
+        assert (k > 0.0).all()
+        data = node_data(0.0, spec, k)
+        node = count_calls(variational._node)
+        calls = count_safeguard(monkeypatch)
+        got = optimal_m(*data, *cold_start(spec, k))
+        assert calls == [1] and node.calls == 0
+        want = bisection_m_block(*data, spec.grid.h**spec.dim)
+        assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-13)
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-13 * np.max(want[1])
 
     def test_general_alpha_evaluates_g_once_per_node_step(self, monkeypatch):
         # each node Newton step evaluates psi and psi' in one `_node` call,
@@ -769,6 +789,53 @@ class TestNestedM:
         want_hbar, want_m = bisection_m_block(*data, spec.grid.h**spec.dim)
         assert hbar == pytest.approx(want_hbar, abs=1e-12)
         assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(want_m)
+
+    @pytest.mark.parametrize("c", [0.05, 0.5, 3.0])
+    def test_alpha_1_quadratic_fast_branch_matches_the_hypot_form(
+            self, monkeypatch, c):
+        # inside the range where b b + r r neither overflows nor underflows,
+        # s = sqrt(b b + r r) with no np.hypot; m and dm/dHbar agree with
+        # the hypot two-quotient form to 4 eps relative (2.5 and 3.6 eps at
+        # most over 2.4 million such draws)
+        rng = np.random.default_rng(17)
+        n = 4000
+        hbar = float(rng.uniform(-10.0, 10.0))
+        values = rng.uniform(-1e6, 1e6, n) * 10.0 ** rng.uniform(-6.0, 0.0, n)
+        values[:50] = hbar  # b = 0
+        k = 10.0 ** rng.uniform(-12.0, 3.0, n)
+        b = hbar - values
+        assert (b == 0.0).any() and np.abs(b).max() <= 1e6 + 10.0
+        density = variational._node_density(1.0, k, values, CouplingG(((c, 2.0),)),
+                                            np.ones(n))
+
+        def no_hypot(*args):
+            raise AssertionError("np.hypot called inside the fast range")
+
+        monkeypatch.setattr(variational.np, "hypot", no_hypot)
+        m, dm = density(hbar)
+        monkeypatch.undo()
+        kappa = 2.0 * c
+        s = np.hypot(b, 2.0 * np.sqrt(kappa * k))
+        big = s + np.abs(b)
+        want = np.where(b >= 0.0, 2.0 * k / big, big / (2.0 * kappa))
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(m - want) / want) <= 4.0 * eps
+        assert np.max(np.abs(dm + want / s) / (want / s)) <= 4.0 * eps
+
+    @pytest.mark.parametrize("k_end", [1e-310, 6e307])
+    def test_alpha_1_quadratic_takes_hypot_where_r_leaves_the_range(self, k_end):
+        # one node, with b = 0, whose r = 2 sqrt(kappa k) lies below 2^-500
+        # or above 2^500, where r r would lose digits or overflow: the whole
+        # block takes np.hypot, bit for bit the two-quotient form
+        values = np.array([-3.0, -1.0, 0.5, 0.0, 1.5, 4.0])
+        k = np.array([1e-6, 0.5, k_end, 2.0, 1e3, 7.0])
+        m, dm = variational._node_density(1.0, k, values, QUAD, np.ones(6))(0.5)
+        b = 0.5 - values
+        s = np.hypot(b, 2.0 * np.sqrt(k))
+        big = s + np.abs(b)
+        want = np.where(b >= 0.0, 2.0 * k / big, big / 2.0)
+        assert np.array_equal(m, want)
+        assert np.array_equal(dm, -want / s)
 
     @pytest.mark.parametrize("hbar", [0.0, 1.5, -2.0])
     def test_alpha_1_quadratic_root_is_bitwise_the_two_quotient_form(self, hbar):
