@@ -46,26 +46,39 @@ class CouplingG:
         return sum(c * z**t for c, t in self.terms)
 
     def g(self, z):
-        """g = G', strictly increasing on z > 0 with g(0+) = 0.  A one-term
-        coupling takes the closed form c theta z^(theta - 1), with no power
-        at theta = 2."""
+        """g = G', strictly increasing on z > 0 with g(0+) = 0; ValueError
+        for a negative z.  Callers whose argument is >= 0 by construction,
+        the m-block's iterates, call `_g` and skip the check."""
         z = np.asarray(z, dtype=float)
         _check_nonneg(z)
+        return self._g(z)
+
+    def _g(self, z):
+        """g at an ndarray z >= 0, unchecked.  A one-term coupling takes the
+        closed form c theta z^(theta - 1), with no power at theta = 2."""
         if len(self.terms) == 1:
             (c, t), = self.terms
             return c * t * (z if t == 2.0 else z ** (t - 1.0))
         return sum(c * t * z ** (t - 1.0) for c, t in self.terms)
 
     def g_prime(self, z, z_floor: float = 0.0):
-        """g' = G''; z floored before negative powers (theta < 2 terms).  A
-        one-term coupling takes the closed form
-        c theta (theta - 1) z^(theta - 2), the constant 2c at theta = 2."""
+        """g' = G'' shaped like z, z floored at z_floor before negative
+        powers; ValueError for a negative z.  Callers whose argument is
+        >= 0 by construction call `_g_prime` and skip the check."""
         z = np.asarray(z, dtype=float)
         _check_nonneg(z)
+        gp = self._g_prime(z, z_floor)
+        return np.full(z.shape, gp) if np.ndim(gp) == 0 else gp
+
+    def _g_prime(self, z, z_floor: float):
+        """g' at an ndarray z >= 0, unchecked; z floored at z_floor before
+        negative powers (theta < 2 terms).  A one-term coupling takes the
+        closed form c theta (theta - 1) z^(theta - 2), the number 2c at
+        theta = 2, which broadcasts against z."""
         if len(self.terms) == 1:
             (c, t), = self.terms
             if t == 2.0:
-                return np.full(z.shape, c * t * (t - 1.0))
+                return c * t * (t - 1.0)
             zz = np.maximum(z, z_floor) if t < 2.0 else z
             return c * t * (t - 1.0) * zz ** (t - 2.0)
         out = np.zeros_like(z)

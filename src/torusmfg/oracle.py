@@ -47,9 +47,12 @@ def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
     m-block started at m = 1 and the cold Hbar guess, checked before it is
     returned.
 
-    At u = 0, P + Du is P at every node, so k is `kinetic_density` of the
-    constant field w = P, with no stencils.  J_h is undefined at
-    alpha = 1, so the objective is NaN there.  k is the same at every node,
+    At u = 0, P + Du is P at every node, so k is one number, formed once
+    by `kinetic_density` of w = P on a one-node field and filled into the
+    grid, with no stencils.  The one-node field takes the same array power
+    as the grid would, bit for bit; the power of a NumPy scalar can differ
+    from it in the last bit.  J_h is undefined at alpha = 1, so the
+    objective is NaN there.  k is the same at every node,
     so it is positive at every node (P != 0) or at none (P = 0), and the
     nodewise Hamiltonian q = k/m^alpha + V - g(m) is formed once on whole
     arrays, as q = V - g(m) where k = 0.  The answer must meet
@@ -59,7 +62,7 @@ def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
     equals that estimate bit for bit.
     """
     shape, obj = spec.grid.shape, DiscreteObjective(spec)
-    k = obj.kinetic_density([np.full(shape, p) for p in spec.P])
+    k = np.full(shape, obj.kinetic_density([np.full(1, p) for p in spec.P])[0])
     V, coupling = spec.V.values, spec.coupling
     hbar, m = nested_m(spec.alpha, k, V, coupling, cold_hbar(k, V, coupling),
                        np.ones(shape))

@@ -44,7 +44,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, central_diff_values, integrate_values
-from .model import NODE_STEP_RTOL, ProblemSpec, hbar_tol, mass_root, monotone_root
+from .model import (
+    NODE_STEP_RTOL,
+    ProblemSpec,
+    _check_nonneg,
+    hbar_tol,
+    mass_root,
+    monotone_root,
+)
 
 M_FLOOR = 1e-8  # floor of m inside negative powers of m
 MASS_CUTOFF = 1e-4  # vacuum at or below it: gamma m^alpha in the HJB is not trusted
@@ -236,10 +243,19 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
     Where psi' <= 0 at some node, the slope is not negative, a step is not
     finite, or _JOINT_STEPS steps pass without a stop, the nested solve
     `nested_m` takes over from the current (Hbar, m).
+
+    A negative m0 raises the coupling's ValueError once, before the first
+    joint step.  After that the iterate needs no check: each step keeps
+    x - dx where that is positive on every node, else moves the nodes
+    where it is not to a quarter of x, so `_node` evaluates g and g'
+    unchecked.  The nested solve needs none either: `monotone_root` clamps
+    its start at 0 and keeps m >= 0, and `CouplingG.conjugate_deriv`
+    returns m >= 0.
     """
     if a == 0.0 or not (k > 0.0).all():
         return nested_m(a, k, V, coupling, hbar0, m0)
     hbar, x = float(hbar0), np.asarray(m0, dtype=float)
+    _check_nonneg(x)
     cell = 1.0 / x.size
     # overflow and 0 * inf show as non-finite steps, which hand over
     with np.errstate(over="ignore", invalid="ignore"):
@@ -261,12 +277,14 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
                     ok = (s0 > 0.0) & (s1 > 0.0)
                     if ok.any():
                         dh = max(dh, -_HBAR_SHARE * float((s0[ok] / s1[ok]).min()))
-            dx = -(r + q * dh)
-            if not (math.isfinite(dh) and np.isfinite(dx).all()):
+            ndx = r + q * dh  # minus the node steps
+            if not (math.isfinite(dh) and np.isfinite(ndx).all()):
                 break
-            done = small and (np.abs(dx) <= NODE_STEP_RTOL * x).all()
-            x_new = x + dx
-            x = np.where(x_new > 0.0, x_new, 0.25 * x)
+            done = small and (np.abs(ndx) <= NODE_STEP_RTOL * x).all()
+            x_new = x - ndx
+            if x_new.min() <= 0.0:
+                x_new = np.where(x_new > 0.0, x_new, 0.25 * x)
+            x = x_new
             hbar += dh
             if done:
                 return hbar, x
@@ -278,12 +296,14 @@ def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
     """(psi, psi', x^a, s, g') of the node equation at x, with
     s = g(x) + Hbar - V: psi(x) = x^a s - k and
     psi'(x) = a x^(a-1) s + x^a g'(x), g' floored at x = 1e-300.  x^a is
-    x x^(a-1), so one power serves both; g and g' are evaluated once each.
-    It is the one place that writes psi and psi'."""
+    x x^(a-1), so one power serves both; g and g' are evaluated once each,
+    by the unchecked `CouplingG._g` and `_g_prime`, since every caller's
+    x >= 0 (see `optimal_m`); g' is the number 2c for a one-term theta = 2
+    coupling.  It is the one place that writes psi and psi'."""
     xa1 = x ** (a - 1.0)
     xa = x * xa1
-    s = coupling.g(x) + hbar - V
-    dg = coupling.g_prime(x, z_floor=1e-300)
+    s = coupling._g(x) + hbar - V
+    dg = coupling._g_prime(x, 1e-300)
     return xa * s - k, a * xa1 * s + xa * dg, xa, s, dg
 
 
@@ -292,10 +312,13 @@ def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
     dm/dHbar = -1/g'(m) where m > 0, 0 where m = 0.  The quotient is formed
     on every node and np.where picks it, which is cheaper than a masked
     divide; at m = 0, g'(0) = 0 for couplings of exponents above 2 alone,
-    and the 1/0 there is discarded."""
+    and the 1/0 there is discarded.  g' is the unchecked
+    `CouplingG._g_prime`, as (G*)' is never negative; for a one-term
+    theta = 2 coupling it is the number 2c, so the quotient is one
+    division."""
     m = coupling.conjugate_deriv(q, m0)
     with np.errstate(divide="ignore"):
-        dm = np.where(m > 0.0, -1.0 / coupling.g_prime(m, z_floor=1e-300), 0.0)
+        dm = np.where(m > 0.0, -1.0 / coupling._g_prime(m, 1e-300), 0.0)
     return m, dm
 
 

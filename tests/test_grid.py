@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from torusmfg.grid import (
     GridFunction,
     TorusGrid,
+    _normal_pinv_symbol,
     central_diff2_values,
     central_diff_values,
     from_json_record,
@@ -219,6 +220,16 @@ class TestNormalPinv:
         assert len(modes) == 2 ** sum(n % 2 == 0 for n in shape)
         for mode in modes:
             assert np.max(np.abs(normal_pinv_values(mode, h))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [12, 13, 64, 96, 128])
+    def test_1d_equals_the_rfftn_form(self, n):
+        # a 1D v takes rfft/irfft, which must equal the n-dimensional form
+        # bit for bit
+        v = np.random.default_rng(n).normal(size=n)
+        h = 1.0 / n
+        spec = np.fft.rfftn(v, axes=(0,)) * _normal_pinv_symbol(v.shape)
+        want = h**2 * np.fft.irfftn(spec, s=v.shape, axes=(0,))
+        assert np.array_equal(normal_pinv_values(v, h), want)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_output_has_mean_zero(self, shape):

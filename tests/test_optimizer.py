@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torusmfg import grid as grid_module
+from torusmfg import model
 from torusmfg import optimizer as optimizer_module
 from torusmfg import variational
 from torusmfg.grid import GridFunction, TorusGrid, central_diff_values
@@ -298,6 +299,21 @@ class TestMBlockWork:
         assert calls == {"blocks": 9, "nodes": 36, "handovers": 0}
         assert pinv.calls == 9
         assert stiffness.calls == 9
+
+    def test_var1d_coupling_checks_are_pinned(self, count_calls):
+        # the n = 64 solve above: the coupling's nonnegativity check runs
+        # once at the start of each of the 9 m-blocks, not in their 36
+        # joint steps, whose iterates stay positive by construction; the
+        # other 11 are the public g and G calls of cold_hbar, J_h (one per
+        # trial) and the H-bar estimate.  The joint steps checked g and g'
+        # each, 83 checks in all
+        checks = count_calls(model._check_nonneg)
+        spec = make_spec(n=64, P=(1.0,),
+                         V_fn=lambda x: np.cos(2 * np.pi * (x - 0.33187239186810047)))
+        res = minimize(DiscreteObjective(spec), "uniform",
+                       SolveOptions(step0=64.0, max_iters=100000))
+        assert res.iters == 8
+        assert checks.calls == 20
 
 
 class TestTwoLoop:

@@ -287,6 +287,39 @@ class TestOneNestedBlockCall:
             assert np.allclose(nested[0], spec.P_norm**2 / 2.0, rtol=1e-14, atol=0.0)
         assert joint == []
 
+    @pytest.mark.parametrize("solve, dim, alpha, gamma, P", [
+        (solve_P0, 1, 1.5, 2.5, (0.0,)),
+        (solve_P0, 2, 1.5, 1.3, (0.0, 0.0)),
+        (solve_critical, 1, 1.0, 2.5, (-0.7,)),
+        (solve_critical, 1, 1.0, 2.0, (1.3,)),
+        (solve_critical, 2, 1.0, 1.3, (0.3, -1.1)),
+        (solve_critical, 2, 1.0, 2.0, (0.8, -0.5)),
+    ])
+    def test_k_is_the_grid_array_form_bit_for_bit(
+            self, monkeypatch, solve, dim, alpha, gamma, P):
+        # k is one number filled into the grid; it must equal
+        # `kinetic_density` of the grid-shaped constant field w = P bit for
+        # bit.  At gamma 2.5, P = -0.7 and gamma 1.3, P = (0.3, -1.1) the
+        # power of a NumPy scalar differs from the array power in the last
+        # bit, so a scalar form of k fails here
+        seen = []
+        nested_m = oracle.nested_m
+
+        def counted_nested(a, k, *args):
+            seen.append(k)
+            return nested_m(a, k, *args)
+
+        monkeypatch.setattr(oracle, "nested_m", counted_nested)
+        V_fn = (lambda x: 2.0 * np.cos(2 * np.pi * x)) if dim == 1 else \
+            (lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
+        spec = make_spec(n=16, dim=dim, alpha=alpha, gamma=gamma, P=P, V_fn=V_fn)
+        solve(spec)
+        want = DiscreteObjective(spec).kinetic_density(
+            [np.full(spec.grid.shape, p) for p in P])
+        assert len(seen) == 1
+        assert seen[0].shape == spec.grid.shape
+        assert np.array_equal(seen[0], want)
+
 
 class TestResultAssembly:
     """The oracle point has u = 0 and the result holds no integral of Dm, so

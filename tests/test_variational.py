@@ -646,9 +646,9 @@ class TestOptimalM:
 
 
 class TestCouplingClosedForms:
-    """`CouplingG.g` and `g_prime`, which `_node` calls once each: a
-    one-term coupling takes closed forms, equal bit for bit to the sum over
-    terms."""
+    """`CouplingG.g` and `g_prime`, whose unchecked forms `_g` and
+    `_g_prime` `_node` calls once each: a one-term coupling takes closed
+    forms, equal bit for bit to the sum over terms."""
 
     @staticmethod
     def term_sums(terms, z, z_floor):
@@ -770,12 +770,13 @@ class TestNestedM:
     def test_general_alpha_evaluates_g_once_per_node_step(self, monkeypatch):
         # each node Newton step evaluates psi and psi' in one `_node` call,
         # so g and g' run once each per step, and once more at the root for
-        # dm/dHbar; psi and psi' written apart took two g per step
+        # dm/dHbar; psi and psi' written apart took two g per step.  `_node`
+        # calls the unchecked `_g` and `_g_prime`, so those are counted
         spec, k = m_block_case(2, 2.0, ((0.5, 2.0), (1.0, 3.0)), 5.0, 11, False)
         assert (k > 0.0).all()
         data = node_data(1.7, spec, k)
         start = cold_start(spec, k)
-        calls = {"g": 0, "g_prime": 0}
+        calls = {"_g": 0, "_g_prime": 0}
         for name in calls:
             def counted(self, *args, _name=name, _fn=getattr(CouplingG, name), **kw):
                 calls[_name] += 1
@@ -784,8 +785,8 @@ class TestNestedM:
             monkeypatch.setattr(CouplingG, name, counted)
         hbar, m = nested_m(*data, *start)
         monkeypatch.undo()
-        assert calls["g"] > 0
-        assert calls["g"] == calls["g_prime"]
+        assert calls["_g"] > 0
+        assert calls["_g"] == calls["_g_prime"]
         want_hbar, want_m = bisection_m_block(*data, spec.grid.h**spec.dim)
         assert hbar == pytest.approx(want_hbar, abs=1e-12)
         assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(want_m)
