@@ -111,8 +111,9 @@ class CouplingG:
         if np.any(pos):
             qp = q[pos]
             out[pos] = monotone_root(
-                # g' > 0 at the root
-                lambda m: (self.g(m) - qp, self.g_prime(m, z_floor=1e-300)),
+                # g' > 0 at the root; monotone_root keeps m >= 0, so g and g'
+                # go unchecked
+                lambda m: (self._g(m) - qp, self._g_prime(m, 1e-300)),
                 np.ones_like(qp) if m0 is None else np.asarray(m0, dtype=float)[pos],
             )
         return float(out) if out.ndim == 0 else out
@@ -297,6 +298,13 @@ class PotentialFamily:
     exp-sin-cos (d=2):         A exp(-sin^2(2 pi (x + sx))) cos(2 pi (y + sy))
     custom-samples:            values supplied directly
 
+    Every analytic family is sampled on the axis coordinates, with no
+    coordinate grid: each 2D family is one outer product of a factor in x,
+    A f(x + sx), and a factor in y, cos(2 pi (y + sy)), so a 2D sample makes
+    O(n) transcendental calls, not O(n^2).  The products are taken in the grid
+    formula's order, (A f(x)) g(y), so every sample is bitwise equal to the
+    formula evaluated at each node.
+
     ValueError at construction for an unknown family, for an analytic
     family's parameter outside its own list (`POTENTIAL_FAMILIES`), and for
     custom-samples without "values"; ValueError from `sample` for an
@@ -323,30 +331,23 @@ class PotentialFamily:
         A = float(p.get("amplitude", 1.0))
         if self.family in ("cosine-shift", "gaussian-bump") and grid.dim != 1:
             raise ValueError(f"{self.family} is one-dimensional")
+        if self.family in ("sine-cosine-product", "exp-sin-cos") and grid.dim != 2:
+            raise ValueError(f"{self.family} is two-dimensional")
+        x = grid.axis_coords()
         if self.family == "cosine-shift":
             shift = float(p.get("shift", 0.0))
-            vals = A * np.cos(2 * np.pi * (grid.coords()[0] - shift))
+            vals = A * np.cos(2 * np.pi * (x - shift))
         elif self.family == "gaussian-bump":
             center = float(p.get("center", 0.5))
-            vals = A * np.exp(-((grid.coords()[0] - center) ** 2))
-        elif self.family == "sine-cosine-product":
-            if grid.dim != 2:
-                raise ValueError("sine-cosine-product is two-dimensional")
+            vals = A * np.exp(-((x - center) ** 2))
+        elif self.family in ("sine-cosine-product", "exp-sin-cos"):
             sx = float(p.get("shift_x", 0.0))
             sy = float(p.get("shift_y", 0.0))
-            X, Y = grid.coords()
-            vals = A * np.sin(2 * np.pi * (X + sx)) * np.cos(2 * np.pi * (Y + sy))
-        elif self.family == "exp-sin-cos":
-            if grid.dim != 2:
-                raise ValueError("exp-sin-cos is two-dimensional")
-            sx = float(p.get("shift_x", 0.0))
-            sy = float(p.get("shift_y", 0.0))
-            X, Y = grid.coords()
-            vals = (
-                A
-                * np.exp(-np.sin(2 * np.pi * (X + sx)) ** 2)
-                * np.cos(2 * np.pi * (Y + sy))
-            )
+            fx = np.sin(2 * np.pi * (x + sx))
+            if self.family == "exp-sin-cos":
+                fx = np.exp(-fx**2)
+            # (A f(x)) g(y), the grid formula's order of products
+            vals = (A * fx)[:, None] * np.cos(2 * np.pi * (x + sy))
         else:  # custom-samples
             vals = np.asarray(p["values"], dtype=float)
         f = GridFunction(grid, np.asarray(vals, dtype=float))

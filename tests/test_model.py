@@ -445,6 +445,51 @@ class TestPotentials:
             V = pot.sample(TorusGrid(dim, 8))
             assert np.isfinite(V.values).all()
 
+    # the formulas of the 2D families at every node of a coordinate grid
+    GRID_FORMULAS = {
+        "sine-cosine-product": lambda X, Y, A, sx, sy: (
+            A * np.sin(2 * np.pi * (X + sx)) * np.cos(2 * np.pi * (Y + sy))),
+        "exp-sin-cos": lambda X, Y, A, sx, sy: (
+            A * np.exp(-np.sin(2 * np.pi * (X + sx)) ** 2)
+            * np.cos(2 * np.pi * (Y + sy))),
+    }
+
+    @pytest.mark.parametrize("n", [5, 12, 33, 128])
+    @pytest.mark.parametrize("family", sorted(GRID_FORMULAS))
+    def test_product_families_bitwise_equal_the_grid_formula(self, family, n):
+        # sampled as an outer product of an x factor and a y factor, with
+        # the products in the formula's order, every bit matches; zero and
+        # negative amplitudes keep their signed zeros, and shifts outside
+        # [0, 1) wrap as the formula does
+        g = TorusGrid(2, n)
+        X, Y = np.meshgrid(g.axis_coords(), g.axis_coords(), indexing="ij")
+        for A in (0.0, -0.0, 1.0, -2.5, 11.3):
+            for sx, sy in ((0.0, 0.0), (0.3, -0.45), (-1.7, 2.25), (13.61, -0.5)):
+                V = PotentialFamily(
+                    family, {"amplitude": A, "shift_x": sx, "shift_y": sy}
+                ).sample(g)
+                want = self.GRID_FORMULAS[family](X, Y, A, sx, sy)
+                assert V.values.shape == (n, n)
+                assert V.values.tobytes() == want.tobytes()
+        # the defaults: amplitude 1, no shift
+        V = PotentialFamily(family).sample(g)
+        assert V.values.tobytes() == self.GRID_FORMULAS[family](X, Y, 1.0, 0.0, 0.0).tobytes()
+
+    def test_analytic_families_sample_without_a_coordinate_grid(self, monkeypatch):
+        # every analytic family reads the axis coordinates alone
+        def no_grid(self):
+            raise AssertionError("a potential sampled a coordinate grid")
+
+        monkeypatch.setattr(TorusGrid, "coords", no_grid)
+        dims = {"cosine-shift": 1, "gaussian-bump": 1,
+                "sine-cosine-product": 2, "exp-sin-cos": 2}
+        assert set(dims) == {f for f, keys in model.POTENTIAL_FAMILIES.items()
+                             if keys is not None}
+        for family, dim in dims.items():
+            V = PotentialFamily(family, {"amplitude": 2.0}).sample(TorusGrid(dim, 16))
+            assert V.values.shape == (16,) * dim
+            assert np.isfinite(V.values).all()
+
 
 class TestProblemSpec:
     def test_grid_mismatch_rejected(self):

@@ -105,6 +105,50 @@ class TestSolveP0:
         with pytest.raises(ValueError, match="P = 0"):
             continuum_Hbar_P0(spec, pot)
 
+    def test_continuum_normalization_2d_bitwise_equals_the_grid_formula(self):
+        # the fine 2D sampling is an outer product of per-axis factors; the
+        # formula sampled at every fine node gives the same H-bar to the bit
+        pot = PotentialFamily("exp-sin-cos",
+                              {"amplitude": 3.0, "shift_x": 0.2, "shift_y": -0.35})
+
+        def formula(x, y):
+            return (3.0 * np.exp(-np.sin(2 * np.pi * (x + 0.2)) ** 2)
+                    * np.cos(2 * np.pi * (y - 0.35)))
+
+        spec = make_spec(n=32, dim=2, V_fn=formula)
+        fine = TorusGrid(2, oracle.N_FINE[2]).from_callable(formula)
+        on_nodes = PotentialFamily("custom-samples", {"values": fine.values})
+        hbar = continuum_Hbar_P0(spec, pot)
+        assert hbar == continuum_Hbar_P0(spec, on_nodes)
+        assert hbar == pytest.approx(solve_P0(spec).Hbar, abs=5e-3)
+
+    def test_two_term_coupling_roots_run_no_check(self, monkeypatch, count_calls):
+        # a two-term coupling inverts g by monotone_root, whose iterates
+        # stay >= 0, so its steps evaluate g and g' unchecked: no check
+        # runs inside its loop (58 did with the public g and g'), and the
+        # answer is the one the checked steps gave, to the bit
+        checks = count_calls(model._check_nonneg)
+        inside = []
+        root = model.monotone_root
+
+        def watched(node, m0):
+            before = checks.calls
+            out = root(node, m0)
+            inside.append(checks.calls - before)
+            return out
+
+        monkeypatch.setattr(model, "monotone_root", watched)
+        spec = make_spec(n=4096, V_fn=lambda x: 5.0 * np.cos(2 * np.pi * x),
+                         coupling=CouplingG(((0.5, 2.0), (1.0, 3.0))))
+        res = solve_P0(spec)
+        m = res.m.values
+        assert len(inside) > 0 and sum(inside) == 0
+        assert res.Hbar == float.fromhex("-0x1.3a7e78618e138p+2")
+        assert int(np.count_nonzero(m == 0.0)) == 243
+        assert float(m.max()) == float.fromhex("0x1.a8a9032df44ffp+0")
+        assert float(m @ np.arange(4096.0)) == float.fromhex("0x1.ffcaeadf9a418p+22")
+        assert float(m @ m) == float.fromhex("0x1.4e48018f679bep+12")
+
 
 class TestSolveCritical:
     def test_symmetric_constant_solution(self):
