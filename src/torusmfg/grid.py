@@ -103,9 +103,6 @@ class GridFunction:
                     f"{self.grid.num_nodes}"
                 )
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
-
 
 @functools.lru_cache(maxsize=32)
 def _neighbour_table(n: int) -> dict[int, np.ndarray]:

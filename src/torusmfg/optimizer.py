@@ -88,8 +88,9 @@ class SolveResult:
     u: GridFunction
     m: GridFunction
     Hbar: float                 # the multiplier of the mass constraint
-    # std of the nodewise Hamiltonian over {m > MASS_CUTOFF}: the m-block
-    # residual
+    # std of the nodewise Hamiltonian over {m > MASS_CUTOFF}, the m-block
+    # residual: `estimate_Hbar` in `minimize`, the answer check's own
+    # nodewise quantity in the oracles
     Hbar_std: float
     objective: float
     iters: int
@@ -97,7 +98,7 @@ class SolveResult:
     # "line_search": no trial down to MIN_STEP passed the line search, so
     # the iterate can no longer change; "iteration_cap": max_iters ran out
     stop_reason: str
-    gradmap: float = float("nan")
+    gradmap: float
 
     @property
     def converged(self) -> bool:
@@ -107,25 +108,6 @@ class SolveResult:
     @property
     def point(self) -> FeasiblePoint:
         return FeasiblePoint(self.u, self.m)
-
-
-def solve_result(point: FeasiblePoint, hbar: float, hbar_std: float,
-                 objective: float, iters: int, stop_reason: str,
-                 gradmap: float) -> SolveResult:
-    """The SolveResult at point = (u, m); hbar_std is the caller's std of
-    the nodewise Hamiltonian over {m > MASS_CUTOFF}: `estimate_Hbar` at the
-    minimiser's point, and the answer check's own nodewise quantity at an
-    oracle's."""
-    return SolveResult(
-        u=point.u,
-        m=point.m,
-        Hbar=hbar,
-        Hbar_std=hbar_std,
-        objective=objective,
-        iters=iters,
-        stop_reason=stop_reason,
-        gradmap=gradmap,
-    )
 
 
 def random_feasible_point(grid, seed: int) -> FeasiblePoint:
@@ -170,7 +152,7 @@ def _initial_point(grid, init) -> tuple[np.ndarray, np.ndarray]:
         u, m = np.zeros(grid.shape), np.ones(grid.shape)  # a fixed point of the projection
     else:
         raise ValueError(f"unrecognised init {init!r}")
-    return u - u.mean(), project_simplex_values(m, float(grid.num_nodes))
+    return u - u.mean(), project_simplex_values(m)
 
 
 def _two_loop(pairs, gu: np.ndarray, pg: np.ndarray,
@@ -304,5 +286,5 @@ def minimize(
             trace_file.write(f"{iters},{J:.17g},{gradmap:.17g},{t:.17g}\n")
 
     point = FeasiblePoint(GridFunction(sp.grid, u), GridFunction(sp.grid, m))
-    return solve_result(point, hbar, estimate_Hbar(point, obj, k)[1], J, iters,
-                        stop_reason, gradmap)
+    return SolveResult(point.u, point.m, hbar, estimate_Hbar(point, obj, k)[1], J,
+                       iters, stop_reason, gradmap)

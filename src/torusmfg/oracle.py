@@ -9,12 +9,18 @@ a call of the nested m-block `variational.nested_m` on the node equation
 m^a (g(m) + Hbar - V) = k with exponent a = alpha and right side
 k = |P|^gamma / gamma at every node, from m = 1 and the Hbar at which
 m = 1 solves every node for constant V, returned as the SolveResult of
-(u, m) = (0, m).  Its node roots are closed forms wherever the coupling
-allows: the k = 0 power of `CouplingG.conjugate_deriv` for a one-term
-coupling, and the quadratic for g(m) = kappa m at a = 1.  `_solve_at_u0`
-also checks its answer with the k and m it has just formed, so the oracles
-add only the checks of their input; the nodewise Hamiltonian of that check
-also gives the result's Hbar_std.
+(u, m) = (0, m), which it builds itself.  k is one number, so the block
+is a whole-array one: at P = 0 it is the vacuum closure of
+`variational._node_density`,
+m = (G*)'(V - Hbar) by `CouplingG.conjugate_deriv`, at any alpha (the
+closure that `nested_m` also makes of an exponent-0 block, as the k = 0
+block at the potential V + k), and at alpha = 1 the node roots.  Those
+are closed forms wherever the coupling allows: the k = 0 power of
+`conjugate_deriv` for a one-term coupling, and the quadratic for
+g(m) = kappa m at a = 1.  `_solve_at_u0` also checks its answer with the
+k and m it has just formed, so the oracles add only the checks of their
+input; the nodewise Hamiltonian of that check also gives the result's
+Hbar_std.
 """
 
 from __future__ import annotations
@@ -28,11 +34,10 @@ from .model import BracketError, ProblemSpec
 from .variational import (
     MASS_CUTOFF,
     DiscreteObjective,
-    FeasiblePoint,
     cold_hbar,
     nested_m,
 )
-from .optimizer import SolveResult, solve_result
+from .optimizer import SolveResult
 
 # mass error and nodewise residual (at the nodes with k > 0) allowed in an
 # answer of _solve_at_u0
@@ -77,8 +82,8 @@ def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
     objective = float("nan")
     if spec.alpha > 1.0:
         objective = obj.value_arrays(k, m, obj.stiffness(m))
-    point = FeasiblePoint(spec.grid.zeros(), GridFunction(spec.grid, m))
-    return solve_result(point, hbar, hbar_std, objective, 0, "stationary", 0.0)
+    return SolveResult(spec.grid.zeros(), GridFunction(spec.grid, m), hbar, hbar_std,
+                       objective, 0, "stationary", 0.0)
 
 
 def solve_P0(spec: ProblemSpec) -> SolveResult:

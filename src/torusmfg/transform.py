@@ -64,14 +64,20 @@ class HJBConvergenceError(RuntimeError):
 
 
 def transform_exponents(alpha: float, gamma: float) -> tuple[float, float]:
-    """(gamma', alpha~) for 0 < alpha < 1, gamma > 1; lands in 1 < alpha~ < gamma'."""
+    """(gamma', alpha~) for 0 < alpha < 1, gamma > 1, where 1 < alpha~ < gamma'
+    in exact arithmetic.  ValueError where alpha~ rounds onto an end of that
+    interval, as for alpha near 0 or 1 or gamma near 1 or huge."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"transform requires 0 < alpha < 1, got {alpha}")
     if not 1.0 < gamma < np.inf:
         raise ValueError(f"transform requires finite gamma > 1, got {gamma}")
     gamma_prime = gamma / (gamma - 1.0)
     alpha_tilde = alpha - (alpha - 1.0) * gamma_prime
-    assert 1.0 < alpha_tilde < gamma_prime
+    if not 1.0 < alpha_tilde < gamma_prime:
+        raise ValueError(
+            f"transformed exponents leave 1 < alpha~ < gamma' in floating point: "
+            f"alpha~ = {alpha_tilde!r}, gamma' = {gamma_prime!r}"
+        )
     return gamma_prime, alpha_tilde
 
 
@@ -113,11 +119,6 @@ class DualSpec:
             V=GridFunction(b.grid, scale * b.V.values),
             coupling=b.coupling.scaled(scale),
         )
-
-
-def solve_dual(dual: DualSpec) -> SolveResult:
-    """Minimise the dual functional; the result's u is the stream function psi."""
-    return minimize(DiscreteObjective(dual.problem), "uniform")
 
 
 def _dual_flux(psi: GridFunction, m: GridFunction, dual: DualSpec) -> list[np.ndarray]:
@@ -392,7 +393,11 @@ def solve_hjb_discounted(
 
 def hjb_residual(u: GridFunction, m: GridFunction, P, spec: ProblemSpec,
                  beta: float) -> float:
-    """Max-norm residual of the scheme that `solve_hjb_discounted` solves."""
+    """Max-norm residual of the scheme that `solve_hjb_discounted` solves;
+    ValueError for a u on another grid than spec's, besides the input
+    checks of `_hjb_scheme`."""
+    if u.grid != spec.grid:
+        raise ValueError(f"u lies on {u.grid}, the problem on {spec.grid}")
     residual, _ = _hjb_scheme(m, P, spec, beta)
     return float(np.max(np.abs(residual(u.values)[0])))
 
@@ -409,13 +414,14 @@ class TransformResult:
     Hbar: float
     paper_Hbar_beta: float      # max u^(beta), the normalisation constant
     residuals: dict
-    dual_result: SolveResult = field(repr=False, default=None)
+    dual_result: SolveResult = field(repr=False)
 
 
 def pipeline_alpha_lt_1(dual: DualSpec) -> TransformResult:
     """Exponent transform, dual solve, drift recovery, discounted HJB.
 
-    The dual solve runs with the default `SolveOptions`.  The HJB is solved
+    The dual solve is `minimize` from the uniform start with the default
+    `SolveOptions`; its u is the stream function psi.  The HJB is solved
     once, at the discount rate _BETA, and H-bar = -beta integral(u^beta).
 
     The solve starts from the dual solution, in which P + Du is the rotated
@@ -434,7 +440,7 @@ def pipeline_alpha_lt_1(dual: DualSpec) -> TransformResult:
     gap between the dual's and the HJB's H-bar ("hbar_dual_consistency").
     """
     base, h = dual.base, dual.base.grid.h
-    res = solve_dual(dual)
+    res = minimize(DiscreteObjective(dual.problem), "uniform")
     psi, m = res.u, res.m
     flux = _dual_flux(psi, m, dual)
     P = recover_P(flux, h)

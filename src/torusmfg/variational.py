@@ -219,9 +219,9 @@ def optimal_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
     positive; `_node` evaluates psi, psi', m^a, s = g(m) + Hbar - V and
     g'(m) for this iteration and for `nested_m`.  A block with k = 0 at
     some node, such as the first block of a P = 0 solve from u = 0, and a
-    block at a = 0, whose nodes solve the k = 0 equation at the potential
-    V + k, are `nested_m`'s from (hbar0, m0), with no joint step; the
-    oracles solve their u = 0 blocks with `nested_m` too.
+    block at a = 0 go to `nested_m` from (hbar0, m0), with no joint step;
+    `nested_m` solves an a = 0 block as the k = 0 block at the potential
+    V + k.  The oracles solve their u = 0 blocks with `nested_m` too.
 
     One Newton iteration moves every node and Hbar together, from
     (hbar0, m0).  Linearised, a node steps by
@@ -307,21 +307,6 @@ def _node(a: float, coupling, x: np.ndarray, hbar: float, V: np.ndarray,
     return xa * s - k, a * xa1 * s + xa * dg, xa, s, dg
 
 
-def _vacuum_density(coupling, q: np.ndarray, m0: np.ndarray):
-    """(m, dm/dHbar) of the k = 0 nodes at V - Hbar = q: m = (G*)'(q), and
-    dm/dHbar = -1/g'(m) where m > 0, 0 where m = 0.  The quotient is formed
-    on every node and np.where picks it, which is cheaper than a masked
-    divide; at m = 0, g'(0) = 0 for couplings of exponents above 2 alone,
-    and the 1/0 there is discarded.  g' is the unchecked
-    `CouplingG._g_prime`, as (G*)' is never negative; for a one-term
-    theta = 2 coupling it is the number 2c, so the quotient is one
-    division."""
-    m = coupling.conjugate_deriv(q, m0)
-    with np.errstate(divide="ignore"):
-        dm = np.where(m > 0.0, -1.0 / coupling._g_prime(m, 1e-300), 0.0)
-    return m, dm
-
-
 def nested_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
              hbar0: float, m0: np.ndarray) -> tuple[float, np.ndarray]:
     """`optimal_m` by nested solves: `mass_root` on Hbar from hbar0 around
@@ -336,15 +321,19 @@ def nested_m(a: float, k: np.ndarray, V: np.ndarray, coupling,
     kappa m^2 + b m - k with kappa = 2c and b = Hbar - V.  With
     s = sqrt(b^2 + 4 kappa k) its root is m = 2k / (b + s) where b >= 0
     and m = (s - b) / (2 kappa) where b < 0, neither of which cancels, and
-    dm/dHbar = -m / s.  The k = 0 nodes take `_vacuum_density`,
-    warm-started the same way.  At a = 0 the node equation is
-    g(m) + Hbar - (V + k) = 0, so every node takes `_vacuum_density` at the
-    potential V + k.  Where k is positive at every node or at none, or
-    a = 0, the density works on whole arrays, with no masked copies.
+    dm/dHbar = -m / s.  The k = 0 nodes take the vacuum density
+    m = (G*)'(V - Hbar), warm-started the same way.  At a = 0 the node
+    equation is g(m) + Hbar - (V + k) = 0, the k = 0 equation at the
+    potential V + k, so the block first replaces (k, V) by (0, V + k) and
+    is then a vacuum block on every node.  Where k is positive at every
+    node or at none, the density works on whole arrays, with no masked
+    copies.
     """
     m0 = np.asarray(m0, dtype=float)
+    if a == 0.0:
+        k, V = np.zeros_like(k), V + k
     pos = k > 0.0
-    if a == 0.0 or pos.all() or not pos.any():
+    if pos.all() or not pos.any():
         density = _node_density(a, k, V, coupling, m0)
     else:
         parts = [(idx, _node_density(a, k[idx], V[idx], coupling, m0[idx]))
@@ -367,10 +356,18 @@ _SQ_HI = 2.0**500
 
 def _node_density(a: float, k: np.ndarray, V: np.ndarray, coupling, m0: np.ndarray):
     """density(Hbar) -> (m, dm/dHbar) of nodes with k either positive at
-    every one of them or 0 at every one.  a = 0, and k = 0 at any a, take
-    `_vacuum_density`, at the potential V + k and V.  Positive k takes the
-    a = 1 quadratic closed form where it applies, else the roots of
-    `_node`'s psi.
+    every one of them or 0 at every one, at an exponent a > 0 (`nested_m`
+    rewrites a = 0 as k = 0).  Positive k takes the a = 1 quadratic closed
+    form where it applies, else the roots of `_node`'s psi.
+
+    k = 0 takes the vacuum density m = (G*)'(V - Hbar), with
+    dm/dHbar = -1/g'(m) where m > 0 and 0 where m = 0.  The quotient is
+    formed on every node and np.where picks it, which is cheaper than a
+    masked divide; at m = 0, g'(0) = 0 for couplings of exponents above 2
+    alone, and the 1/0 there is discarded.  g' is the unchecked
+    `CouplingG._g_prime`, as (G*)' is never negative; for a one-term
+    theta = 2 coupling it is the number 2c, so the quotient is one
+    division.
 
     The quadratic forms s = sqrt(b^2 + r^2) with r = 2 sqrt(kappa k), r^2
     formed once here, wherever |Hbar| + max |V| < _SQ_HI and
@@ -378,12 +375,13 @@ def _node_density(a: float, k: np.ndarray, V: np.ndarray, coupling, m0: np.ndarr
     s = hypot(b, r).  It picks its two quotients with np.where."""
     terms = coupling.terms
     m_last = m0
-    if a == 0.0 or not k.any():
-        q0 = V + k if a == 0.0 else V
-
+    if not k.any():
         def vacuum(hbar):
             nonlocal m_last
-            m_last, dm = _vacuum_density(coupling, q0 - hbar, m_last)
+            m_last = coupling.conjugate_deriv(V - hbar, m_last)
+            with np.errstate(divide="ignore"):
+                dm = np.where(m_last > 0.0,
+                              -1.0 / coupling._g_prime(m_last, 1e-300), 0.0)
             return m_last, dm
 
         return vacuum
@@ -420,14 +418,15 @@ def _node_density(a: float, k: np.ndarray, V: np.ndarray, coupling, m0: np.ndarr
 # ---------------------------------------------------------------------------
 # feasibility projection
 
-def project_simplex_values(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection of v onto {x >= 0, sum x = total} (sort method);
-    ValueError for a v that is not finite."""
+def project_simplex_values(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of v onto {x >= 0, sum x = v.size} (sort
+    method), the unit-mass set h^d sum x = 1 of a grid function with
+    v.size nodes; ValueError for a v that is not finite."""
     if not np.isfinite(v).all():
         raise ValueError("cannot project a non-finite m onto the simplex")
     flat = v.ravel()
     u = np.sort(flat)[::-1]
-    css = np.cumsum(u) - total
+    css = np.cumsum(u) - flat.size
     idx = np.arange(1, flat.size + 1)
     rho = idx[u - css / idx > 0][-1]
     tau = css[rho - 1] / rho
@@ -435,11 +434,10 @@ def project_simplex_values(v: np.ndarray, total: float) -> np.ndarray:
 
 
 def project_feasible(u: GridFunction, m: GridFunction) -> FeasiblePoint:
-    """Euclidean projection onto A_h: de-mean u, simplex-project m."""
-    if u.grid != m.grid:
-        raise ValueError("u and m must share one grid")
+    """Euclidean projection onto A_h: de-mean u, simplex-project m;
+    `FeasiblePoint` raises ValueError for a u and m on two grids."""
     uproj = u.values - u.values.mean()
-    mproj = project_simplex_values(m.values, float(m.grid.num_nodes))
+    mproj = project_simplex_values(m.values)
     return FeasiblePoint(GridFunction(u.grid, uproj), GridFunction(m.grid, mproj))
 
 

@@ -75,15 +75,6 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             GridFunction(g, np.zeros(63))
 
-    def test_array_conversion_copies_only_when_asked(self):
-        g = TorusGrid(1, 8)
-        f = g.constant(1.0)
-        a = np.array(f)
-        a[0] = 5.0
-        assert f.values[0] == 1.0
-        assert np.shares_memory(np.asarray(f), f.values)
-        assert np.asarray(f, dtype=np.float32).dtype == np.float32
-
 
 class TestCentralDiff:
     def test_constant_maps_to_zero(self):

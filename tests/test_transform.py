@@ -17,6 +17,7 @@ from torusmfg.grid import (
     upwind_slopes,
 )
 from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
+from torusmfg.optimizer import minimize
 from torusmfg.transform import (
     DualSpec,
     HJBConvergenceError,
@@ -28,10 +29,10 @@ from torusmfg.transform import (
     hjb_residual,
     pipeline_alpha_lt_1,
     recover_P,
-    solve_dual,
     solve_hjb_discounted,
     transform_exponents,
 )
+from torusmfg.variational import DiscreteObjective
 
 QUAD = CouplingG.quadratic()
 
@@ -70,6 +71,19 @@ class TestExponents:
         with pytest.raises(ValueError, match="gamma"):
             transform_exponents(0.5, gamma)
 
+    @pytest.mark.parametrize("alpha, gamma", [
+        (1e-20, 2.0), (1e-17, 2.0), (0.5, 1e300), (0.9999999999999999, 2.0),
+        (1e-300, 1.0000000001),
+    ])
+    def test_rejects_exponents_that_round_onto_an_end(self, alpha, gamma):
+        # alpha~ rounds onto 1 or onto gamma' here; a bare assert raised
+        # AssertionError, and under python -O let the exponents through
+        base = base_spec(8, alpha=alpha, gamma=gamma)
+        with pytest.raises(ValueError, match="alpha~ = .*gamma' = "):
+            transform_exponents(alpha, gamma)
+        with pytest.raises(ValueError, match="alpha~"):
+            DualSpec(base, (1.0, 0.0))
+
 
 class TestDualSpec:
     def test_rejects_a_base_drift(self):
@@ -103,7 +117,7 @@ class TestConstantRoundTrip:
         # flat V: psi = 0 and m = 1 solve the dual problem, and the flux is
         # |Q|^(gamma'-2) Q, so Pperp = |Q|^(gamma'-2) Q and P = (Pperp_2, -Pperp_1)
         dual = DualSpec(base_spec(12, gamma=gamma), Q)
-        res = solve_dual(dual)
+        res = minimize(DiscreteObjective(dual.problem), "uniform")
         psi, m = res.u, res.m
         assert np.max(np.abs(psi.values)) <= 1e-12
         assert np.max(np.abs(m.values - 1.0)) <= 1e-12
@@ -237,6 +251,16 @@ class TestHJBInputErrors:
             # the residual shares the scheme and its checks
             with pytest.raises(ValueError, match=match):
                 hjb_residual(spec.grid.zeros(), args["m"], args["P"], spec, 1e-2)
+
+    def test_residual_rejects_a_u_on_another_grid(self):
+        # a 1D zero u broadcast against the 2D arrays and returned 1.955,
+        # where the 2D zero u gives 1.95
+        spec = ProblemSpec(2, 8, 0.5, 2.0, (0.0, 0.0), sine_cosine().sample(TorusGrid(2, 8)),
+                           QUAD)
+        m, P = spec.grid.constant(1.0), (0.3, 0.1)
+        assert hjb_residual(spec.grid.zeros(), m, P, spec, 1e-3) == pytest.approx(1.95)
+        with pytest.raises(ValueError, match="u lies on"):
+            hjb_residual(TorusGrid(1, 8).zeros(), m, P, spec, 1e-3)
 
 
 def scheme_power_sum(u, p, gamma):

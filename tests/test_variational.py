@@ -25,6 +25,7 @@ from torusmfg.variational import (
     nested_m,
     optimal_m,
     project_feasible,
+    project_simplex_values,
 )
 
 QUAD = CouplingG.quadratic()
@@ -250,6 +251,17 @@ class TestProjection:
     def test_rejects_fields_on_two_grids(self):
         with pytest.raises(ValueError, match="one grid"):
             project_feasible(TorusGrid(1, 10).zeros(), TorusGrid(1, 12).constant(1.0))
+
+    def test_simplex_total_is_the_node_count(self):
+        # the unit-mass set h^d sum m = 1 is sum m = v.size, so the total is
+        # read off v, not passed
+        assert list(inspect.signature(project_simplex_values).parameters) == ["v"]
+        rng = np.random.default_rng(54)
+        for shape in [(7,), (64,), (8, 8), (13, 21)]:
+            v = rng.normal(scale=3.0, size=shape)
+            x = project_simplex_values(v)
+            assert x.shape == shape and x.min() >= 0.0
+            assert x.sum() == pytest.approx(v.size, rel=1e-13)
 
     def test_idempotent_and_nonexpansive(self):
         g = TorusGrid(2, 8)
@@ -766,6 +778,23 @@ class TestNestedM:
         want = bisection_m_block(*data, spec.grid.h**spec.dim)
         assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-13)
         assert np.max(np.abs(got[1] - want[1])) <= 1e-13 * np.max(want[1])
+
+    @pytest.mark.parametrize("terms", [((0.5, 2.0),), ((0.5, 2.0), (1.0, 3.0))])
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_exponent_0_block_is_the_k_0_block_at_V_plus_k(self, dim, mixed, terms):
+        # the a = 0 node equation g(m) + Hbar - (V + k) = 0 is the k = 0
+        # equation at the potential V + k, at any exponent, bit for bit
+        spec, k = m_block_case(dim, 2.0, terms, 5.0, 11, mixed)
+        assert (k > 0.0).any() and (k > 0.0).all() != mixed
+        _, _, V, coupling = node_data(0.0, spec, k)
+        hbar0, m0 = cold_start(spec, k)
+        got = [f(0.0, k, V, coupling, hbar0, m0) for f in (nested_m, optimal_m)]
+        for a in (0.0, 1.5):
+            want_hbar, want_m = nested_m(a, np.zeros_like(k), V + k, coupling, hbar0, m0)
+            for hbar, m in got:
+                assert hbar == want_hbar
+                assert np.array_equal(m, want_m)
 
     def test_general_alpha_evaluates_g_once_per_node_step(self, monkeypatch):
         # each node Newton step evaluates psi and psi' in one `_node` call,
