@@ -69,10 +69,7 @@ class TorusGrid:
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays of the full grid, shaped like a grid function."""
-        x = self.axis_coords()
-        if self.dim == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis_coords(),) * self.dim, indexing="ij"))
 
     def zeros(self) -> "GridFunction":
         return GridFunction(self, np.zeros(self.shape))
@@ -82,7 +79,7 @@ class TorusGrid:
 
     def from_callable(self, fn) -> "GridFunction":
         """Sample fn(x) (d=1) or fn(x, y) (d=2) at the nodes."""
-        return GridFunction(self, np.asarray(fn(*self.coords()), dtype=float))
+        return GridFunction(self, fn(*self.coords()))
 
 
 @dataclass
@@ -257,4 +254,6 @@ def to_json_record(f: GridFunction) -> dict:
 
 
 def from_json_record(rec: dict) -> GridFunction:
-    return GridFunction(TorusGrid(int(rec["dim"]), int(rec["n"])), np.asarray(rec["values"]))
+    """The GridFunction of a `to_json_record` record; ValueError from
+    `TorusGrid` for a dim or n that is not an integer."""
+    return GridFunction(TorusGrid(rec["dim"], rec["n"]), rec["values"])

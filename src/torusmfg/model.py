@@ -349,8 +349,8 @@ class PotentialFamily:
             # (A f(x)) g(y), the grid formula's order of products
             vals = (A * fx)[:, None] * np.cos(2 * np.pi * (x + sy))
         else:  # custom-samples
-            vals = np.asarray(p["values"], dtype=float)
-        f = GridFunction(grid, np.asarray(vals, dtype=float))
+            vals = p["values"]
+        f = GridFunction(grid, vals)
         if not np.all(np.isfinite(f.values)):
             raise ValueError("potential samples must be finite")
         return f

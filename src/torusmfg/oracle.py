@@ -73,9 +73,10 @@ def _solve_at_u0(spec: ProblemSpec) -> SolveResult:
                        np.ones(shape))
     pos = k > 0.0
     q = (k / m**spec.alpha + V if pos.all() else V) - coupling.g(m)
-    if np.max(np.abs(q[pos] - hbar), initial=0.0) > RESIDUAL_TOL:
+    # NaN fails every comparison, so a NaN answer stops here too
+    if not np.max(np.abs(q[pos] - hbar), initial=0.0) <= RESIDUAL_TOL:
         raise BracketError("nodewise algebraic residual above tolerance")
-    if abs(integrate_values(m, spec.grid.h) - 1.0) > MASS_TOL:
+    if not abs(integrate_values(m, spec.grid.h) - 1.0) <= MASS_TOL:
         raise BracketError("mass normalisation did not converge to tolerance")
     # unit mass leaves m >= 1 > MASS_CUTOFF at some node
     hbar_std = float(q[m > MASS_CUTOFF].std())

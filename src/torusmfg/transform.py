@@ -207,16 +207,16 @@ def _hjb_scheme(m: GridFunction, P, spec: ProblemSpec, beta: float):
 
 @functools.lru_cache(maxsize=32)
 def _nd_stencil(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (cols, gather, diag) of the HJB Jacobian in nested-dissection
-    order, built once per grid shape.
+    """Read-only (cols, gather, indptr) of the full-stencil HJB Jacobian in
+    nested-dissection order, built once per grid shape.
 
     Row i of the Jacobian is node perm[i] of `nested_dissection_order`.  Its
     2d+1 stencil columns (the node, then the i+1 and i-1 neighbours of each
     axis k) are numbered in that order and sorted, so that any subset of a
-    row is a canonical CSR row; the rows are laid end to end in flat arrays.
-    gather holds the flat index of each entry's coefficient in the
-    (2d+1, N) stack [diag, -c_a0, -c_b0, ...] in C order, and diag marks
-    the diagonal entries.
+    row is a canonical CSR row; the rows are laid end to end in flat arrays,
+    2d+1 entries each, and indptr points at their starts.  gather holds the
+    flat index of each entry's coefficient in the (2d+1, N) stack
+    [diag, -c_a0, -c_b0, ...] in C order.
     """
     perm, inv = nested_dissection_order(shape)
     size = perm.size
@@ -227,7 +227,8 @@ def _nd_stencil(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndar
     cols = inv[np.stack(stencil, axis=1)[perm]]
     slots = np.argsort(cols, axis=1)
     table = (np.take_along_axis(cols, slots, axis=1).astype(np.intc).ravel(),
-             (slots * size + perm[:, None]).ravel(), (slots == 0).ravel())
+             (slots * size + perm[:, None]).ravel(),
+             np.arange(0, cols.size + 1, cols.shape[1], dtype=np.intc))
     for a in table:
         a.setflags(write=False)
     return table
@@ -242,16 +243,17 @@ def _hjb_jacobian(slopes, gamma: float, h: float, denom: np.ndarray,
     Node i holds beta + sum_k (c_a + c_b) on the diagonal, -c_a at the i+1
     neighbour and -c_b at the i-1 neighbour of axis k, where
     c = gamma slope^(gamma-1) / (h denom) for the upwind slopes a_k, b_k.
-    An off-diagonal entry is stored only where its coefficient is positive.
-    The CSR arrays are gathered straight into the order of the cached
-    `_nd_stencil(denom.shape)`, with indptr from the count of stored entries
-    per row.
+    The full stencil is gathered straight into the order of the cached
+    `_nd_stencil(denom.shape)`, and SciPy's `eliminate_zeros` drops its
+    zero entries: an off-diagonal c is zero exactly where its slope is
+    inactive, and the diagonal is at least beta > 0, so it is never
+    dropped.  The cached index arrays are copied, as `eliminate_zeros`
+    compacts in place.
     """
-    cols, gather, diag_slot = _nd_stencil(denom.shape)
+    cols, gather, indptr = _nd_stencil(denom.shape)
     a, b = slopes
     size = denom.size
-    width = 2 * denom.ndim + 1
-    coef = np.empty((width, size))
+    coef = np.empty((2 * denom.ndim + 1, size))
     diag = coef[0]
     diag.fill(beta)
     for k in range(denom.ndim):
@@ -260,11 +262,10 @@ def _hjb_jacobian(slopes, gamma: float, h: float, denom: np.ndarray,
         diag += ca + cb
         coef[2 * k + 1] = -ca
         coef[2 * k + 2] = -cb
-    vals = coef.ravel()[gather]
-    stored = np.flatnonzero((vals < 0.0) | diag_slot)
-    indptr = np.zeros(size + 1, dtype=np.intc)
-    np.cumsum(np.bincount(stored // width, minlength=size), out=indptr[1:])
-    return sps.csr_matrix((vals[stored], cols[stored], indptr), shape=(size, size))
+    jac = sps.csr_matrix((coef.ravel()[gather], cols.copy(), indptr.copy()),
+                         shape=(size, size))
+    jac.eliminate_zeros()
+    return jac
 
 
 def solve_hjb_discounted(
@@ -394,8 +395,11 @@ def solve_hjb_discounted(
 def hjb_residual(u: GridFunction, m: GridFunction, P, spec: ProblemSpec,
                  beta: float) -> float:
     """Max-norm residual of the scheme that `solve_hjb_discounted` solves;
-    ValueError for a u on another grid than spec's, besides the input
-    checks of `_hjb_scheme`."""
+    ValueError for a beta that is not finite and > 0 and for a u on another
+    grid than spec's, besides the input checks of `_hjb_scheme`."""
+    # NaN fails every comparison, so it stops here too
+    if not 0 < beta < np.inf:
+        raise ValueError(f"discount rate beta must be finite and > 0, got {beta}")
     if u.grid != spec.grid:
         raise ValueError(f"u lies on {u.grid}, the problem on {spec.grid}")
     residual, _ = _hjb_scheme(m, P, spec, beta)

@@ -39,7 +39,7 @@ in the HJB solve of the stream-function transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,10 +78,10 @@ class FeasiblePoint:
 
     def feasibility_errors(self) -> tuple[float, float]:
         """(|h^d sum u|, |h^d sum m - 1|); min m handled separately."""
-        hd = self.grid.h**self.grid.dim
+        h = self.grid.h
         return (
-            abs(hd * float(self.u.values.sum())),
-            abs(hd * float(self.m.values.sum()) - 1.0),
+            abs(integrate_values(self.u.values, h)),
+            abs(integrate_values(self.m.values, h) - 1.0),
         )
 
     def is_feasible(self, tol: float = 1e-12) -> bool:
@@ -101,10 +101,6 @@ class DiscreteObjective:
     it to each."""
 
     spec: ProblemSpec
-    _p: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._p = np.asarray(self.spec.P, dtype=float)
 
     # -- pieces ------------------------------------------------------------
 
@@ -112,7 +108,7 @@ class DiscreteObjective:
         """P + D u, one array per axis."""
         h = self.spec.grid.h
         return [
-            self._p[k] + central_diff_values(u, h, k)
+            self.spec.P[k] + central_diff_values(u, h, k)
             for k in range(self.spec.dim)
         ]
 

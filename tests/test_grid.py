@@ -339,3 +339,10 @@ class TestSerialization:
         back = from_json_record(rec)
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
+
+    @pytest.mark.parametrize("dim, n", [(1, 64.5), (1.9, 64), ("2", "8")],
+                             ids=["fractional-n", "fractional-dim", "strings"])
+    def test_rejects_a_non_integer_dim_or_n(self, dim, n):
+        # int() used to read these as a 64-node, a 1D and a 2D grid
+        with pytest.raises(ValueError, match="integer"):
+            from_json_record({"dim": dim, "n": n, "values": [0.0] * 64})

@@ -8,7 +8,7 @@ from torusmfg import model
 from torusmfg import optimizer as optimizer_module
 from torusmfg import variational
 from torusmfg.grid import GridFunction, TorusGrid, central_diff_values
-from torusmfg.model import CouplingG, ProblemSpec
+from torusmfg.model import CouplingG, PotentialFamily, ProblemSpec
 from torusmfg.optimizer import SolveOptions, minimize, random_feasible_point
 from torusmfg.variational import DiscreteObjective, FeasiblePoint, optimal_m
 
@@ -404,6 +404,77 @@ class TestReducedSolver:
                        SolveOptions(step0=float(n * n), max_iters=200))
         assert res.stop_reason == "stationary"
         assert res.iters <= 40
+
+
+def hard_row(amplitude, alpha=1.5, gamma=2.0, P=1.0, terms=QUAD.terms, n=128):
+    """A 1D row of the hard-regime table: cosine-shift V at shift 0."""
+    return (1, n, amplitude, alpha, gamma, (P,), terms)
+
+
+def hard_row_2d(P):
+    """A 2D row: sine-cosine-product V at amplitude 5, n = 32, alpha 1.5."""
+    return (2, 32, 5.0, 1.5, 2.0, P, QUAD.terms)
+
+
+# ROADMAP's hard-regime table, (id, row, iterations); the three capped
+# 2,000-iteration solves and the chaotic P = 0.01, amplitude 10 row are
+# left out
+HARD_REGIMES = [
+    ("a1-alpha1.001", hard_row(1.0, alpha=1.001), 2),
+    ("a1-alpha1.01", hard_row(1.0, alpha=1.01), 2),
+    ("a1-alpha1.1", hard_row(1.0, alpha=1.1), 4),
+    ("a1-alpha1.9", hard_row(1.0, alpha=1.9), 16),
+    ("a1-alpha=gamma=2", hard_row(1.0, alpha=2.0), 22),
+    ("a1-alpha=gamma=1.5", hard_row(1.0, gamma=1.5), 41),
+    ("a1-alpha=gamma=3", hard_row(1.0, alpha=3.0, gamma=3.0), 16),
+    ("a1-alpha2.5-gamma3", hard_row(1.0, alpha=2.5, gamma=3.0), 8),
+    ("a1-alpha1.2-gamma1.5", hard_row(1.0, alpha=1.2, gamma=1.5), 8),
+    ("a1-gamma3", hard_row(1.0, gamma=3.0), 6),
+    ("a1-gamma4", hard_row(1.0, gamma=4.0), 6),
+    ("a1-P0.3", hard_row(1.0, P=0.3), 11),
+    ("a1-P0.1", hard_row(1.0, P=0.1), 19),
+    ("a1-P0.01", hard_row(1.0, P=0.01), 29),
+    ("a1-G(1,1.5)", hard_row(1.0, terms=((1.0, 1.5),)), 10),
+    ("a1-G(1,4)", hard_row(1.0, terms=((1.0, 4.0),)), 5),
+    ("a1-G(0.5,2)+(1,3)", hard_row(1.0, terms=((0.5, 2.0), (1.0, 3.0))), 5),
+    ("a10-alpha1.001", hard_row(10.0, alpha=1.001), 2),
+    ("a10-alpha1.01", hard_row(10.0, alpha=1.01), 4),
+    ("a10-alpha1.1", hard_row(10.0, alpha=1.1), 8),
+    # the next three are false "stationary" stops, to change when the
+    # duality gap decides the stop (ROADMAP item H)
+    ("a10-alpha=gamma=2-n64", hard_row(10.0, alpha=2.0, n=64), 1081),
+    ("a10-alpha=gamma=3", hard_row(10.0, alpha=3.0, gamma=3.0), 61),
+    ("a10-alpha2.5-gamma3", hard_row(10.0, alpha=2.5, gamma=3.0), 47),
+    ("a10-alpha1.2-gamma1.5", hard_row(10.0, alpha=1.2, gamma=1.5), 21),
+    ("a10-gamma3", hard_row(10.0, gamma=3.0), 12),
+    ("a10-gamma4", hard_row(10.0, gamma=4.0), 10),
+    ("a10-P0.3", hard_row(10.0, P=0.3), 73),
+    ("a10-P0.1", hard_row(10.0, P=0.1), 157),
+    ("a5-2d-P(0.1,0.05)", hard_row_2d((0.1, 0.05)), 70),
+    ("a5-2d-P(0.01,0)", hard_row_2d((0.01, 0.0)), 230),
+    ("a10-G(1,1.5)", hard_row(10.0, terms=((1.0, 1.5),)), 34),
+    ("a10-G(1,4)", hard_row(10.0, terms=((1.0, 4.0),)), 13),
+    ("a10-G(0.5,2)+(1,3)", hard_row(10.0, terms=((0.5, 2.0), (1.0, 3.0))), 17),
+]
+
+
+class TestHardRegimeCounts:
+    """Every pinned row of ROADMAP's hard-regime table stops "stationary"
+    after the iterations the table gives, from the uniform start with
+    step0 = N and max_iters = 2000."""
+
+    @pytest.mark.parametrize("row, iters", [case[1:] for case in HARD_REGIMES],
+                             ids=[case[0] for case in HARD_REGIMES])
+    def test_stop_and_iterations(self, row, iters):
+        dim, n, amplitude, alpha, gamma, P, terms = row
+        grid = TorusGrid(dim, n)
+        family = ("cosine-shift", {"amplitude": amplitude, "shift": 0.0}) if dim == 1 \
+            else ("sine-cosine-product", {"amplitude": amplitude})
+        spec = ProblemSpec(dim, n, alpha, gamma, P, PotentialFamily(*family).sample(grid),
+                           CouplingG(terms))
+        res = minimize(DiscreteObjective(spec), "uniform",
+                       SolveOptions(step0=float(grid.num_nodes), max_iters=2000))
+        assert (res.stop_reason, res.iters) == ("stationary", iters)
 
 
 class TestMirrorSymmetry:

@@ -268,6 +268,17 @@ class TestAnswerChecks:
         assert 1e-12 < abs(integrate_values(m, 1.0 / 32) - 1.0) < 1e-10
 
 
+    @pytest.mark.parametrize("dim, P", [(1, (1e155,)), (1, (-3e160,)), (2, (1e155, 0.0))])
+    def test_nan_answer_raises(self, dim, P):
+        # k = |P|^2/2 overflows, and the m-block used to return H-bar = inf
+        # and m all NaN as "stationary": NaN fails every comparison
+        V_fn = (lambda x: np.cos(2 * np.pi * x)) if dim == 1 else \
+            (lambda x, y: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
+        spec = make_spec(n=16, dim=dim, alpha=1.0, P=P, V_fn=V_fn)
+        with np.errstate(all="ignore"), pytest.raises(BracketError):
+            solve_critical(spec)
+
+
 class TestWarmStartedMassSolve:
     """The mass solves start from Hbar guesses exact for constant V."""
 

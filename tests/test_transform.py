@@ -218,13 +218,16 @@ def cold_hbar(res, base, beta=1e-3):
 
 
 class TestScheduleErrors:
-    # NaN and inf used to fail inside the first spsolve
+    # NaN and inf used to fail inside the first spsolve; the residual used
+    # to return NaN for them, and its beta = 0 value for 0 and -1e-3
     @pytest.mark.parametrize("beta", [0.0, -1e-3, math.nan, math.inf])
     def test_hjb_rejects_nonpositive_beta(self, beta):
         base = base_spec(8, sine_cosine())
         m = GridFunction(base.grid, np.ones(base.grid.shape))
         with pytest.raises(ValueError, match="beta"):
             solve_hjb_discounted(m, (0.0, 1.0), base, beta)
+        with pytest.raises(ValueError, match="beta"):
+            hjb_residual(base.grid.zeros(), m, (0.3, 0.1), base, beta)
 
 
 class TestHJBInputErrors:
@@ -412,6 +415,29 @@ class TestHJBJacobian:
         ref.eliminate_zeros()
         expected = spla.spsolve(ref, -r)
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestHJBJacobianCache:
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_two_builds_leave_the_cached_stencil_unchanged(self, n):
+        # eliminate_zeros compacts the CSR arrays in place, so each build
+        # must work on copies of the cached ones
+        base = base_spec(n, sine_cosine(), gamma=3.0)
+        grid, p, beta = base.grid, np.array([0.7, -0.4]), 1e-2
+        m = GridFunction(grid, 1.5 + np.random.default_rng(1).uniform(-0.5, 0.5, grid.shape))
+        residual, denom = _hjb_scheme(m, p, base, beta)
+        perm, _ = nested_dissection_order(grid.shape)
+        cached = [a.copy() for a in transform._nd_stencil(grid.shape)]
+        for scale in (0.0, 0.1):
+            u = scale * np.random.default_rng(2).standard_normal(grid.shape)
+            jac = _hjb_jacobian(residual(u)[1], 3.0, grid.h, denom, beta)
+            ref = full_jacobian(u, p, 3.0, grid.h, denom, beta)
+            ref.eliminate_zeros()
+            assert jac.nnz == ref.nnz
+            assert np.array_equal(jac.toarray(), ref.toarray()[np.ix_(perm, perm)])
+        for before, after in zip(cached, transform._nd_stencil(grid.shape)):
+            assert not after.flags.writeable
+            assert np.array_equal(before, after)
 
 
 class CountingFactor:
