@@ -44,7 +44,9 @@ class TorusGrid:
     n: int
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) for v in (self.dim, self.n)):
+        # bool is an Integral, and True would pass for dim 1
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.dim, self.n)):
             raise ValueError(f"dim and n must be integers, got {(self.dim, self.n)}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")

@@ -54,11 +54,11 @@ class CouplingG:
         return self._g(z)
 
     def _g(self, z):
-        """g at an ndarray z >= 0, unchecked.  A one-term coupling takes the
-        closed form c theta z^(theta - 1), with no power at theta = 2."""
-        if len(self.terms) == 1:
-            (c, t), = self.terms
-            return c * t * (z if t == 2.0 else z ** (t - 1.0))
+        """g at an ndarray z >= 0, unchecked.  A one-term theta = 2 coupling
+        takes the closed form 2c z, with no power; any other coupling the
+        sum over its terms."""
+        if len(self.terms) == 1 and self.terms[0][1] == 2.0:
+            return 2.0 * self.terms[0][0] * z
         return sum(c * t * z ** (t - 1.0) for c, t in self.terms)
 
     def g_prime(self, z, z_floor: float = 0.0):
@@ -72,15 +72,11 @@ class CouplingG:
 
     def _g_prime(self, z, z_floor: float):
         """g' at an ndarray z >= 0, unchecked; z floored at z_floor before
-        negative powers (theta < 2 terms).  A one-term coupling takes the
-        closed form c theta (theta - 1) z^(theta - 2), the number 2c at
-        theta = 2, which broadcasts against z."""
-        if len(self.terms) == 1:
-            (c, t), = self.terms
-            if t == 2.0:
-                return c * t * (t - 1.0)
-            zz = np.maximum(z, z_floor) if t < 2.0 else z
-            return c * t * (t - 1.0) * zz ** (t - 2.0)
+        negative powers (theta < 2 terms).  A one-term theta = 2 coupling
+        takes the number 2c, which broadcasts against z; any other coupling
+        the sum over its terms."""
+        if len(self.terms) == 1 and self.terms[0][1] == 2.0:
+            return 2.0 * self.terms[0][0]
         out = np.zeros_like(z)
         for c, t in self.terms:
             zz = np.maximum(z, z_floor) if t < 2.0 else z
@@ -105,17 +101,17 @@ class CouplingG:
             out = np.maximum(q, 0.0) / (c * t)
             if t != 2.0:
                 out = out ** (1.0 / (t - 1.0))
-            return float(out) if out.ndim == 0 else out
-        out = np.zeros(q.shape)
-        pos = q > 0.0
-        if np.any(pos):
-            qp = q[pos]
-            out[pos] = monotone_root(
+        else:
+            out = np.zeros(q.shape)
+            pos = q > 0.0
+            if np.any(pos):
+                qp = q[pos]
+                start = np.ones_like(qp) if m0 is None else np.asarray(m0, float)[pos]
                 # g' > 0 at the root; monotone_root keeps m >= 0, so g and g'
                 # go unchecked
-                lambda m: (self._g(m) - qp, self._g_prime(m, 1e-300)),
-                np.ones_like(qp) if m0 is None else np.asarray(m0, dtype=float)[pos],
-            )
+                out[pos] = monotone_root(
+                    lambda m: (self._g(m) - qp, self._g_prime(m, 1e-300)), start
+                )
         return float(out) if out.ndim == 0 else out
 
     def serialize(self) -> list[dict]:
@@ -248,13 +244,20 @@ def mass_root(density, hbar0):
 # extended congestion integrand and its recession function
 
 def barf(p, m: float, P, alpha: float, gamma: float) -> float:
-    """Extended integrand; +inf at m = 0 unless p = -P exactly."""
+    """Extended integrand; +inf at m = 0 unless p = -P exactly.
+
+    ValueError unless 1 < alpha <= gamma, for an m that is negative or NaN,
+    and for a p whose length differs from P's.
+    """
+    # NaN fails every comparison, so it stops here too
     if not 1.0 < alpha <= gamma:
         raise ValueError(f"need 1 < alpha <= gamma, got alpha={alpha}, gamma={gamma}")
+    if not m >= 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     p = np.atleast_1d(np.asarray(p, dtype=float))
     P = np.atleast_1d(np.asarray(P, dtype=float))
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    if p.shape != P.shape:
+        raise ValueError(f"p has shape {p.shape}, the drift P {P.shape}")
     s = float(np.linalg.norm(P + p))
     if m == 0.0:
         return 0.0 if s == 0.0 else math.inf
@@ -262,28 +265,21 @@ def barf(p, m: float, P, alpha: float, gamma: float) -> float:
 
 
 def barf_recession(p, m: float, gamma: float) -> float:
-    """Recession function: |p|^gamma / (gamma (gamma-1) m^(gamma-1))."""
-    if gamma <= 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    s = float(np.linalg.norm(p))
-    if m == 0.0:
-        return 0.0 if s == 0.0 else math.inf
-    return s**gamma / (gamma * (gamma - 1.0) * m ** (gamma - 1.0))
+    """Recession function |p|^gamma / (gamma (gamma-1) m^(gamma-1)): the
+    integrand at alpha = gamma with no drift, with barf's checks."""
+    return barf(p, m, np.zeros_like(p, dtype=float), gamma, gamma)
 
 
 # ---------------------------------------------------------------------------
 # potentials
 
-# the parameter names of each family; custom-samples needs "values" and
-# accepts any other key
+# each analytic family's dimension and parameter defaults; custom-samples
+# needs "values" and accepts any other key
 POTENTIAL_FAMILIES = {
-    "cosine-shift": ("amplitude", "shift"),
-    "sine-cosine-product": ("amplitude", "shift_x", "shift_y"),
-    "gaussian-bump": ("amplitude", "center"),
-    "exp-sin-cos": ("amplitude", "shift_x", "shift_y"),
+    "cosine-shift": (1, {"amplitude": 1.0, "shift": 0.0}),
+    "sine-cosine-product": (2, {"amplitude": 1.0, "shift_x": 0.0, "shift_y": 0.0}),
+    "gaussian-bump": (1, {"amplitude": 1.0, "center": 0.5}),
+    "exp-sin-cos": (2, {"amplitude": 1.0, "shift_x": 0.0, "shift_y": 0.0}),
     "custom-samples": None,
 }
 
@@ -305,9 +301,10 @@ class PotentialFamily:
     formula's order, (A f(x)) g(y), so every sample is bitwise equal to the
     formula evaluated at each node.
 
-    ValueError at construction for an unknown family, for an analytic
-    family's parameter outside its own list (`POTENTIAL_FAMILIES`), and for
-    custom-samples without "values"; ValueError from `sample` for an
+    `POTENTIAL_FAMILIES` holds each analytic family's dimension and the
+    defaults of its parameters.  ValueError at construction for an unknown
+    family, for an analytic family's parameter outside its defaults, and
+    for custom-samples without "values"; ValueError from `sample` for an
     analytic family on a grid of the other dimension.
     """
 
@@ -320,36 +317,34 @@ class PotentialFamily:
                 f"unknown potential family {self.family!r}; "
                 f"choose from {tuple(POTENTIAL_FAMILIES)}"
             )
-        allowed = POTENTIAL_FAMILIES[self.family]
-        if allowed is None and "values" not in self.params:
+        entry = POTENTIAL_FAMILIES[self.family]
+        if entry is None and "values" not in self.params:
             raise ValueError("custom-samples needs the parameter 'values'")
-        if allowed is not None and not set(self.params) <= set(allowed):
-            raise ValueError(f"{self.family} takes only {allowed}: {list(self.params)}")
+        if entry is not None and not set(self.params) <= set(entry[1]):
+            raise ValueError(
+                f"{self.family} takes only {tuple(entry[1])}: {list(self.params)}"
+            )
 
     def sample(self, grid: TorusGrid) -> GridFunction:
-        p = self.params
-        A = float(p.get("amplitude", 1.0))
-        if self.family in ("cosine-shift", "gaussian-bump") and grid.dim != 1:
-            raise ValueError(f"{self.family} is one-dimensional")
-        if self.family in ("sine-cosine-product", "exp-sin-cos") and grid.dim != 2:
-            raise ValueError(f"{self.family} is two-dimensional")
-        x = grid.axis_coords()
-        if self.family == "cosine-shift":
-            shift = float(p.get("shift", 0.0))
-            vals = A * np.cos(2 * np.pi * (x - shift))
-        elif self.family == "gaussian-bump":
-            center = float(p.get("center", 0.5))
-            vals = A * np.exp(-((x - center) ** 2))
-        elif self.family in ("sine-cosine-product", "exp-sin-cos"):
-            sx = float(p.get("shift_x", 0.0))
-            sy = float(p.get("shift_y", 0.0))
-            fx = np.sin(2 * np.pi * (x + sx))
-            if self.family == "exp-sin-cos":
-                fx = np.exp(-fx**2)
-            # (A f(x)) g(y), the grid formula's order of products
-            vals = (A * fx)[:, None] * np.cos(2 * np.pi * (x + sy))
-        else:  # custom-samples
-            vals = p["values"]
+        if self.family == "custom-samples":
+            vals = self.params["values"]
+        else:
+            dim, defaults = POTENTIAL_FAMILIES[self.family]
+            if grid.dim != dim:
+                word = ("one", "two")[dim - 1]
+                raise ValueError(f"{self.family} is {word}-dimensional")
+            p = {k: float(self.params.get(k, v)) for k, v in defaults.items()}
+            A, x = p["amplitude"], grid.axis_coords()
+            if self.family == "cosine-shift":
+                vals = A * np.cos(2 * np.pi * (x - p["shift"]))
+            elif self.family == "gaussian-bump":
+                vals = A * np.exp(-((x - p["center"]) ** 2))
+            else:
+                fx = np.sin(2 * np.pi * (x + p["shift_x"]))
+                if self.family == "exp-sin-cos":
+                    fx = np.exp(-fx**2)
+                # (A f(x)) g(y), the grid formula's order of products
+                vals = (A * fx)[:, None] * np.cos(2 * np.pi * (x + p["shift_y"]))
         f = GridFunction(grid, vals)
         if not np.all(np.isfinite(f.values)):
             raise ValueError("potential samples must be finite")
@@ -381,6 +376,9 @@ class ProblemSpec:
     coupling: CouplingG
 
     def __post_init__(self):
+        # TorusGrid owns the check of (dim, n)
+        if TorusGrid(self.dim, self.n) != self.V.grid:
+            raise ValueError("potential sampled on a different grid than (dim, n)")
         self.P = tuple(float(p) for p in np.atleast_1d(self.P))
         # NaN fails every comparison, so it stops here too
         if not 1 < self.gamma < math.inf:
@@ -391,8 +389,6 @@ class ProblemSpec:
             raise ValueError(f"drift needs {self.dim} components, got {len(self.P)}")
         if not all(map(math.isfinite, self.P)):
             raise ValueError(f"drift must be finite, got {self.P}")
-        if self.V.grid.dim != self.dim or self.V.grid.n != self.n:
-            raise ValueError("potential sampled on a different grid than (dim, n)")
         if not np.isfinite(self.V.values).all():
             raise ValueError("potential samples must be finite")
 

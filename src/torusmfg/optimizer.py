@@ -73,8 +73,9 @@ class SolveOptions:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         # the cap fires on iters == max_iters, which a negative or
-        # non-integral value never meets
-        if not float(self.max_iters).is_integer():
+        # non-integral value never meets; a bool would cap at 0 or 1
+        if (isinstance(self.max_iters, (bool, np.bool_))
+                or not float(self.max_iters).is_integer()):
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")

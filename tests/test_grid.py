@@ -59,10 +59,11 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             TorusGrid(3, 32)
 
-    @pytest.mark.parametrize("dim, n", [(1, 64.5), (2.0, 16)])
+    @pytest.mark.parametrize("dim, n", [(1, 64.5), (2.0, 16), (True, 8), (1, True)])
     def test_rejects_non_integer_dim_and_n(self, dim, n):
         # (1, 64.5) built a grid of shape (64.5,), and (2.0, 16) failed later
-        # with a TypeError
+        # with a TypeError; bool is an Integral, and TorusGrid(True, 8) was a
+        # grid equal to TorusGrid(1, 8)
         with pytest.raises(ValueError, match="integer"):
             TorusGrid(dim, n)
 
@@ -340,9 +341,11 @@ class TestSerialization:
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
 
-    @pytest.mark.parametrize("dim, n", [(1, 64.5), (1.9, 64), ("2", "8")],
-                             ids=["fractional-n", "fractional-dim", "strings"])
+    @pytest.mark.parametrize(
+        "dim, n", [(1, 64.5), (1.9, 64), ("2", "8"), (True, 64)],
+        ids=["fractional-n", "fractional-dim", "strings", "bool-dim"])
     def test_rejects_a_non_integer_dim_or_n(self, dim, n):
-        # int() used to read these as a 64-node, a 1D and a 2D grid
+        # int() used to read the first three as a 64-node, a 1D and a 2D
+        # grid, and JSON true came back as the grid TorusGrid(dim=True, n=64)
         with pytest.raises(ValueError, match="integer"):
             from_json_record({"dim": dim, "n": n, "values": [0.0] * 64})

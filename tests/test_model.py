@@ -315,6 +315,17 @@ class TestBarf:
         with pytest.raises(ValueError, match="nonnegative"):
             barf((0.1,), -1.0, (0.0,), 1.5, 2.0)
 
+    def test_rejects_nan_mass(self):
+        # NaN passed the `m < 0` check and barf returned NaN
+        with pytest.raises(ValueError, match="nonnegative"):
+            barf((0.1,), math.nan, (0.0,), 1.5, 2.0)
+
+    @pytest.mark.parametrize("p, P", [((0.1,), (0.0, 0.0)), ((0.1, 0.2), (0.0,))])
+    def test_rejects_p_and_P_of_different_lengths(self, p, P):
+        # they used to broadcast: barf((0.1,), 1, (0, 0), 1.5, 2) gave 0.02
+        with pytest.raises(ValueError, match="shape"):
+            barf(p, 1.0, P, 1.5, 2.0)
+
     def test_midpoint_convexity_sampled(self):
         rng = np.random.default_rng(11)
         P = (0.7, -0.3)
@@ -351,6 +362,27 @@ class TestRecession:
             barf_recession((0.1,), 1.0, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             barf_recession((0.1,), -1.0, 2.0)
+
+    def test_rejects_nan_mass_and_nan_gamma(self):
+        # both used to return NaN
+        with pytest.raises(ValueError, match="nonnegative"):
+            barf_recession((1.0,), math.nan, 2.0)
+        with pytest.raises(ValueError, match="gamma"):
+            barf_recession((1.0,), 1.0, math.nan)
+
+    def test_is_barf_at_alpha_gamma_without_drift(self):
+        # the recession function is the integrand at alpha = gamma with
+        # P = 0, bit for bit, the m = 0 branches included
+        rng = np.random.default_rng(13)
+        for i in range(400):
+            d = 1 + i % 2
+            p = rng.standard_normal(d) * 10.0 ** rng.uniform(-6, 3)
+            if i % 9 == 0:
+                p[:] = 0.0
+            m = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-8, 3)
+            gamma = rng.uniform(1.01, 5.0)
+            want = barf(p, m, np.zeros(d), gamma, gamma)
+            assert float(barf_recession(p, m, gamma)).hex() == float(want).hex()
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(12)
@@ -445,35 +477,45 @@ class TestPotentials:
             V = pot.sample(TorusGrid(dim, 8))
             assert np.isfinite(V.values).all()
 
-    # the formulas of the 2D families at every node of a coordinate grid
+    # the formulas of the analytic families at every node of a coordinate
+    # grid, with their shift or center parameters
     GRID_FORMULAS = {
-        "sine-cosine-product": lambda X, Y, A, sx, sy: (
-            A * np.sin(2 * np.pi * (X + sx)) * np.cos(2 * np.pi * (Y + sy))),
-        "exp-sin-cos": lambda X, Y, A, sx, sy: (
+        "cosine-shift": (("shift",), lambda X, A, s: A * np.cos(2 * np.pi * (X - s))),
+        "gaussian-bump": (("center",), lambda X, A, c: A * np.exp(-((X - c) ** 2))),
+        "sine-cosine-product": (("shift_x", "shift_y"), lambda X, Y, A, sx, sy: (
+            A * np.sin(2 * np.pi * (X + sx)) * np.cos(2 * np.pi * (Y + sy)))),
+        "exp-sin-cos": (("shift_x", "shift_y"), lambda X, Y, A, sx, sy: (
             A * np.exp(-np.sin(2 * np.pi * (X + sx)) ** 2)
-            * np.cos(2 * np.pi * (Y + sy))),
+            * np.cos(2 * np.pi * (Y + sy)))),
     }
+    DEFAULTS = {"cosine-shift": (0.0,), "gaussian-bump": (0.5,),
+                "sine-cosine-product": (0.0, 0.0), "exp-sin-cos": (0.0, 0.0)}
 
     @pytest.mark.parametrize("n", [5, 12, 33, 128])
     @pytest.mark.parametrize("family", sorted(GRID_FORMULAS))
     def test_product_families_bitwise_equal_the_grid_formula(self, family, n):
-        # sampled as an outer product of an x factor and a y factor, with
-        # the products in the formula's order, every bit matches; zero and
-        # negative amplitudes keep their signed zeros, and shifts outside
-        # [0, 1) wrap as the formula does
-        g = TorusGrid(2, n)
-        X, Y = np.meshgrid(g.axis_coords(), g.axis_coords(), indexing="ij")
+        # sampled on the axis coordinates, a 2D family as an outer product of
+        # an x factor and a y factor with the products in the formula's
+        # order, every bit matches; zero and negative amplitudes keep their
+        # signed zeros, and shifts or centers outside [0, 1) wrap as the
+        # formula does
+        keys, formula = self.GRID_FORMULAS[family]
+        dim = len(keys)
+        g = TorusGrid(dim, n)
+        coords = np.meshgrid(*(g.axis_coords(),) * dim, indexing="ij")
         for A in (0.0, -0.0, 1.0, -2.5, 11.3):
-            for sx, sy in ((0.0, 0.0), (0.3, -0.45), (-1.7, 2.25), (13.61, -0.5)):
+            for shifts in ((0.0, 0.0), (0.3, -0.45), (-1.7, 2.25), (13.61, -0.5)):
+                shifts = shifts[:dim]
                 V = PotentialFamily(
-                    family, {"amplitude": A, "shift_x": sx, "shift_y": sy}
+                    family, {"amplitude": A, **dict(zip(keys, shifts))}
                 ).sample(g)
-                want = self.GRID_FORMULAS[family](X, Y, A, sx, sy)
-                assert V.values.shape == (n, n)
+                want = formula(*coords, A, *shifts)
+                assert V.values.shape == (n,) * dim
                 assert V.values.tobytes() == want.tobytes()
-        # the defaults: amplitude 1, no shift
+        # the defaults: amplitude 1, no shift, the bump centered at 0.5
         V = PotentialFamily(family).sample(g)
-        assert V.values.tobytes() == self.GRID_FORMULAS[family](X, Y, 1.0, 0.0, 0.0).tobytes()
+        want = formula(*coords, 1.0, *self.DEFAULTS[family])
+        assert V.values.tobytes() == want.tobytes()
 
     def test_analytic_families_sample_without_a_coordinate_grid(self, monkeypatch):
         # every analytic family reads the axis coordinates alone
@@ -497,6 +539,14 @@ class TestProblemSpec:
         V = g.zeros()
         with pytest.raises(ValueError):
             ProblemSpec(1, 32, 1.5, 2.0, (0.0,), V, QUAD)
+
+    @pytest.mark.parametrize("dim, n", [(1.0, 16.0), (1, 16.0), (True, 16), (1, 16.5)])
+    def test_rejects_a_non_integer_dim_or_n(self, dim, n):
+        # (1.0, 16.0) and (True, 16) were accepted, and minimize then raised
+        # "TypeError: 'float' object cannot be interpreted as an integer"
+        g = TorusGrid(1, 16)
+        with pytest.raises(ValueError, match="integer"):
+            ProblemSpec(dim, n, 1.5, 2.0, (0.0,), g.zeros(), QUAD)
 
     @pytest.mark.parametrize("alpha, gamma, P", [
         (math.nan, 2.0, (0.0,)), (math.inf, 2.0, (0.0,)),

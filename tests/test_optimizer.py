@@ -149,6 +149,12 @@ class TestDescentMechanics:
         with pytest.raises(ValueError, match="max_iters"):
             SolveOptions(max_iters=max_iters)
 
+    @pytest.mark.parametrize("max_iters", [True, False, np.True_])
+    def test_bool_max_iters_raises(self, max_iters):
+        # True silently capped the solve at 1 iteration and False at 0
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveOptions(max_iters=max_iters)
+
     @pytest.mark.parametrize("name", ["tol_gradmap", "step0"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_tolerance_or_step_raises(self, name, value):

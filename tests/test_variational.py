@@ -659,8 +659,8 @@ class TestOptimalM:
 
 class TestCouplingClosedForms:
     """`CouplingG.g` and `g_prime`, whose unchecked forms `_g` and
-    `_g_prime` `_node` calls once each: a one-term coupling takes closed
-    forms, equal bit for bit to the sum over terms."""
+    `_g_prime` `_node` calls once each: a one-term theta = 2 coupling takes
+    closed forms, equal bit for bit to the sum over terms."""
 
     @staticmethod
     def term_sums(terms, z, z_floor):
